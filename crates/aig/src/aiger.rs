@@ -121,6 +121,13 @@ pub fn from_aiger_ascii(text: &str) -> Result<Aig, ParseAigerError> {
     if l != 0 {
         return Err(ParseAigerError::new("latches are not supported", 1));
     }
+    // Bound every header count by the file size before any allocation:
+    // each input, output and AND takes a line, and no real (dense, or
+    // nearly so) netlist declares more variables than it has bytes.
+    let records = i.checked_add(o).and_then(|n| n.checked_add(a));
+    if records.is_none_or(|n| n > text.len()) || m > text.len() {
+        return Err(ParseAigerError::new("header counts exceed file size", 1));
+    }
     if m < i + a {
         return Err(ParseAigerError::new("header M below I + A", 1));
     }
@@ -455,6 +462,16 @@ mod tests {
         assert_eq!(out, vec![true]);
         let out = crate::sim::evaluate(&aig, &[true, false]);
         assert_eq!(out, vec![false]);
+    }
+
+    #[test]
+    fn oversized_header_is_an_error_not_an_abort() {
+        // 23 bytes claiming four billion variables: sizing the variable
+        // table from the header would request 32 GB and abort.
+        for text in ["aag 4000000000 0 0 0 0\n", "aag 3 0 0 4000000000 0\n"] {
+            let err = from_aiger_auto(text.as_bytes()).unwrap_err();
+            assert!(err.to_string().contains("exceed file size"), "{err}");
+        }
     }
 
     #[test]

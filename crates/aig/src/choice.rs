@@ -27,7 +27,8 @@
 //! * [`crate::cuts::enumerate_cuts_choice`] — cut enumeration that walks
 //!   the rings, so a cut of the representative may be rooted in any
 //!   member's cone;
-//! * `techmap::map_choice_aig` — mapping over the choices;
+//! * `techmap::map_subject` with a `Subject::Choices` — mapping over the
+//!   choices;
 //! * [`ChoiceAig::collapsed`] — the representative-resolved network (a
 //!   SAT sweep / fraig of the primary snapshot), which is what the `dch`
 //!   flow step hands to non-choice consumers.

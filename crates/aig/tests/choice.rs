@@ -10,7 +10,7 @@ use aig::{Aig, ChoiceAig, Flow, Lit};
 use charlib::characterize_library;
 use gate_lib::GateFamily;
 use proptest::prelude::*;
-use techmap::{map_choice_aig, verify_mapping, MapConfig};
+use techmap::{map_subject, verify_mapping, MapConfig, NpnMatchCache, Subject};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -67,11 +67,9 @@ proptest! {
         let choices = choices.expect("dch scripts return choices");
         prop_assert!(choices.verify_acyclic(), "rings must stay acyclic");
         let library = characterize_library(GateFamily::CntfetGeneralized);
-        let config = MapConfig {
-            use_choices: true,
-            ..MapConfig::default()
-        };
-        match map_choice_aig(&choices, &library, &config) {
+        let cache = NpnMatchCache::new(&library).expect("the library has an INV");
+        let subject = Subject::Choices(&choices);
+        match map_subject(subject, &library, &cache, &MapConfig::default()) {
             Ok(mapped) => prop_assert!(
                 verify_mapping(&network, &mapped, &library).is_ok(),
                 "choice-mapped netlist must be SAT-equivalent to the reference"

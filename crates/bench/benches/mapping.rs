@@ -3,9 +3,21 @@
 //! three libraries, through the engine's shared NPN match caches.
 
 use ambipolar::engine;
+use ambipolar::pipeline::mapper_cut_db;
 use criterion::{criterion_group, criterion_main, Criterion};
 use gate_lib::GateFamily;
-use techmap::{map_aig_with_cache, MapConfig, Objective};
+use techmap::{map_subject, MapConfig, MappedNetlist, NpnMatchCache, Objective, Subject};
+
+/// One mapping run through a shared match cache and a fresh cut database.
+fn map_shared(
+    aig: &aig::Aig,
+    lib: &charlib::CharacterizedLibrary,
+    cache: &NpnMatchCache,
+    config: &MapConfig,
+) -> MappedNetlist {
+    let cuts = &mut mapper_cut_db(config);
+    map_subject(Subject::Plain(aig, cuts), lib, cache, config).expect("mapping succeeds")
+}
 
 fn bench_mapping(c: &mut Criterion) {
     let aig = bench_circuits::benchmark_by_name("C1355")
@@ -19,9 +31,7 @@ fn bench_mapping(c: &mut Criterion) {
         let lib = engine::library(family);
         let cache = engine::match_cache(family);
         group.bench_function(family.label(), |b| {
-            b.iter(|| {
-                map_aig_with_cache(&synthesized, lib, cache, &config).expect("mapping succeeds")
-            })
+            b.iter(|| map_shared(&synthesized, lib, cache, &config))
         });
     }
     group.finish();
@@ -35,9 +45,7 @@ fn bench_mapping(c: &mut Criterion) {
     for objective in Objective::ALL {
         let config = MapConfig::for_objective(objective);
         group.bench_function(objective.label(), |b| {
-            b.iter(|| {
-                map_aig_with_cache(&synthesized, lib, cache, &config).expect("mapping succeeds")
-            })
+            b.iter(|| map_shared(&synthesized, lib, cache, &config))
         });
     }
     group.finish();

@@ -1,10 +1,10 @@
-//! Criterion bench: the full per-circuit Table-1 pipeline (synthesize →
-//! map → time → power-estimate), its power-simulation inner loop, and the
-//! engine's parallel Table-1 driver against the serial reference.
+//! Criterion bench: the full per-circuit Table-1 pipeline (map → verify
+//! → time → power-estimate), its power-simulation inner loop, and the
+//! Table-1 driver on one thread and on the default pool.
 
 use ambipolar::engine;
-use ambipolar::experiments::Table1Config;
-use ambipolar::pipeline::{evaluate_circuit, PipelineConfig};
+use ambipolar::experiments::{table1_subset, Table1Config};
+use ambipolar::pipeline::{mapper_cut_db, run_job, PipelineConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use gate_lib::GateFamily;
 
@@ -22,7 +22,10 @@ fn bench_pipeline(c: &mut Criterion) {
     for family in GateFamily::ALL {
         let lib = engine::library(family);
         group.bench_function(family.label(), |b| {
-            b.iter(|| evaluate_circuit(&synthesized, lib, &config).expect("mapping succeeds"))
+            b.iter(|| {
+                let mut db = mapper_cut_db(&config.map);
+                run_job(&synthesized, None, lib, &config, &mut db, None).expect("mapping succeeds")
+            })
         });
     }
     group.finish();
@@ -30,13 +33,8 @@ fn bench_pipeline(c: &mut Criterion) {
     // The random-pattern power-simulation loop in isolation: the parallel
     // chunked path and its bit-identical serial reference.
     let lib = engine::library(GateFamily::CntfetGeneralized);
-    let mapped = techmap::map_aig_with_cache(
-        &synthesized,
-        lib,
-        engine::match_cache(GateFamily::CntfetGeneralized),
-        &techmap::MapConfig::default(),
-    )
-    .expect("mapping succeeds");
+    let mapped = techmap::map_aig(&synthesized, lib, &techmap::MapConfig::default())
+        .expect("mapping succeeds");
     let mut group = c.benchmark_group("power_simulation");
     group.sample_size(10);
     group.bench_function("c1908_8k_patterns", |b| {
@@ -58,8 +56,8 @@ fn bench_pipeline(c: &mut Criterion) {
 }
 
 fn bench_engine(c: &mut Criterion) {
-    // A 2-row Table-1 subset through the parallel engine driver vs the
-    // serial reference loop (libraries pre-cached for both).
+    // A 2-row Table-1 subset through the driver on the default pool and
+    // on one thread (libraries pre-cached for both).
     let config = Table1Config {
         pipeline: PipelineConfig {
             patterns: 1 << 12,
@@ -70,11 +68,15 @@ fn bench_engine(c: &mut Criterion) {
     engine::libraries();
     let mut group = c.benchmark_group("engine_table1_2rows");
     group.sample_size(10);
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("pool construction cannot fail for n >= 1");
     group.bench_function("parallel", |b| {
-        b.iter(|| engine::run_table1_subset(&config, names).expect("mapping succeeds"))
+        b.iter(|| table1_subset(&config, names).expect("mapping succeeds"))
     });
-    group.bench_function("serial_reference", |b| {
-        b.iter(|| engine::run_table1_serial(&config, names).expect("mapping succeeds"))
+    group.bench_function("one_thread", |b| {
+        b.iter(|| one_thread.install(|| table1_subset(&config, names).expect("mapping succeeds")))
     });
     group.finish();
 }

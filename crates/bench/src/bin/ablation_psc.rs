@@ -7,6 +7,7 @@
 //! totals under alternative fractions.
 
 use ambipolar::engine;
+use ambipolar::pipeline::{map_portfolio_with_cut_db, mapper_cut_db};
 use bench::BenchArgs;
 use device::{Polarity, TechParams};
 use gate_lib::GateFamily;
@@ -85,7 +86,7 @@ fn main() {
     );
     let bench = bench_circuits::benchmark_by_name("C3540").expect("C3540 exists");
     let pipeline = args.pipeline_config();
-    let flow = args.flow_with_choices();
+    let flow = args.flow();
     let (synthesized, choices, _) = flow.run_with_choices(&bench.aig);
     println!("P_SC sensitivity on {} ({}):", bench.name, bench.function);
     println!(
@@ -94,8 +95,9 @@ fn main() {
     );
     for family in GateFamily::ALL {
         let lib = engine::library(family);
+        let mut db = mapper_cut_db(&pipeline.map);
         let (mapped, _) =
-            ambipolar::pipeline::map_portfolio(&synthesized, choices.as_ref(), lib, &pipeline)
+            map_portfolio_with_cut_db(&synthesized, choices.as_ref(), lib, &pipeline, &mut db)
                 .expect("built-in benchmarks map");
         let act = simulate_activity(
             &mapped,

@@ -10,9 +10,10 @@
 //!    the `rw` pass is built exactly once (build vs hit timing printed),
 //!    and the configured flow's per-pass timing is measured on a sample
 //!    circuit;
-//! 4. **speedup**: the parallel circuit × family driver beats the serial
-//!    reference loop wall-clock (on a multi-core machine; on one core the
-//!    two are equivalent by construction), with bit-identical output.
+//! 4. **thread-count invariance**: the Table-1 driver on a one-thread pool
+//!    and on a pool of at least two workers produces bit-identical tables
+//!    (the wall-clock ratio is printed; on one core the two runs are
+//!    equivalent by construction).
 //!
 //! ```text
 //! cargo run --release -p bench --bin engine_smoke
@@ -21,6 +22,7 @@
 //! ```
 
 use ambipolar::engine;
+use ambipolar::experiments::table1_subset;
 use bench::BenchArgs;
 use gate_lib::GateFamily;
 use std::time::Instant;
@@ -83,7 +85,7 @@ fn run(args: &BenchArgs) {
     // circuit and report per-pass deltas and wall-clock. With --choices
     // (or a flow that already has a dch step) the choice network's
     // per-class/ring statistics are reported too.
-    let flow = args.flow_with_choices();
+    let flow = args.flow();
     let sample = bench_circuits::benchmark_by_name("C1355").expect("C1355");
     let (_, sample_choices, flow_report) = flow.run_with_choices(&sample.aig);
     println!("  flow stages on {} ({}):", sample.name, sample.function);
@@ -115,18 +117,22 @@ fn run(args: &BenchArgs) {
     let characterization_time = t_char.elapsed();
     let after_warm = engine::characterization_count();
 
-    let t_serial = Instant::now();
-    let serial = engine::run_table1_serial(&config, None).expect("built-in benchmarks map");
-    let serial_time = t_serial.elapsed();
-
-    let t_parallel = Instant::now();
-    let parallel = engine::run_table1(&config).expect("built-in benchmarks map");
-    let parallel_time = t_parallel.elapsed();
-
+    // The one driver under a one-thread and an `n`-thread pool (n >= 2).
+    let n = threads.max(2);
+    let timed_table = |threads| {
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+        let start = Instant::now();
+        let table = pool
+            .expect("n >= 1")
+            .install(|| table1_subset(&config, None));
+        (table.expect("built-in benchmarks map"), start.elapsed())
+    };
+    let (serial, serial_time) = timed_table(1);
+    let (parallel, parallel_time) = timed_table(n);
     assert_eq!(
-        format!("{serial}"),
-        format!("{parallel}"),
-        "parallel table must be bit-identical to the serial reference"
+        format!("{:?}", serial.rows),
+        format!("{:?}", parallel.rows),
+        "the {n}-thread table must be bit-identical to the one-thread table"
     );
     assert_eq!(
         engine::characterization_count(),
@@ -144,8 +150,8 @@ fn run(args: &BenchArgs) {
     );
 
     println!("  characterization (3 families, once per process): {characterization_time:?}");
-    println!("  serial circuit x family loop:                    {serial_time:?}");
-    println!("  parallel engine driver:                          {parallel_time:?}");
+    println!("  Table-1 driver, 1 thread:                        {serial_time:?}");
+    println!("  Table-1 driver, {n} threads:                       {parallel_time:?}");
     let speedup = serial_time.as_secs_f64() / parallel_time.as_secs_f64().max(1e-9);
     println!("  wall-clock speedup:                              {speedup:.2}x");
     println!("  tables bit-identical:                            yes");

@@ -10,7 +10,7 @@
 //! ```
 
 use ambipolar::engine;
-use ambipolar::pipeline::evaluate_circuit_with_choices;
+use ambipolar::pipeline::{mapper_cut_db, run_job};
 use bench::BenchArgs;
 use gate_lib::GateFamily;
 
@@ -40,7 +40,7 @@ fn main() {
         aig.and_count()
     );
     let config = args.pipeline_config();
-    let flow = args.flow_with_choices();
+    let flow = args.flow();
     let (synthesized, choices, report) = args.with_thread_pool(|| flow.run_with_choices(&aig));
     println!(
         "after flow \"{}\": {} AND nodes, depth {}",
@@ -67,16 +67,18 @@ fn main() {
         "\n{:<22} {:>7} {:>10} {:>10} {:>10} {:>12}",
         "library", "gates", "delay", "P_D", "P_T", "EDP (J·s)"
     );
+    let db = &mut mapper_cut_db(&config.map);
     for family in GateFamily::ALL {
         let library = engine::library(family);
         let r = args
             .with_thread_pool(|| {
-                evaluate_circuit_with_choices(&synthesized, choices.as_ref(), library, &config)
+                run_job(&synthesized, choices.as_ref(), library, &config, db, None)
             })
             .unwrap_or_else(|e| {
                 eprintln!("{path}: mapping onto {family} failed: {e}");
                 std::process::exit(1);
-            });
+            })
+            .result;
         println!(
             "{:<22} {:>7} {:>10} {:>10} {:>10} {:>12.2e}",
             family.label(),

@@ -40,11 +40,12 @@
 use aig::check::{check_equivalence, Equivalence};
 use aig::{Aig, Flow};
 use ambipolar::engine;
+use ambipolar::pipeline::mapper_cut_db;
 use bench::BenchArgs;
 use bench_circuits::scale::workloads;
 use gate_lib::GateFamily;
 use std::time::Instant;
-use techmap::Verify;
+use techmap::{Subject, Verify};
 
 /// The synth measurement flow (ABC's `resyn2` shape, matching the QoR
 /// baseline's script).
@@ -166,12 +167,12 @@ fn main() {
 
             // Mapping the synthesized network (the pipeline's next stage).
             let map_ands = synth_s.and_count();
-            let (t_map_s, mapped_s) = timed_best(&serial_pool, || {
-                techmap::map_aig_with_cache(&synth_s, library, cache, &map_config)
-            });
-            let (t_map_p, mapped_p) = timed_best(&parallel_pool, || {
-                techmap::map_aig_with_cache(&synth_s, library, cache, &map_config)
-            });
+            let map = || {
+                let cuts = &mut mapper_cut_db(&map_config);
+                techmap::map_subject(Subject::Plain(&synth_s, cuts), library, cache, &map_config)
+            };
+            let (t_map_s, mapped_s) = timed_best(&serial_pool, map);
+            let (t_map_p, mapped_p) = timed_best(&parallel_pool, map);
             let (t_map_s, t_map_p) = fold_single_thread(threads, t_map_s, t_map_p);
             let (mapped_s, mapped_p) = match (mapped_s, mapped_p) {
                 (Ok(s), Ok(p)) => (s, p),

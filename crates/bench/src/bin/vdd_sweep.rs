@@ -3,7 +3,7 @@
 //! optimum sits. The paper fixes V_DD = 0.9 V; this quantifies how robust
 //! its conclusions are to voltage scaling.
 
-use ambipolar::pipeline::{evaluate_circuit_with_choices, PipelineConfig};
+use ambipolar::pipeline::{mapper_cut_db, run_job, PipelineConfig};
 use bench::BenchArgs;
 use charlib::characterize::characterize_library_with;
 use gate_lib::GateFamily;
@@ -19,12 +19,13 @@ fn main() {
         choices: args.choices,
         ..PipelineConfig::default()
     };
-    let flow = args.flow_with_choices();
+    let flow = args.flow();
     let (synthesized, choices, _) = flow.run_with_choices(&bench.aig);
     let config = match args.seed {
         Some(seed) => PipelineConfig { seed, ..config },
         None => config,
     };
+    let db = &mut mapper_cut_db(&config.map);
     println!("V_DD scaling on {} ({}):", bench.name, bench.function);
     println!(
         "{:<8} {:<22} {:>10} {:>10} {:>10} {:>12}",
@@ -36,9 +37,9 @@ fn main() {
         for (fi, family) in GateFamily::ALL.iter().enumerate() {
             let tech = family.tech().with_vdd(vdd);
             let library = characterize_library_with(*family, tech);
-            let r =
-                evaluate_circuit_with_choices(&synthesized, choices.as_ref(), &library, &config)
-                    .expect("built-in benchmarks map at every sweep point");
+            let r = run_job(&synthesized, choices.as_ref(), &library, &config, db, None)
+                .expect("built-in benchmarks map at every sweep point")
+                .result;
             let edp = r.edp().value();
             if edp < edp_min[fi].0 {
                 edp_min[fi] = (edp, vdd);

@@ -158,27 +158,12 @@ impl BenchArgs {
     }
 
     /// The parsed synthesis flow these flags select (the default flow
-    /// when `--flow` was not given). Infallible: `--flow` scripts are
-    /// validated during argument parsing.
+    /// when `--flow` was not given), upgraded for `--choices` by the
+    /// Table-1 driver's own rule ([`ambipolar::engine::parse_flow`]).
+    /// Infallible: `--flow` scripts are validated during argument parsing.
     pub fn flow(&self) -> aig::Flow {
-        match &self.flow {
-            Some(script) => aig::Flow::parse(script).expect("--flow validated at parse time"),
-            None => aig::Flow::default_flow(),
-        }
-    }
-
-    /// [`BenchArgs::flow`] with the `--choices` upgrade applied: a
-    /// trailing `dch` step is appended when `--choices` is on and the
-    /// script has none — the same rule the Table-1 drivers use
-    /// (`ambipolar::engine::parse_flow`). Binaries that drive the
-    /// pipeline directly share this so they cannot drift from the
-    /// drivers.
-    pub fn flow_with_choices(&self) -> aig::Flow {
-        if self.choices {
-            self.flow().with_choices()
-        } else {
-            self.flow()
-        }
+        ambipolar::engine::parse_flow(&self.pipeline_config())
+            .expect("--flow validated at parse time")
     }
 
     /// Parses an explicit argument list (test hook).

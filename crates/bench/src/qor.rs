@@ -11,6 +11,7 @@
 //! accepts exponent notation); strings are plain ASCII labels.
 
 use ambipolar::experiments::{Table1, Table1Config};
+use ambipolar::json::json_circuit_result;
 use gate_lib::GateFamily;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -60,35 +61,12 @@ pub fn table1_json(
             row.ands,
             row.depth
         );
-        for (k, r) in row.results.iter().enumerate() {
-            let energy = r.total_power().value() / p.frequency_hz;
-            // Choice-aware runs record the no-choice gate count and STA
-            // delay so the artifact carries the QoR delta per circuit ×
-            // family and both portfolio guarantees stay checkable.
-            let mut delta = r
-                .gates_no_choice
-                .map(|g| format!(", \"gates_no_choice\": {g}"))
-                .unwrap_or_default();
-            if let Some(d) = r.delay_no_choice {
-                let _ = write!(delta, ", \"delay_s_no_choice\": {}", json_f64(d.value()));
-            }
-            let _ = write!(
-                out,
-                "{}{{\"gates\": {}{delta}, \"delay_s\": {}, \"area_m2\": {}, \"pd_w\": {}, \
-                 \"ps_w\": {}, \"pt_w\": {}, \"energy_j\": {}, \"edp_js\": {}, \
-                 \"transistors\": {}}}",
-                if k == 0 { "" } else { ", " },
-                r.gates,
-                json_f64(r.delay.value()),
-                json_f64(r.area),
-                json_f64(r.power.dynamic.value()),
-                json_f64(r.power.static_sub.value()),
-                json_f64(r.total_power().value()),
-                json_f64(energy),
-                json_f64(r.edp().value()),
-                r.transistors,
-            );
-        }
+        let results: Vec<String> = row
+            .results
+            .iter()
+            .map(|r| format!("{{{}}}", json_circuit_result(r, p.frequency_hz)))
+            .collect();
+        out.push_str(&results.join(", "));
         let _ = writeln!(
             out,
             "]}}{}",

@@ -7,10 +7,12 @@
 use aig::graph::Node;
 use aig::{Aig, Flow, Lit};
 use ambipolar::engine;
+use ambipolar::pipeline::mapper_cut_db;
 use bench_circuits::scale::{random_kregular, workloads};
 use gate_lib::GateFamily;
 use proptest::prelude::*;
-use techmap::MapConfig;
+use std::sync::{Mutex, PoisonError};
+use techmap::{MapConfig, Subject};
 
 fn pool(threads: usize) -> rayon::ThreadPool {
     rayon::ThreadPoolBuilder::new()
@@ -20,8 +22,11 @@ fn pool(threads: usize) -> rayon::ThreadPool {
 }
 
 /// Runs `work` under 1, 2, and 8 worker threads and asserts all three
-/// results compare equal under `same`.
+/// results compare equal under `same`. The pool override is
+/// process-global, so installs are serialized across this binary's tests.
 fn thread_invariant<R>(work: impl Fn() -> R, same: impl Fn(&R, &R) -> bool, what: &str) {
+    static POOL_LOCK: Mutex<()> = Mutex::new(());
+    let _guard = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let reference = pool(1).install(&work);
     for threads in [2usize, 8] {
         let result = pool(threads).install(&work);
@@ -65,7 +70,8 @@ fn mapping_is_identical_across_thread_counts() {
         let synthesized = Flow::default_flow().run(&aig);
         thread_invariant(
             || {
-                techmap::map_aig_with_cache(&synthesized, library, cache, &config)
+                let cuts = &mut mapper_cut_db(&config);
+                techmap::map_subject(Subject::Plain(&synthesized, cuts), library, cache, &config)
                     .expect("the workloads map")
             },
             |a, b| a.gate_count() == b.gate_count() && a.net_count() == b.net_count(),

@@ -1,5 +1,5 @@
 //! The experiment engine: once-per-process caches for the expensive
-//! mapping state and parallel drivers for the paper's evaluation matrix.
+//! mapping state and the synthesis front end every driver shares.
 //!
 //! Two kinds of state are cached behind `OnceLock`s, each built **exactly
 //! once per process** no matter how many call sites ask:
@@ -17,21 +17,16 @@
 //!   fanning out so no worker pays the build). Test hook:
 //!   [`rewrite_library_build_count`].
 //!
-//! On top of the caches, [`run_table1_subset`] fans the circuit × family
-//! evaluation matrix out over the rayon pool: benchmark synthesis is one
-//! parallel pass, and each (circuit, family) pipeline run is an independent
-//! task. Results are reassembled in paper row order, and every stage is
-//! deterministic (fixed seeds, order-preserving joins), so the parallel
-//! table is identical to the serial one. Mapping failures (impossible for
-//! the built-in libraries, reachable with external ones) propagate as
-//! [`PipelineError`] instead of panicking.
+//! Besides the caches, the engine owns the synthesis front end every
+//! driver shares: [`parse_flow`] turns the configured flow script into an
+//! [`aig::Flow`] (appending `dch` for choice-aware mapping) and
+//! [`synthesize_with_choices`] runs it on one circuit. The Table-1 driver
+//! built on top is [`table1_subset`](crate::experiments::table1_subset).
 
-use crate::experiments::{Table1, Table1Config, Table1Row};
-use crate::pipeline::{CircuitResult, PipelineError};
+use crate::pipeline::PipelineError;
 use aig::ChoiceAig;
 use charlib::{characterize_library, CharacterizedLibrary};
 use gate_lib::GateFamily;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use techmap::NpnMatchCache;
@@ -108,7 +103,7 @@ pub fn match_cache_build_count() -> usize {
 /// The process-wide rewrite library (the per-NPN-class optimal subgraphs
 /// the `rw` pass instantiates). The `OnceLock` lives in `aig::rewrite` so
 /// the pass itself can reach it; this accessor is the engine-level warm
-/// point — the Table-1 drivers call it once before fanning out whenever
+/// point — the Table-1 driver calls it once before fanning out whenever
 /// the configured flow contains a rewrite pass.
 pub fn rewrite_library() -> &'static aig::RewriteLibrary {
     aig::rewrite::library()
@@ -119,81 +114,6 @@ pub fn rewrite_library() -> &'static aig::RewriteLibrary {
 /// threads).
 pub fn rewrite_library_build_count() -> usize {
     aig::rewrite::library_build_count()
-}
-
-/// Runs the full Table-1 experiment through the engine: libraries and
-/// match caches from the process caches, circuit × family matrix on the
-/// rayon pool.
-///
-/// # Errors
-///
-/// Propagates the first [`PipelineError`] in row order (unreachable with the
-/// built-in libraries and benchmarks).
-pub fn run_table1(config: &Table1Config) -> Result<Table1, PipelineError> {
-    run_table1_subset(config, None)
-}
-
-/// Like [`run_table1`] but restricted to the named benchmark rows (pass
-/// `None` for all twelve).
-///
-/// Synthesis runs the flow script of
-/// [`PipelineConfig::flow`](crate::pipeline::PipelineConfig::flow),
-/// parsed once per call; the shared rewrite library is warmed before the
-/// fan-out whenever the flow rewrites.
-///
-/// Parallel structure: one synthesis task per benchmark, then one pipeline
-/// task per (circuit, family) pair — for the full table that is 12 + 36
-/// independent tasks. Joins preserve input order, so rows come back in
-/// paper order and the result is bit-identical to [`run_table1_serial`].
-///
-/// # Errors
-///
-/// [`PipelineError::Flow`] when the flow script is malformed; otherwise
-/// the first [`PipelineError`] in row order.
-pub fn run_table1_subset(
-    config: &Table1Config,
-    names: Option<&[&str]>,
-) -> Result<Table1, PipelineError> {
-    let flow = parse_flow(&config.pipeline)?;
-    if flow.uses_rewrite() {
-        rewrite_library();
-    }
-    let libs = libraries();
-    let benches = selected_benchmarks(names);
-    let synthesized: Vec<(aig::Aig, Option<ChoiceAig>)> = benches
-        .par_iter()
-        .map(|bench| synthesize_with_choices(&flow, &bench.aig, &config.pipeline))
-        .collect();
-    // Enumerate each circuit's mapper cuts once, up front; every
-    // per-family job below maps against a clone of the filled database
-    // instead of re-enumerating the same network per library.
-    let cut_dbs: Vec<aig::CutDb> = synthesized
-        .par_iter()
-        .map(|(aig, _)| {
-            let mut db = crate::pipeline::mapper_cut_db(&config.pipeline.map);
-            db.ensure(&aig.cleanup());
-            db
-        })
-        .collect();
-    let jobs: Vec<(usize, usize)> = (0..benches.len())
-        .flat_map(|ci| (0..GateFamily::ALL.len()).map(move |fi| (ci, fi)))
-        .collect();
-    let results: Vec<Result<CircuitResult, PipelineError>> = jobs
-        .into_par_iter()
-        .map(|(ci, fi)| {
-            let (aig, choices) = &synthesized[ci];
-            let mut db = cut_dbs[ci].clone();
-            crate::pipeline::evaluate_circuit_with_cut_db(
-                aig,
-                choices.as_ref(),
-                libs[fi],
-                &config.pipeline,
-                &mut db,
-            )
-        })
-        .collect();
-    let results: Vec<CircuitResult> = results.into_iter().collect::<Result<_, _>>()?;
-    Ok(assemble(benches, &synthesized, results))
 }
 
 /// Parses the configured flow script, appending a `dch` step when
@@ -228,80 +148,28 @@ pub fn synthesize_with_choices(
     }
 }
 
-/// Serial reference implementation of [`run_table1_subset`]: identical
-/// work, identical results, **no threads anywhere** — the inner pattern
-/// simulation also uses the sequential reference
-/// ([`crate::pipeline::evaluate_circuit_serial`]), so this is an honest
-/// single-thread baseline. Kept callable so the `engine_smoke` binary and
-/// the determinism tests can measure and verify the parallel driver
-/// against it.
-///
-/// # Errors
-///
-/// Propagates the first [`PipelineError`] in row order.
-pub fn run_table1_serial(
-    config: &Table1Config,
-    names: Option<&[&str]>,
-) -> Result<Table1, PipelineError> {
-    let flow = parse_flow(&config.pipeline)?;
-    let libs = libraries();
-    let benches = selected_benchmarks(names);
-    let synthesized: Vec<(aig::Aig, Option<ChoiceAig>)> = benches
-        .iter()
-        .map(|bench| synthesize_with_choices(&flow, &bench.aig, &config.pipeline))
-        .collect();
-    let results: Vec<CircuitResult> = synthesized
-        .iter()
-        .flat_map(|(aig, choices)| {
-            libs.iter().map(|lib| {
-                crate::pipeline::evaluate_circuit_serial_with_choices(
-                    aig,
-                    choices.as_ref(),
-                    lib,
-                    &config.pipeline,
-                )
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    Ok(assemble(benches, &synthesized, results))
-}
-
-fn selected_benchmarks(names: Option<&[&str]>) -> Vec<bench_circuits::Benchmark> {
-    bench_circuits::table1_benchmarks()
-        .into_iter()
-        .filter(|bench| names.is_none_or(|names| names.contains(&bench.name)))
-        .collect()
-}
-
-fn assemble(
-    benches: Vec<bench_circuits::Benchmark>,
-    synthesized: &[(aig::Aig, Option<ChoiceAig>)],
-    results: Vec<CircuitResult>,
-) -> Table1 {
-    let families = GateFamily::ALL.len();
-    assert_eq!(results.len(), benches.len() * families);
-    assert_eq!(synthesized.len(), benches.len());
-    let mut results = results.into_iter();
-    let rows = benches
-        .into_iter()
-        .zip(synthesized)
-        .map(|(bench, (aig, _))| {
-            let per_family: Vec<CircuitResult> = results.by_ref().take(families).collect();
-            Table1Row {
-                name: bench.name.to_owned(),
-                function: bench.function.to_owned(),
-                ands: aig.and_count(),
-                depth: aig.depth(),
-                results: per_family.try_into().expect("three families per row"),
-            }
-        })
-        .collect();
-    Table1 { rows }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{table1_subset, Table1Config};
+    use std::sync::{Mutex, PoisonError};
+
+    /// Asserts the Table-1 driver's tables identical, every field at full
+    /// precision, under a one-thread and a two-thread rayon pool. The pool
+    /// override is process-global, so installs are serialized across this
+    /// binary's tests: concurrent ones could leave both runs one thread wide.
+    fn assert_thread_count_invariant(config: &Table1Config, names: &[&str]) {
+        static POOL_LOCK: Mutex<()> = Mutex::new(());
+        let _guard = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let run = |threads| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+            let table = pool
+                .expect("n >= 1")
+                .install(|| table1_subset(config, Some(names)));
+            format!("{:?}", table.expect("built-in benchmarks map").rows)
+        };
+        assert_eq!(run(1), run(2), "{names:?}: tables differ by thread count");
+    }
 
     #[test]
     fn cache_returns_one_static_instance_per_family() {
@@ -339,8 +207,8 @@ mod tests {
         };
         let names = Some(&["t481"][..]);
         let warm = match_cache_build_count();
-        run_table1_subset(&config, names).expect("built-in benchmarks map");
-        run_table1_subset(&config, names).expect("built-in benchmarks map");
+        table1_subset(&config, names).expect("built-in benchmarks map");
+        table1_subset(&config, names).expect("built-in benchmarks map");
         assert_eq!(
             match_cache_build_count(),
             warm.max(GateFamily::ALL.len()),
@@ -367,7 +235,7 @@ mod tests {
                 ..Default::default()
             },
         };
-        let err = run_table1_subset(&config, Some(&["t481"])).unwrap_err();
+        let err = table1_subset(&config, Some(&["t481"])).unwrap_err();
         assert!(matches!(err, PipelineError::Flow(_)), "{err}");
     }
 
@@ -381,14 +249,14 @@ mod tests {
             ..Default::default()
         };
         let names = Some(&["t481"][..]);
-        let default_run = run_table1_subset(
+        let default_run = table1_subset(
             &Table1Config {
                 pipeline: pipeline.clone(),
             },
             names,
         )
         .expect("default flow maps");
-        let balance_only = run_table1_subset(
+        let balance_only = table1_subset(
             &Table1Config {
                 pipeline: crate::pipeline::PipelineConfig {
                     flow: "b".to_owned(),
@@ -416,7 +284,7 @@ mod tests {
         };
         let names = Some(&["t481"][..]);
         let table =
-            run_table1_subset(&Table1Config { pipeline }, names).expect("choice-aware run maps");
+            table1_subset(&Table1Config { pipeline }, names).expect("choice-aware run maps");
         for r in &table.rows[0].results {
             // Default objective is Delay: the portfolio arbitrates on
             // STA critical path, so the delay guarantee holds (gates may
@@ -440,7 +308,7 @@ mod tests {
             map: techmap::MapConfig::for_objective(techmap::Objective::Area),
             ..Default::default()
         };
-        let area_table = run_table1_subset(
+        let area_table = table1_subset(
             &Table1Config {
                 pipeline: area_pipeline,
             },
@@ -458,7 +326,7 @@ mod tests {
             );
         }
         // Without choices, no delta is recorded.
-        let base = run_table1_subset(
+        let base = table1_subset(
             &Table1Config {
                 pipeline: crate::pipeline::PipelineConfig {
                     patterns: 256,
@@ -481,10 +349,7 @@ mod tests {
                 ..Default::default()
             },
         };
-        let names = Some(&["C1908"][..]);
-        let par = run_table1_subset(&config, names).expect("parallel choice run maps");
-        let ser = run_table1_serial(&config, names).expect("serial choice run maps");
-        assert_eq!(format!("{par}"), format!("{ser}"));
+        assert_thread_count_invariant(&config, &["C1908"]);
     }
 
     #[test]
@@ -495,10 +360,7 @@ mod tests {
                 ..Default::default()
             },
         };
-        let names = Some(&["C1355"][..]);
-        let par = run_table1_subset(&config, names).expect("parallel run maps");
-        let ser = run_table1_serial(&config, names).expect("serial run maps");
-        assert_eq!(format!("{par}"), format!("{ser}"));
+        assert_thread_count_invariant(&config, &["C1355"]);
         assert!(characterization_count() <= GateFamily::ALL.len());
     }
 }

@@ -2,39 +2,27 @@
 //!
 //! | artifact | function |
 //! |---|---|
-//! | Table 1 | [`table1`] |
+//! | Table 1 | [`table1_subset`] |
 //! | §4 gate-level library comparison | [`gate_library_comparison`] |
 //! | §3.2 I_off pattern census ("26 patterns") | [`pattern_census`] |
 //! | Fig. 4 stack-effect study | [`fig4_study`] |
 
-use crate::engine;
-use crate::pipeline::{CircuitResult, PipelineConfig};
+use crate::engine::{self, libraries, parse_flow, rewrite_library, synthesize_with_choices};
+use crate::pipeline::{
+    mapper_cut_db, run_job, CircuitResult, JobError, PipelineConfig, PipelineError,
+};
+use aig::ChoiceAig;
 use charlib::{LeakageSimulator, OffPattern};
 use device::TechParams;
 use gate_lib::GateFamily;
+use rayon::prelude::*;
 use std::fmt;
 
-/// Configuration for the Table-1 run.
+/// Configuration for the Table-1 run. The default runs 64 K patterns.
 #[derive(Clone, Debug, Default)]
 pub struct Table1Config {
     /// Per-circuit pipeline settings.
     pub pipeline: PipelineConfig,
-}
-
-impl Table1Config {
-    /// Fast setting for tests and smoke runs (64 K patterns).
-    pub fn quick() -> Self {
-        Self {
-            pipeline: PipelineConfig::default(),
-        }
-    }
-
-    /// The paper's setting (640 K random patterns).
-    pub fn paper() -> Self {
-        Self {
-            pipeline: PipelineConfig::paper(),
-        }
-    }
 }
 
 /// One benchmark row across the three families.
@@ -131,32 +119,78 @@ pub struct Improvement {
     pub edp_ratio: f64,
 }
 
-/// Runs the full Table-1 experiment: synthesize each benchmark once, then
-/// map and evaluate it with all three libraries.
-///
-/// Delegates to the [`engine`]: libraries and NPN match caches come from
-/// the once-per-process caches and the circuit × family matrix runs on
-/// the rayon pool.
-///
-/// # Errors
-///
-/// Propagates the first mapping failure ([`crate::pipeline::PipelineError`]) in row
-/// order; unreachable with the built-in libraries and benchmarks.
-pub fn table1(config: &Table1Config) -> Result<Table1, crate::pipeline::PipelineError> {
-    engine::run_table1(config)
-}
-
-/// Like [`table1`] but restricted to the named benchmark rows (pass `None`
-/// for all twelve). Used by fast shape-regression tests.
+/// Runs Table 1 on the named benchmark rows (`None` for all twelve):
+/// each benchmark is synthesized once ([`parse_flow`],
+/// [`synthesize_with_choices`]) and its mapper cuts are enumerated once;
+/// [`run_job`] then maps and evaluates it against each of the three
+/// libraries on a clone of that cut database. Synthesis is one rayon task
+/// per benchmark and evaluation one per (circuit, family) pair; joins
+/// keep paper order and every stage is deterministic, so the table is
+/// identical at any thread count.
 ///
 /// # Errors
 ///
-/// Propagates the first mapping failure in row order.
+/// [`PipelineError::Flow`] on a malformed flow script; otherwise the
+/// first mapping or verification failure in row order (unreachable with
+/// the built-in libraries and benchmarks).
 pub fn table1_subset(
     config: &Table1Config,
     names: Option<&[&str]>,
-) -> Result<Table1, crate::pipeline::PipelineError> {
-    engine::run_table1_subset(config, names)
+) -> Result<Table1, PipelineError> {
+    let pipeline = &config.pipeline;
+    let flow = parse_flow(pipeline)?;
+    if flow.uses_rewrite() {
+        rewrite_library();
+    }
+    let libs = libraries();
+    let benches: Vec<bench_circuits::Benchmark> = bench_circuits::table1_benchmarks()
+        .into_iter()
+        .filter(|bench| names.is_none_or(|names| names.contains(&bench.name)))
+        .collect();
+    let synthesized: Vec<(aig::Aig, Option<ChoiceAig>, aig::CutDb)> = benches
+        .par_iter()
+        .map(|bench| {
+            let (aig, choices) = synthesize_with_choices(&flow, &bench.aig, pipeline);
+            let mut db = mapper_cut_db(&pipeline.map);
+            db.ensure(&aig.cleanup());
+            (aig, choices, db)
+        })
+        .collect();
+    let results: Vec<Result<CircuitResult, PipelineError>> = (0..benches.len() * libs.len())
+        .into_par_iter()
+        .map(|job| {
+            let (aig, choices, db) = &synthesized[job / libs.len()];
+            let library = libs[job % libs.len()];
+            match run_job(
+                aig,
+                choices.as_ref(),
+                library,
+                pipeline,
+                &mut db.clone(),
+                None,
+            ) {
+                Ok(job) => Ok(job.result),
+                Err(JobError::Pipeline(e)) => Err(e),
+                Err(JobError::DeadlineExceeded) => unreachable!("no deadline was set"),
+            }
+        })
+        .collect();
+    let mut results = results
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter();
+    let rows = benches
+        .into_iter()
+        .zip(&synthesized)
+        .map(|(bench, (aig, _, _))| Table1Row {
+            name: bench.name.to_owned(),
+            function: bench.function.to_owned(),
+            ands: aig.and_count(),
+            depth: aig.depth(),
+            results: std::array::from_fn(|_| results.next().expect("three families per row")),
+        })
+        .collect();
+    Ok(Table1 { rows })
 }
 
 impl fmt::Display for Table1 {
@@ -472,16 +506,8 @@ mod tests {
                 ..PipelineConfig::default()
             },
         };
-        let libraries = engine::libraries();
-        let bench = bench_circuits::benchmark_by_name("C1908").expect("C1908");
-        let synthesized = aig::synthesize(&bench.aig);
-        let results: Vec<_> = libraries
-            .iter()
-            .map(|lib| {
-                crate::pipeline::evaluate_circuit(&synthesized, lib, &config.pipeline)
-                    .expect("mapping succeeds")
-            })
-            .collect();
+        let table = table1_subset(&config, Some(&["C1908"])).expect("mapping succeeds");
+        let results = &table.rows[0].results;
         // Generalized wins gates and power; CMOS is slowest and hungriest.
         assert!(results[0].gates <= results[1].gates);
         assert!(results[0].total_power().value() < results[2].total_power().value());

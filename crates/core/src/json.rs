@@ -8,6 +8,7 @@
 //! both build their documents out of them, so the two surfaces cannot
 //! drift apart formatting-wise.
 
+use crate::pipeline::CircuitResult;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -40,6 +41,33 @@ pub fn json_seconds(d: Duration) -> String {
 pub fn json_f64(x: f64) -> String {
     debug_assert!(x.is_finite(), "QoR metrics are finite");
     format!("{x:.6e}")
+}
+
+/// One job's QoR as JSON object members (no braces), for the Table-1
+/// artifact and `synthd`'s per-job document; energy is per cycle at
+/// `frequency_hz`. Choice-aware runs add the no-choice gate count and STA
+/// delay, so both portfolio guarantees stay checkable from the artifact.
+pub fn json_circuit_result(r: &CircuitResult, frequency_hz: f64) -> String {
+    let mut delta = r
+        .gates_no_choice
+        .map(|g| format!(", \"gates_no_choice\": {g}"))
+        .unwrap_or_default();
+    if let Some(d) = r.delay_no_choice {
+        let _ = write!(delta, ", \"delay_s_no_choice\": {}", json_f64(d.value()));
+    }
+    format!(
+        "\"gates\": {}{delta}, \"delay_s\": {}, \"area_m2\": {}, \"pd_w\": {}, \"ps_w\": {}, \
+         \"pt_w\": {}, \"energy_j\": {}, \"edp_js\": {}, \"transistors\": {}",
+        r.gates,
+        json_f64(r.delay.value()),
+        json_f64(r.area),
+        json_f64(r.power.dynamic.value()),
+        json_f64(r.power.static_sub.value()),
+        json_f64(r.total_power().value()),
+        json_f64(r.total_power().value() / frequency_hz),
+        json_f64(r.edp().value()),
+        r.transistors,
+    )
 }
 
 /// Writes an artifact to `path`, exiting with a message on I/O failure

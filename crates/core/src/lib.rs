@@ -4,12 +4,12 @@
 //!
 //! This crate ties the workspace together:
 //!
-//! * [`engine`] — the experiment engine: a once-per-process
-//!   [`CharacterizedLibrary`](charlib::CharacterizedLibrary) cache per gate
-//!   family and the parallel circuit × family drivers;
-//! * [`pipeline`] — synthesize → map → time → estimate for one circuit and
-//!   one gate family;
-//! * [`experiments`] — the paper's artifacts: [Table 1](experiments::table1)
+//! * [`engine`] — the experiment engine: once-per-process caches of the
+//!   [`CharacterizedLibrary`](charlib::CharacterizedLibrary), NPN match
+//!   table and rewrite library, plus the shared synthesis front end;
+//! * [`pipeline`] — [`run_job`]: map → verify → time → estimate for one
+//!   synthesized circuit and one gate family;
+//! * [`experiments`] — the paper's artifacts: [Table 1](experiments::table1_subset)
 //!   (12 benchmarks × 3 families), the gate-level library comparison of §4,
 //!   the I_off pattern census of §3.2, and the Fig. 4 stack-effect study;
 //! * [`json`] — the hand-rolled JSON scalar helpers every artifact
@@ -18,9 +18,9 @@
 //! # Example
 //!
 //! ```no_run
-//! use ambipolar::experiments::{table1, Table1Config};
+//! use ambipolar::experiments::{table1_subset, Table1Config};
 //!
-//! let table = table1(&Table1Config::quick()).expect("built-in benchmarks map");
+//! let table = table1_subset(&Table1Config::default(), None).expect("built-in benchmarks map");
 //! println!("{table}");
 //! ```
 
@@ -29,11 +29,6 @@ pub mod experiments;
 pub mod json;
 pub mod pipeline;
 
-pub use engine::{library, run_table1, run_table1_serial, run_table1_subset};
-pub use experiments::{
-    fig4_study, gate_library_comparison, pattern_census, table1, Table1, Table1Config,
-};
-pub use pipeline::{
-    evaluate_circuit, evaluate_circuit_serial, run_job, CircuitResult, JobError, MappedJob,
-    PipelineConfig,
-};
+pub use engine::library;
+pub use experiments::{fig4_study, gate_library_comparison, pattern_census, Table1, Table1Config};
+pub use pipeline::{run_job, CircuitResult, JobError, MappedJob, PipelineConfig};

@@ -6,8 +6,8 @@ use charlib::CharacterizedLibrary;
 use device::{EnergyDelay, Power, Time};
 use power_est::{estimate_power, simulate_activity, PowerBreakdown};
 use techmap::{
-    critical_path_with_load, map_aig_with_cache, map_aig_with_cut_db, map_choice_aig_with_cache,
-    verify_mapping_with, MapConfig, MapError, MappedNetlist, Objective, Verify, VerifyError,
+    critical_path_with_load, map_subject, verify_mapping_with, MapConfig, MapError, MappedNetlist,
+    Objective, Subject, Verify, VerifyError,
 };
 
 /// Pipeline knobs.
@@ -20,9 +20,10 @@ pub struct PipelineConfig {
     /// Simulation seed (fixed for reproducibility).
     pub seed: u64,
     /// The pre-mapping synthesis flow script (see [`aig::Flow`]); parsed
-    /// and applied per benchmark by the Table-1 drivers
-    /// (`ambipolar::engine::run_table1*`). [`evaluate_circuit`] itself
-    /// takes an already-synthesized AIG and does not consult this field.
+    /// and applied per benchmark by the Table-1 driver
+    /// ([`table1_subset`](crate::experiments::table1_subset)). [`run_job`]
+    /// itself takes an already-synthesized AIG and does not consult this
+    /// field.
     pub flow: String,
     /// Technology-mapping configuration (objective, cut shape, load
     /// model). The default reproduces the paper's delay-oriented mapping.
@@ -30,7 +31,7 @@ pub struct PipelineConfig {
     /// Post-mapping verification: `Off` (default), `Sim`, or `Sat`
     /// (SAT-proof of every mapped netlist against its synthesized AIG).
     pub verify: Verify,
-    /// Map over structural choices: the Table-1 drivers synthesize
+    /// Map over structural choices: the Table-1 driver synthesizes
     /// through [`aig::Flow::run_with_choices`] (appending a `dch` step
     /// when the script has none), and each circuit is mapped both over
     /// its [`ChoiceAig`] and plainly — the choice netlist is kept
@@ -144,81 +145,9 @@ impl CircuitResult {
     }
 }
 
-/// Maps and evaluates an already-synthesized AIG against one library.
-///
-/// Mapping goes through the engine's shared per-family
-/// [`NpnMatchCache`](techmap::NpnMatchCache)
-/// ([`crate::engine::match_cache`]) — valid for any technology point of
-/// the family, so V_DD-sweep libraries share it too. When
-/// [`PipelineConfig::verify`] is `Sim` or `Sat`, the mapped netlist is
-/// verified against the input AIG before any metric is computed.
-///
-/// # Errors
-///
-/// [`PipelineError::Map`] when mapping fails (unreachable with the
-/// built-in libraries and benchmarks); [`PipelineError::Verify`] when the
-/// configured verification refutes the netlist.
-pub fn evaluate_circuit(
-    synthesized: &Aig,
-    library: &CharacterizedLibrary,
-    config: &PipelineConfig,
-) -> Result<CircuitResult, PipelineError> {
-    evaluate_circuit_with_choices(synthesized, None, library, config)
-}
-
-/// [`evaluate_circuit`] with the flow's accumulated structural choices.
-///
-/// When `choices` is given and [`PipelineConfig::choices`] is on, the
-/// circuit is mapped twice — over the choice network
-/// ([`map_choice_aig_with_cache`]) and plainly — and the choice netlist
-/// is kept whenever it uses no more gates than the plain one (a choice
-/// mapping that fails, e.g. because the sweep proved an output constant,
-/// simply falls back). Both paths share the family's process-wide NPN
-/// match cache; the verification knob applies to whichever netlist is
-/// kept, so with `--verify sat` every reported choice-aware mapping is a
-/// SAT-proven theorem.
-///
-/// # Errors
-///
-/// As [`evaluate_circuit`].
-pub fn evaluate_circuit_with_choices(
-    synthesized: &Aig,
-    choices: Option<&ChoiceAig>,
-    library: &CharacterizedLibrary,
-    config: &PipelineConfig,
-) -> Result<CircuitResult, PipelineError> {
-    let mut db = mapper_cut_db(&config.map);
-    evaluate_circuit_with_cut_db(synthesized, choices, library, config, &mut db)
-}
-
-/// [`evaluate_circuit_with_choices`] against a caller-held cut database
-/// keyed to `synthesized` (see [`mapper_cut_db`]). The Table-1 drivers
-/// enumerate each circuit's cuts once and hand every per-family
-/// evaluation a clone, so mapping the same network against three
-/// libraries pays for one enumeration instead of three.
-///
-/// # Errors
-///
-/// As [`evaluate_circuit`].
-pub fn evaluate_circuit_with_cut_db(
-    synthesized: &Aig,
-    choices: Option<&ChoiceAig>,
-    library: &CharacterizedLibrary,
-    config: &PipelineConfig,
-    db: &mut aig::CutDb,
-) -> Result<CircuitResult, PipelineError> {
-    match run_job(synthesized, choices, library, config, db, None) {
-        Ok(job) => Ok(job.result),
-        Err(JobError::Pipeline(e)) => Err(e),
-        Err(JobError::DeadlineExceeded) => unreachable!("no deadline was set"),
-    }
-}
-
 /// The full product of one mapping job: the kept netlist (what a server
 /// streams back to its client) together with the evaluated metrics (what
-/// the QoR artifact records). [`evaluate_circuit`] and friends return
-/// only [`CircuitResult`]; job-level callers such as `synthd` need the
-/// netlist too, without mapping twice.
+/// the QoR artifact records).
 #[derive(Clone, Debug)]
 pub struct MappedJob {
     /// The netlist the portfolio kept.
@@ -257,22 +186,21 @@ impl From<PipelineError> for JobError {
     }
 }
 
-/// The job-level pipeline entry point: map an already-synthesized AIG
-/// (with optional structural choices) against a caller-held cut
-/// database, verify per the configured knob, and evaluate — returning
-/// the kept netlist alongside the metrics. This is the unit of work a
-/// `synthd` worker executes per request; the caller owns the `CutDb`, so
-/// a warm cache (same circuit resubmitted, or the same circuit mapped
-/// against another family) skips cut enumeration entirely.
-///
-/// `deadline`, when given, is checked cooperatively at every stage
-/// boundary; a lapsed deadline aborts with
-/// [`JobError::DeadlineExceeded`] instead of starting the next stage.
+/// The pipeline's one job entry, run per circuit × family by the Table-1
+/// driver and per request by `synthd`: map an already-synthesized AIG
+/// (with optional structural choices) through
+/// [`map_portfolio_with_cut_db`] and the family's shared NPN match cache,
+/// verify the kept netlist against the AIG per [`PipelineConfig::verify`],
+/// then time it and estimate its power. The caller owns the cut database
+/// ([`mapper_cut_db`]), so a warm one — the same circuit resubmitted, or
+/// mapped against another family — skips cut enumeration. `deadline`,
+/// when given, is checked at every stage boundary.
 ///
 /// # Errors
 ///
-/// [`JobError::Pipeline`] as [`evaluate_circuit`];
-/// [`JobError::DeadlineExceeded`] when the deadline lapses mid-job.
+/// [`JobError::Pipeline`] when mapping fails (unreachable with the
+/// built-in libraries and benchmarks) or verification refutes the
+/// netlist; [`JobError::DeadlineExceeded`] when the deadline lapses.
 pub fn run_job(
     synthesized: &Aig,
     choices: Option<&ChoiceAig>,
@@ -290,69 +218,45 @@ pub fn run_job(
     check()?;
     let (mapped, baseline) = {
         let _s = obs::span!("map");
-        map_portfolio_with_cut_db(synthesized, choices, library, config, db)
-            .map_err(JobError::Pipeline)?
+        map_portfolio_with_cut_db(synthesized, choices, library, config, db)?
     };
     check()?;
     {
         let _s = obs::span!("verify");
-        verify_mapped(synthesized, &mapped, library, config)
-            .map_err(|e| JobError::Pipeline(PipelineError::Verify(e)))?;
+        // 16 words = 1024 random patterns in Sim mode beyond 16 inputs.
+        verify_mapping_with(
+            synthesized,
+            &mapped,
+            library,
+            config.verify,
+            config.seed,
+            16,
+        )
+        .map_err(PipelineError::Verify)?;
     }
     check()?;
     let _s = obs::span!("estimate");
-    let mut result = evaluate_mapped(&mapped, library, config);
+    let sta = critical_path_with_load(&mapped, library, config.map.output_load_farads(library));
+    let activity = simulate_activity(&mapped, library, config.patterns, config.seed);
+    let power = estimate_power(&mapped, library, &activity, config.frequency_hz);
+    let result = CircuitResult {
+        gates: mapped.gate_count(),
+        delay: sta.critical,
+        power,
+        area: mapped.area(library),
+        transistors: mapped.transistor_count(library),
+        gates_no_choice: baseline.map(|b| b.gates),
+        delay_no_choice: baseline.map(|b| b.delay),
+    };
     drop(_s);
-    result.gates_no_choice = baseline.map(|b| b.gates);
-    result.delay_no_choice = baseline.map(|b| b.delay);
     Ok(MappedJob {
         netlist: mapped,
         result,
     })
 }
 
-/// Like [`evaluate_circuit`] but with the sequential reference simulator
-/// ([`power_est::simulate_activity_serial`]) — the fully serial baseline
-/// used by `engine::run_table1_serial`; bit-identical results.
-///
-/// # Errors
-///
-/// As [`evaluate_circuit`].
-pub fn evaluate_circuit_serial(
-    synthesized: &Aig,
-    library: &CharacterizedLibrary,
-    config: &PipelineConfig,
-) -> Result<CircuitResult, PipelineError> {
-    evaluate_circuit_serial_with_choices(synthesized, None, library, config)
-}
-
-/// Serial-reference twin of [`evaluate_circuit_with_choices`];
-/// bit-identical results.
-///
-/// # Errors
-///
-/// As [`evaluate_circuit`].
-pub fn evaluate_circuit_serial_with_choices(
-    synthesized: &Aig,
-    choices: Option<&ChoiceAig>,
-    library: &CharacterizedLibrary,
-    config: &PipelineConfig,
-) -> Result<CircuitResult, PipelineError> {
-    let (mapped, baseline) = map_portfolio(synthesized, choices, library, config)?;
-    verify_mapped(synthesized, &mapped, library, config)?;
-    let mut result = evaluate_mapped_with(
-        &mapped,
-        library,
-        config,
-        power_est::simulate_activity_serial,
-    );
-    result.gates_no_choice = baseline.map(|b| b.gates);
-    result.delay_no_choice = baseline.map(|b| b.delay);
-    Ok(result)
-}
-
 /// What the no-choice run would have reported for a circuit — measured
-/// by [`map_portfolio`] on the primary-snapshot baseline while
+/// by [`map_portfolio_with_cut_db`] on the primary-snapshot baseline while
 /// arbitrating, and surfaced through
 /// [`CircuitResult::gates_no_choice`] / [`CircuitResult::delay_no_choice`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -362,6 +266,16 @@ pub struct NoChoiceBaseline {
     /// STA critical path of the baseline mapping (timed under the
     /// configured [`MapConfig::output_load`]).
     pub delay: Time,
+}
+
+/// An empty cut database shaped for the configured mapper (`cut_k`
+/// clamped into the supported range so construction never panics on a
+/// config the mapper itself would reject with a typed error).
+pub fn mapper_cut_db(map: &MapConfig) -> aig::CutDb {
+    aig::CutDb::new(aig::CutConfig {
+        k: map.cut_k.clamp(2, 6),
+        max_cuts: map.max_cuts,
+    })
 }
 
 /// The shared mapping portfolio. Plain mapping of the synthesized
@@ -380,42 +294,16 @@ pub struct NoChoiceBaseline {
 /// choice mapping that fails, e.g. because the sweep proved an output
 /// constant, simply falls back.
 ///
-/// Returns the kept netlist plus the baseline's gate count and STA
-/// delay whenever the choice path was attempted. Exposed for bench
-/// binaries that consume the mapped netlist directly.
+/// The plain mapping consumes (and tops up) the caller's cut database,
+/// keyed to `synthesized`; the choice and primary-snapshot candidates map
+/// other networks and leave it alone. Returns the kept netlist plus the
+/// baseline's gate count and STA delay whenever the choice path was
+/// attempted.
 ///
 /// # Errors
 ///
 /// [`PipelineError::Map`] when a plain mapping fails (a failing
 /// *choice* mapping only falls back).
-pub fn map_portfolio(
-    synthesized: &Aig,
-    choices: Option<&ChoiceAig>,
-    library: &CharacterizedLibrary,
-    config: &PipelineConfig,
-) -> Result<(MappedNetlist, Option<NoChoiceBaseline>), PipelineError> {
-    let mut db = mapper_cut_db(&config.map);
-    map_portfolio_with_cut_db(synthesized, choices, library, config, &mut db)
-}
-
-/// An empty cut database shaped for the configured mapper (`cut_k`
-/// clamped into the supported range so construction never panics on a
-/// config the mapper itself would reject with a typed error).
-pub fn mapper_cut_db(map: &MapConfig) -> aig::CutDb {
-    aig::CutDb::new(aig::CutConfig {
-        k: map.cut_k.clamp(2, 6),
-        max_cuts: map.max_cuts,
-    })
-}
-
-/// [`map_portfolio`] against a caller-held cut database keyed to
-/// `synthesized`: the plain mapping consumes (and tops up) the database;
-/// the choice and primary-snapshot candidates map other networks and
-/// are unaffected.
-///
-/// # Errors
-///
-/// As [`map_portfolio`].
 pub fn map_portfolio_with_cut_db(
     synthesized: &Aig,
     choices: Option<&ChoiceAig>,
@@ -424,25 +312,22 @@ pub fn map_portfolio_with_cut_db(
     db: &mut aig::CutDb,
 ) -> Result<(MappedNetlist, Option<NoChoiceBaseline>), PipelineError> {
     let cache = crate::engine::match_cache(library.family);
-    let plain = map_aig_with_cut_db(synthesized, library, cache, &config.map, db)?;
+    let map_plain = |aig: &Aig, cuts: &mut aig::CutDb| {
+        map_subject(Subject::Plain(aig, cuts), library, cache, &config.map)
+    };
+    let plain = map_plain(synthesized, db)?;
     let Some(choice) = choices.filter(|_| config.choices) else {
         return Ok((plain, None));
     };
-    let choice_config = MapConfig {
-        use_choices: true,
-        ..config.map
-    };
-    let choice_mapped = map_choice_aig_with_cache(choice, library, cache, &choice_config).ok();
+    let choice_mapped = map_subject(Subject::Choices(choice), library, cache, &config.map).ok();
     // When the dch collapse was rejected, the synthesized network IS the
     // primary snapshot — don't map the same structure twice.
-    let baseline = if same_structure(synthesized, choice.primary()) {
+    let baseline = if synthesized.same_structure(choice.primary()) {
         None
     } else {
-        Some(map_aig_with_cache(
+        Some(map_plain(
             choice.primary(),
-            library,
-            cache,
-            &config.map,
+            &mut mapper_cut_db(&config.map),
         )?)
     };
     let output_load = config.map.output_load_farads(library);
@@ -480,60 +365,22 @@ pub fn map_portfolio_with_cut_db(
     Ok((best, no_choice))
 }
 
-/// Structural identity of two networks (same node array, same outputs).
-fn same_structure(a: &Aig, b: &Aig) -> bool {
-    a.same_structure(b)
-}
-
-/// Applies the configured post-mapping verification.
-fn verify_mapped(
-    synthesized: &Aig,
-    mapped: &MappedNetlist,
-    library: &CharacterizedLibrary,
-    config: &PipelineConfig,
-) -> Result<(), VerifyError> {
-    // 16 words = 1024 random patterns in Sim mode beyond 16 inputs.
-    verify_mapping_with(synthesized, mapped, library, config.verify, config.seed, 16)
-}
-
-/// Evaluates an existing mapped netlist (exposed for reuse by benches).
-pub fn evaluate_mapped(
-    mapped: &MappedNetlist,
-    library: &CharacterizedLibrary,
-    config: &PipelineConfig,
-) -> CircuitResult {
-    evaluate_mapped_with(mapped, library, config, simulate_activity)
-}
-
-type SimulateFn =
-    fn(&MappedNetlist, &CharacterizedLibrary, usize, u64) -> power_est::ActivityReport;
-
-fn evaluate_mapped_with(
-    mapped: &MappedNetlist,
-    library: &CharacterizedLibrary,
-    config: &PipelineConfig,
-    simulate: SimulateFn,
-) -> CircuitResult {
-    let sta = critical_path_with_load(mapped, library, config.map.output_load_farads(library));
-    let activity = simulate(mapped, library, config.patterns, config.seed);
-    let power = estimate_power(mapped, library, &activity, config.frequency_hz);
-    CircuitResult {
-        gates: mapped.gate_count(),
-        delay: sta.critical,
-        power,
-        area: mapped.area(library),
-        transistors: mapped.transistor_count(library),
-        gates_no_choice: None,
-        delay_no_choice: None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use charlib::characterize_library;
     use gate_lib::GateFamily;
     use techmap::Objective;
+
+    /// One job against a fresh cut database, metrics only.
+    fn evaluate(
+        synthesized: &Aig,
+        library: &CharacterizedLibrary,
+        config: &PipelineConfig,
+    ) -> Result<CircuitResult, JobError> {
+        let mut db = mapper_cut_db(&config.map);
+        run_job(synthesized, None, library, config, &mut db, None).map(|job| job.result)
+    }
 
     #[test]
     fn pipeline_runs_end_to_end() {
@@ -548,7 +395,7 @@ mod tests {
         };
         for family in GateFamily::ALL {
             let lib = characterize_library(family);
-            let r = evaluate_circuit(&synthesized, &lib, &config).expect("mapping succeeds");
+            let r = evaluate(&synthesized, &lib, &config).expect("mapping succeeds");
             assert!(r.gates > 50, "{family}: gates {}", r.gates);
             assert!(r.delay.value() > 0.0);
             assert!(r.total_power().value() > 0.0);
@@ -569,8 +416,8 @@ mod tests {
                 verify,
                 ..PipelineConfig::default()
             };
-            let r = evaluate_circuit(&synthesized, &lib, &config)
-                .unwrap_or_else(|e| panic!("{verify}: {e}"));
+            let r =
+                evaluate(&synthesized, &lib, &config).unwrap_or_else(|e| panic!("{verify}: {e}"));
             assert!(r.gates > 0);
         }
     }
@@ -594,7 +441,7 @@ mod tests {
                 map,
                 ..PipelineConfig::default()
             };
-            evaluate_circuit(&synthesized, &lib, &config).expect("mapping succeeds")
+            evaluate(&synthesized, &lib, &config).expect("mapping succeeds")
         };
         let delay = result_for(MapConfig::for_objective(Objective::Delay));
         let greedy_delay = result_for(MapConfig {
@@ -649,8 +496,8 @@ mod tests {
         };
         let gen = characterize_library(GateFamily::CntfetGeneralized);
         let conv = characterize_library(GateFamily::CntfetConventional);
-        let r_gen = evaluate_circuit(&synthesized, &gen, &config).expect("mapping succeeds");
-        let r_conv = evaluate_circuit(&synthesized, &conv, &config).expect("mapping succeeds");
+        let r_gen = evaluate(&synthesized, &gen, &config).expect("mapping succeeds");
+        let r_conv = evaluate(&synthesized, &conv, &config).expect("mapping succeeds");
         assert!(
             r_gen.gates < r_conv.gates,
             "{} vs {}",

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Finite histogram buckets. Bucket `i` has upper bound `2^i`
 /// (1 µs … ~134 s for microsecond observations); one extra overflow
@@ -77,10 +77,13 @@ enum Metric {
 }
 
 /// Name → interned metric. `BTreeMap` keeps [`render_prometheus`]
-/// output deterministically ordered.
-fn registry() -> &'static Mutex<BTreeMap<String, Metric>> {
+/// output deterministically ordered. A type-confusion panic fires under
+/// the lock but after the map is complete, so a poisoned lock is entered
+/// anyway instead of failing every later metric call in the process.
+fn registry() -> MutexGuard<'static, BTreeMap<String, Metric>> {
     static REGISTRY: OnceLock<Mutex<BTreeMap<String, Metric>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()))
+    let registry = REGISTRY.get_or_init(|| Mutex::new(BTreeMap::new()));
+    registry.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Returns the counter registered under `name`, creating (and leaking
@@ -91,7 +94,7 @@ fn registry() -> &'static Mutex<BTreeMap<String, Metric>> {
 ///
 /// If `name` is already registered as a histogram.
 pub fn counter(name: &str) -> &'static Counter {
-    let mut reg = registry().lock().expect("metrics registry");
+    let mut reg = registry();
     match reg.entry(name.to_owned()).or_insert_with(|| {
         Metric::Counter(Box::leak(Box::new(Counter {
             value: AtomicU64::new(0),
@@ -109,7 +112,7 @@ pub fn counter(name: &str) -> &'static Counter {
 ///
 /// If `name` is already registered as a counter.
 pub fn histogram(name: &str) -> &'static Histogram {
-    let mut reg = registry().lock().expect("metrics registry");
+    let mut reg = registry();
     match reg.entry(name.to_owned()).or_insert_with(|| {
         Metric::Histogram(Box::leak(Box::new(Histogram {
             buckets: [const { AtomicU64::new(0) }; BUCKET_COUNT + 1],
@@ -126,7 +129,7 @@ pub fn histogram(name: &str) -> &'static Histogram {
 /// series, `_sum` and `_count`. Metric order is name-sorted and thus
 /// stable across runs.
 pub fn render_prometheus() -> String {
-    let reg = registry().lock().expect("metrics registry");
+    let reg = registry();
     let mut out = String::new();
     for (name, metric) in reg.iter() {
         match metric {

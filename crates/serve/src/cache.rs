@@ -1,6 +1,5 @@
 //! The per-circuit warm cache: synthesized networks and their cut
-//! databases, keyed by a content hash of everything that determines
-//! them.
+//! databases, keyed by everything that determines them.
 //!
 //! Synthesis (the flow script) and cut enumeration are family- and
 //! objective-independent: the same AIG submitted against all three gate
@@ -20,6 +19,7 @@
 
 use aig::{Aig, ChoiceAig, CutDb};
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -36,20 +36,46 @@ pub struct SynthEntry {
     pub cut_db: CutDb,
 }
 
-/// The cache key: an FNV-1a 64 content hash over the synthesis-stage
-/// inputs. Collisions are a non-issue at server scale (dozens of
-/// distinct circuits), but the key is still compared exactly — the
-/// map's key *is* the hash, and two circuits colliding would merely
-/// serve one of them a wrong-but-verified netlist candidate that the
-/// configured verification would refute; with verification off the
-/// 2^-64 risk is accepted.
-pub fn content_key(aiger: &[u8], flow: &str, choices: bool, cut_k: u8, max_cuts: u8) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(aiger);
-    h.update(&[0xFE]); // domain separator between variable-length fields
-    h.update(flow.as_bytes());
-    h.update(&[0xFE, choices as u8, cut_k, max_cuts]);
-    h.finish()
+/// The cache key: the synthesis-stage inputs themselves, bucketed by
+/// their FNV-1a 64 hash but compared in full on every hit (a
+/// single-flight follower's included). FNV-1a is not collision-resistant,
+/// and verification cannot catch a collision: a job verifies against the
+/// *cached* synthesized network. Two colliding circuits are two entries.
+/// The material is shared, so cloning a key bumps reference counts
+/// instead of copying the AIGER payload.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CacheKey {
+    hash: u64,
+    aiger: Arc<[u8]>,
+    flow: Arc<str>,
+    choices: bool,
+    cut_k: u8,
+    max_cuts: u8,
+}
+
+impl CacheKey {
+    /// The key of one submission's synthesis-stage inputs.
+    pub fn new(aiger: &[u8], flow: &str, choices: bool, cut_k: u8, max_cuts: u8) -> Self {
+        let mut h = Fnv1a::new();
+        h.update(aiger);
+        h.update(&[0xFE]); // domain separator between variable-length fields
+        h.update(flow.as_bytes());
+        h.update(&[0xFE, choices as u8, cut_k, max_cuts]);
+        CacheKey {
+            hash: h.finish(),
+            aiger: aiger.into(),
+            flow: flow.into(),
+            choices,
+            cut_k,
+            max_cuts,
+        }
+    }
+}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
 }
 
 struct Fnv1a(u64);
@@ -85,9 +111,9 @@ pub struct SynthCache {
 }
 
 struct Inner {
-    entries: HashMap<u64, Slot>,
+    entries: HashMap<CacheKey, Slot>,
     /// Keys some job is currently building (single-flight leaders).
-    pending: HashSet<u64>,
+    pending: HashSet<CacheKey>,
     clock: u64,
 }
 
@@ -106,20 +132,20 @@ pub enum Lookup<'a> {
 /// Leadership over a missing key (see [`Lookup::Build`]).
 pub struct BuildLease<'a> {
     cache: &'a SynthCache,
-    key: u64,
+    key: CacheKey,
     published: bool,
 }
 
 impl BuildLease<'_> {
     /// The leased key.
-    pub fn key(&self) -> u64 {
-        self.key
+    pub fn key(&self) -> &CacheKey {
+        &self.key
     }
 
     /// Publishes the built entry and wakes every waiter.
     pub fn publish(mut self, entry: Arc<SynthEntry>) {
         self.published = true;
-        self.cache.put(self.key, entry);
+        self.cache.put(self.key.clone(), entry);
     }
 }
 
@@ -161,7 +187,7 @@ impl SynthCache {
     /// blocks until the leader publishes (then hits) or gives up (then
     /// this caller inherits leadership). Returns `None` when `deadline`
     /// lapses while waiting.
-    pub fn lookup(&self, key: u64, deadline: Option<Instant>) -> Option<Lookup<'_>> {
+    pub fn lookup(&self, key: &CacheKey, deadline: Option<Instant>) -> Option<Lookup<'_>> {
         // Follower wait time (single-flight) lands in the
         // `synthd_cache_singleflight_wait_us` histogram; leader/follower
         // elections show as instant events on the request's span.
@@ -176,20 +202,21 @@ impl SynthCache {
         loop {
             inner.clock += 1;
             let clock = inner.clock;
-            if let Some(slot) = inner.entries.get_mut(&key) {
+            if let Some(slot) = inner.entries.get_mut(key) {
                 slot.last_used = clock;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 obs::event("cache/hit");
                 observe_wait(wait_started);
                 return Some(Lookup::Hit(Arc::clone(&slot.entry)));
             }
-            if inner.pending.insert(key) {
+            if !inner.pending.contains(key) {
+                inner.pending.insert(key.clone());
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 obs::event("cache/leader");
                 observe_wait(wait_started);
                 return Some(Lookup::Build(BuildLease {
                     cache: self,
-                    key,
+                    key: key.clone(),
                     published: false,
                 }));
             }
@@ -215,7 +242,7 @@ impl SynthCache {
     /// least-recently-used circuit beyond capacity. Jobs call this both
     /// on a miss (fresh synthesis) and after a hit (to publish the
     /// topped-up cut database).
-    pub fn put(&self, key: u64, entry: Arc<SynthEntry>) {
+    pub fn put(&self, key: CacheKey, entry: Arc<SynthEntry>) {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.clock += 1;
         let clock = inner.clock;
@@ -232,7 +259,7 @@ impl SynthCache {
                 .entries
                 .iter()
                 .min_by_key(|(_, s)| s.last_used)
-                .map(|(&k, _)| k)
+                .map(|(k, _)| k.clone())
                 .expect("non-empty over capacity");
             inner.entries.remove(&coldest);
         }
@@ -278,6 +305,8 @@ mod tests {
 
     #[test]
     fn keys_cover_every_synthesis_input() {
+        let content_key =
+            |aiger: &[u8], flow, choices, k, m| CacheKey::new(aiger, flow, choices, k, m).hash;
         let base = content_key(b"aig", "b; rw", false, 6, 8);
         assert_eq!(base, content_key(b"aig", "b; rw", false, 6, 8));
         assert_ne!(base, content_key(b"aiG", "b; rw", false, 6, 8));
@@ -293,9 +322,14 @@ mod tests {
         );
     }
 
+    /// A key distinguished by its AIGER bytes alone.
+    fn key(n: u8) -> CacheKey {
+        CacheKey::new(&[n], "b", false, 6, 8)
+    }
+
     /// Non-blocking probe: a miss's build lease is dropped on the spot
     /// (so leadership never lingers).
-    fn get(cache: &SynthCache, key: u64) -> Option<Arc<SynthEntry>> {
+    fn get(cache: &SynthCache, key: &CacheKey) -> Option<Arc<SynthEntry>> {
         match cache.lookup(key, None).expect("no deadline") {
             Lookup::Hit(e) => Some(e),
             Lookup::Build(_lease) => None,
@@ -305,14 +339,14 @@ mod tests {
     #[test]
     fn lru_eviction_and_counters() {
         let cache = SynthCache::new(2);
-        assert!(get(&cache, 1).is_none());
-        cache.put(1, entry());
-        cache.put(2, entry());
-        assert!(get(&cache, 1).is_some()); // 1 now warmer than 2
-        cache.put(3, entry()); // evicts 2
-        assert!(get(&cache, 2).is_none());
-        assert!(get(&cache, 1).is_some());
-        assert!(get(&cache, 3).is_some());
+        assert!(get(&cache, &key(1)).is_none());
+        cache.put(key(1), entry());
+        cache.put(key(2), entry());
+        assert!(get(&cache, &key(1)).is_some()); // 1 now warmer than 2
+        cache.put(key(3), entry()); // evicts 2
+        assert!(get(&cache, &key(2)).is_none());
+        assert!(get(&cache, &key(1)).is_some());
+        assert!(get(&cache, &key(3)).is_some());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.hits(), 3);
         assert_eq!(cache.misses(), 2);
@@ -321,17 +355,18 @@ mod tests {
     #[test]
     fn misses_are_single_flight() {
         let cache = SynthCache::new(4);
-        let lease = match cache.lookup(7, None).expect("no deadline") {
+        let lease = match cache.lookup(&key(7), None).expect("no deadline") {
             Lookup::Build(lease) => lease,
             Lookup::Hit(_) => panic!("empty cache cannot hit"),
         };
-        assert_eq!(lease.key(), 7);
+        assert_eq!(lease.key(), &key(7));
         // A follower blocks until the leader publishes, then hits.
         std::thread::scope(|scope| {
-            let follower = scope.spawn(|| match cache.lookup(7, None).expect("no deadline") {
-                Lookup::Hit(_) => true,
-                Lookup::Build(_) => false,
-            });
+            let follower =
+                scope.spawn(|| match cache.lookup(&key(7), None).expect("no deadline") {
+                    Lookup::Hit(_) => true,
+                    Lookup::Build(_) => false,
+                });
             std::thread::sleep(Duration::from_millis(20));
             lease.publish(entry());
             assert!(
@@ -343,26 +378,49 @@ mod tests {
         assert_eq!(cache.misses(), 1);
 
         // A dropped (failed) lease hands leadership to a waiter.
-        let lease = match cache.lookup(8, None).expect("no deadline") {
+        let lease = match cache.lookup(&key(8), None).expect("no deadline") {
             Lookup::Build(lease) => lease,
             Lookup::Hit(_) => panic!("key 8 unseen"),
         };
         drop(lease);
         assert!(
-            matches!(cache.lookup(8, None), Some(Lookup::Build(_))),
+            matches!(cache.lookup(&key(8), None), Some(Lookup::Build(_))),
             "leadership must be reacquirable after a failed build"
         );
 
         // A waiter with a lapsed deadline gives up instead of hanging.
-        let _lease = match cache.lookup(9, None).expect("no deadline") {
+        let _lease = match cache.lookup(&key(9), None).expect("no deadline") {
             Lookup::Build(lease) => lease,
             Lookup::Hit(_) => panic!("key 9 unseen"),
         };
         assert!(
             cache
-                .lookup(9, Some(Instant::now() - Duration::from_millis(1)))
+                .lookup(&key(9), Some(Instant::now() - Duration::from_millis(1)))
                 .is_none(),
             "lapsed deadline while waiting must return None"
         );
+    }
+
+    #[test]
+    fn colliding_hashes_never_share_an_entry() {
+        let one = key(1);
+        let mut two = key(2);
+        two.hash = one.hash;
+        let cache = SynthCache::new(4);
+        let Some(Lookup::Build(lease)) = cache.lookup(&one, None) else {
+            panic!("empty cache cannot hit");
+        };
+        // While `one` is being built, `two` leads its own build rather
+        // than waiting for `one`'s entry; once `one` is resident, `two`
+        // still misses.
+        let soon = Some(Instant::now() + Duration::from_secs(1));
+        assert!(matches!(cache.lookup(&two, soon), Some(Lookup::Build(_))));
+        let (entry_one, entry_two) = (entry(), entry());
+        lease.publish(Arc::clone(&entry_one));
+        assert!(get(&cache, &two).is_none());
+        cache.put(two.clone(), Arc::clone(&entry_two));
+        let hit = |k| get(&cache, k).expect("resident");
+        assert!(Arc::ptr_eq(&hit(&one), &entry_one) && Arc::ptr_eq(&hit(&two), &entry_two));
+        assert_eq!((cache.len(), cache.hits(), cache.misses()), (2, 2, 3));
     }
 }

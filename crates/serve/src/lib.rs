@@ -13,8 +13,8 @@
 //! * [`wire`] — length-prefixed (`u32` LE) framing;
 //! * [`protocol`] — the request/response vocabulary ([`JobSpec`],
 //!   [`Response`]) and its hand-rolled byte encoding;
-//! * [`cache`] — the content-hash-keyed warm cache of synthesized
-//!   networks and cut databases;
+//! * [`cache`] — the content-keyed warm cache of synthesized networks
+//!   and cut databases;
 //! * [`server`] — acceptor, admission control (bounded queue + typed
 //!   [`Response::Busy`] backpressure), worker pool, per-request
 //!   deadline/telemetry;
@@ -27,7 +27,7 @@ pub mod protocol;
 pub mod server;
 pub mod wire;
 
-pub use cache::{content_key, BuildLease, Lookup, SynthCache, SynthEntry};
+pub use cache::{BuildLease, CacheKey, Lookup, SynthCache, SynthEntry};
 pub use client::Client;
 pub use protocol::{JobSpec, ProtocolError, Request, Response};
 pub use server::{job_qor_json, Server, ServerConfig};

@@ -24,14 +24,14 @@
 //! characterized libraries / NPN match caches / rewrite library
 //! (`ambipolar::engine`, built once per process — observable via its
 //! build counters), and the per-circuit [`SynthCache`] keyed by content
-//! hash (resubmitted circuits skip synthesis *and* cut enumeration).
+//! (resubmitted circuits skip synthesis *and* cut enumeration).
 
-use crate::cache::{content_key, SynthCache, SynthEntry};
+use crate::cache::{CacheKey, SynthCache, SynthEntry};
 use crate::protocol::{JobSpec, ProtocolError, Request, Response};
 use crate::wire::{read_frame, write_frame};
 use aig::profile::JobScope;
-use ambipolar::json::{json_f64, json_string};
-use ambipolar::pipeline::{mapper_cut_db, run_job, CircuitResult, JobError, PipelineConfig};
+use ambipolar::json::{json_circuit_result, json_f64, json_string};
+use ambipolar::pipeline::{mapper_cut_db, run_job, JobError, PipelineConfig};
 use ambipolar::{engine, MappedJob};
 use std::collections::VecDeque;
 use std::io;
@@ -95,7 +95,13 @@ struct Shared {
     /// Request-id allocator; ids start at 1 (0 marks "no id assigned" —
     /// a job that failed before admission).
     next_request_id: AtomicU64,
+    /// This server's [`Server::instance_id`].
+    instance_id: u64,
 }
+
+/// Instance-id allocator: request ids restart at 1 per server while spans
+/// are process-wide, so (instance, request id) identifies a `request` span.
+static NEXT_INSTANCE_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A running `synthd` instance. Dropping it (or calling
 /// [`Server::shutdown`]) stops admission, drains the queue, and joins
@@ -126,6 +132,7 @@ impl Server {
             stats: Stats::default(),
             config: config.clone(),
             next_request_id: AtomicU64::new(1),
+            instance_id: NEXT_INSTANCE_ID.fetch_add(1, Ordering::Relaxed),
         });
         let workers = (0..config.workers.max(1))
             .map(|i| {
@@ -154,6 +161,12 @@ impl Server {
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// This server's id, unique within the process: every `request` root
+    /// span carries it as its `server_id` argument beside `request_id`.
+    pub fn instance_id(&self) -> u64 {
+        self.shared.instance_id
     }
 
     /// The lifetime statistics document (same JSON a
@@ -225,6 +238,9 @@ fn acceptor_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>) {
+    // A response is two writes (length prefix, then payload); with Nagle
+    // on, the payload would wait for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     loop {
         let payload = match read_frame(&mut stream) {
             Ok(p) => p,
@@ -345,12 +361,14 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// [`run_job`], then rendering. All profile counters the job causes —
 /// on whichever pool threads its parallel sections run — are captured
 /// by a [`JobScope`] and reported in the telemetry document. The whole
-/// execution runs under a `request` root span tagged with the request
-/// id, and the request's latency and queue wait land in the
-/// `synthd_request_latency_us` / `synthd_queue_wait_us` histograms.
+/// execution runs under a `request` root span tagged with the server
+/// instance and request ids, and the request's latency and queue wait
+/// land in the `synthd_request_latency_us` / `synthd_queue_wait_us`
+/// histograms.
 fn execute_job(shared: &Shared, spec: &JobSpec, accepted: Instant, request_id: u64) -> Response {
     let mut root = obs::span!("request");
-    root.record("request_id", request_id)
+    root.record("server_id", shared.instance_id)
+        .record("request_id", request_id)
         .record_str("name", &spec.name)
         .record_str("family", spec.family.label());
     let started = Instant::now();
@@ -401,14 +419,14 @@ fn execute_job_inner(
 
     // Warm-cache lookup: synthesis and cut enumeration are family- and
     // objective-independent, so the key covers only their inputs.
-    let key = content_key(
+    let key = CacheKey::new(
         &spec.aiger,
         &config.flow,
         config.choices,
         spec.cut_k,
         spec.max_cuts,
     );
-    let (entry, cache_hit) = match shared.cache.lookup(key, deadline) {
+    let (entry, cache_hit) = match shared.cache.lookup(&key, deadline) {
         None => {
             // Deadline lapsed waiting on the single-flight leader.
             obs::event("deadline/lapsed");
@@ -538,22 +556,10 @@ fn module_name(name: &str) -> String {
 /// and the mapped result. Resubmitting an identical spec must yield
 /// identical bytes — the determinism tests hold the server to that.
 pub fn job_qor_json(spec: &JobSpec, synth_ands: usize, job: &MappedJob) -> String {
-    let r: &CircuitResult = &job.result;
-    let energy = r.total_power().value() / charlib::OPERATING_FREQUENCY_HZ;
-    let mut delta = r
-        .gates_no_choice
-        .map(|g| format!(", \"gates_no_choice\": {g}"))
-        .unwrap_or_default();
-    if let Some(d) = r.delay_no_choice {
-        delta.push_str(&format!(", \"delay_s_no_choice\": {}", json_f64(d.value())));
-    }
     format!(
         "{{\"artifact\": \"synthd_job\", \"name\": {}, \"family\": {}, \
          \"objective\": {}, \"cut_k\": {}, \"verify\": {}, \"choices\": {}, \
-         \"patterns\": {}, \"seed\": {}, \"flow\": {}, \"synth_ands\": {}, \
-         \"gates\": {}{delta}, \"delay_s\": {}, \"area_m2\": {}, \"pd_w\": {}, \
-         \"ps_w\": {}, \"pt_w\": {}, \"energy_j\": {}, \"edp_js\": {}, \
-         \"transistors\": {}}}",
+         \"patterns\": {}, \"seed\": {}, \"flow\": {}, \"synth_ands\": {}, {}}}",
         json_string(&spec.name),
         json_string(spec.family.label()),
         json_string(&spec.objective.to_string()),
@@ -564,15 +570,7 @@ pub fn job_qor_json(spec: &JobSpec, synth_ands: usize, job: &MappedJob) -> Strin
         spec.seed,
         json_string(&spec.flow),
         synth_ands,
-        r.gates,
-        json_f64(r.delay.value()),
-        json_f64(r.area),
-        json_f64(r.power.dynamic.value()),
-        json_f64(r.power.static_sub.value()),
-        json_f64(r.total_power().value()),
-        json_f64(energy),
-        json_f64(r.edp().value()),
-        r.transistors,
+        json_circuit_result(&job.result, charlib::OPERATING_FREQUENCY_HZ),
     )
 }
 

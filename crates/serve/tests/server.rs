@@ -11,6 +11,7 @@ use ambipolar::engine;
 use ambipolar::pipeline::{mapper_cut_db, run_job, PipelineConfig};
 use gate_lib::GateFamily;
 use serve::{Client, JobSpec, Response, Server, ServerConfig};
+use std::time::{Duration, Instant};
 use techmap::{MapConfig, Objective, Verify};
 
 fn catalog_aiger(name: &str) -> Vec<u8> {
@@ -420,6 +421,7 @@ fn concurrent_jobs_attribute_spans_and_counters() {
     obs::set_enabled(true);
     let server = start(2, 8);
     let addr = server.addr();
+    let server_id = server.instance_id();
     let submit = |job: &JobSpec| -> (u64, String) {
         let mut client = Client::connect(addr).expect("connect");
         match client.submit(job).expect("submit") {
@@ -454,6 +456,8 @@ fn concurrent_jobs_attribute_spans_and_counters() {
     );
 
     // Span attribution: each request's root span owns its own subtree.
+    // Request ids restart at 1 per server and other tests' servers share
+    // the span ring, so a root is selected by server and request id.
     let trace = obs::export_trace();
     let events: Vec<(String, u64, u64)> = trace
         .lines()
@@ -470,7 +474,9 @@ fn concurrent_jobs_attribute_spans_and_counters() {
         let root_line = trace
             .lines()
             .find(|l| {
-                l.starts_with("{\"name\":\"request\"") && trace_u64(l, "request_id") == request_id
+                l.starts_with("{\"name\":\"request\"")
+                    && trace_u64(l, "server_id") == server_id
+                    && trace_u64(l, "request_id") == request_id
             })
             .unwrap_or_else(|| panic!("no request root span for id {request_id} in {trace}"));
         let root = trace_u64(root_line, "id");
@@ -498,6 +504,25 @@ fn concurrent_jobs_attribute_spans_and_counters() {
             "a request root span must never have a parent"
         );
     }
+}
+
+/// A response is two writes (length prefix, then payload): with Nagle on,
+/// each payload would wait out the client's delayed ACK, ~40 ms.
+#[test]
+fn small_responses_are_not_delayed() {
+    let server = start(1, 4);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut round_trips: Vec<Duration> = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            client.stats().expect("stats");
+            start.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[10];
+    assert!(median < Duration::from_millis(10), "median {median:?}");
+    server.shutdown();
 }
 
 /// The `"deterministic"` object of the split telemetry document.

@@ -117,13 +117,6 @@ pub struct MapConfig {
     pub max_cuts: usize,
     /// Mapping-time load estimate.
     pub load: LoadModel,
-    /// Map over structural choices: when a
-    /// [`ChoiceAig`](aig::ChoiceAig) is supplied
-    /// ([`map_choice_aig`](crate::map_choice_aig)), enumerate cuts
-    /// across every choice ring so the cover may use structures earlier
-    /// flow passes discarded. With `false` the choice network is merely
-    /// collapsed to its representatives and mapped plain.
-    pub use_choices: bool,
     /// Capacitive load on primary-output nets, farads. `None` (the
     /// default) resolves to [`default_output_load`] — one inverter input
     /// capacitance of the target library — so PO driver delays are never
@@ -146,7 +139,6 @@ impl Default for MapConfig {
             cut_k: Self::DEFAULT_CUT_K,
             max_cuts: Self::DEFAULT_MAX_CUTS,
             load: LoadModel::default(),
-            use_choices: false,
             output_load: None,
             recovery_rounds: Self::DEFAULT_RECOVERY_ROUNDS,
         }

@@ -34,12 +34,14 @@
 //! Load-dependent static timing ([`sta`]) reports the mapped critical
 //! path.
 //!
-//! [`map_choice_aig`] runs the same staged engine over an
+//! [`map_subject`] runs the same five phases over a [`Subject`]: a plain
+//! network with a caller-held [`aig::CutDb`] (so mapping one circuit
+//! against several libraries enumerates its cuts once), or an
 //! [`aig::ChoiceAig`] — the structural choices a synthesis flow
 //! accumulated via its `dch` step: cut enumeration walks the choice
 //! rings (a class's cut may be rooted in any member's cone), selection
 //! iterates the classes in dependency order, and the cover materializes
-//! whichever alternative won, all behind [`MapConfig::use_choices`].
+//! whichever alternative won.
 //!
 //! Every mapping is *checkable*: [`MappedNetlist::to_aig`] rebuilds the
 //! netlist as an AIG and [`verify_mapping`] SAT-proves it equivalent to
@@ -79,9 +81,7 @@ pub mod verify;
 
 pub use config::{default_output_load, LoadModel, MapConfig, MapError, Objective};
 pub use export::{cell_histogram, to_structural_verilog};
-pub use mapper::{
-    map_aig, map_aig_with_cache, map_aig_with_cut_db, map_choice_aig, map_choice_aig_with_cache,
-};
+pub use mapper::{map_aig, map_subject, Subject};
 pub use matching::{MatchCandidate, Matcher, NpnMatchCache};
 pub use netlist::{Instance, MappedNetlist, NetRef};
 pub use sta::{critical_path, critical_path_with_load, StaReport};

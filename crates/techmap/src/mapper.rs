@@ -16,6 +16,7 @@ use aig::cuts::{enumerate_cuts_choice, CutConfig, CutDb, CutSource};
 use aig::graph::{Aig, Lit, Node};
 use charlib::{CharacterizedGate, CharacterizedLibrary};
 use device::Capacitance;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// A resolved match chosen for an AND node.
@@ -36,11 +37,12 @@ struct CoverStep {
     chosen: Chosen,
 }
 
-/// Maps an AIG onto a characterized library with a private match cache.
+/// Maps an AIG onto a characterized library with a private match cache
+/// and a fresh cut database.
 ///
 /// Builds an [`NpnMatchCache`] for this call only; when mapping many
 /// circuits against one library (or one family at several technology
-/// points), build the cache once and use [`map_aig_with_cache`] — the
+/// points), build the cache once and use [`map_subject`] — the
 /// experiment engine (`ambipolar::engine::match_cache`) keeps one shared
 /// instance per gate family behind a `OnceLock`.
 ///
@@ -58,64 +60,94 @@ pub fn map_aig(
     config: &MapConfig,
 ) -> Result<MappedNetlist, MapError> {
     let cache = NpnMatchCache::new(library)?;
-    map_aig_with_cache(aig, library, &cache, config)
-}
-
-/// Maps an AIG onto a characterized library through a shared, precomputed
-/// NPN match cache. See [`map_aig`] for semantics and errors.
-pub fn map_aig_with_cache(
-    aig: &Aig,
-    library: &CharacterizedLibrary,
-    cache: &NpnMatchCache,
-    config: &MapConfig,
-) -> Result<MappedNetlist, MapError> {
-    let mut db = CutDb::new(CutConfig {
+    let mut cuts = CutDb::new(CutConfig {
         k: config.cut_k.clamp(2, 6),
         max_cuts: config.max_cuts,
     });
-    map_aig_with_cut_db(aig, library, cache, config, &mut db)
+    map_subject(Subject::Plain(aig, &mut cuts), library, &cache, config)
 }
 
-/// [`map_aig_with_cache`] against a persistent cut database: phase 1
-/// serves every cut set the database already holds and computes only the
-/// missing ones, so a caller that maps the same (or an incrementally
-/// evolved and [`CutDb::retarget`]ed) network repeatedly — a technology
-/// sweep over one synthesized circuit, say — pays for enumeration once.
-///
-/// `db` must have been created with the same cut shape (`k`, `max_cuts`)
-/// as `config` requests, and hold cuts of `aig`'s cleaned form (an empty
-/// or size-mismatched database is simply filled from scratch).
+/// The network a mapping run covers.
+pub enum Subject<'a> {
+    /// A plain network and its cut database (of the configured cut shape),
+    /// topped up in place: phase 1 computes only the cut sets the database
+    /// lacks, so mapping one network repeatedly — against three libraries,
+    /// say — pays for enumeration once.
+    Plain(&'a Aig, &'a mut CutDb),
+    /// A [`ChoiceAig`]: cut enumeration walks every choice ring
+    /// ([`enumerate_cuts_choice`]), selection iterates the classes in
+    /// [`ChoiceAig::class_order`], and the cover materializes whichever
+    /// alternative's cut won — its instances only reference cut leaves,
+    /// which are class representatives.
+    Choices(&'a ChoiceAig),
+}
+
+/// Maps a [`Subject`] onto a characterized library through a shared,
+/// precomputed NPN match cache, in the five phases of the module docs.
 ///
 /// # Errors
 ///
-/// As [`map_aig`], plus [`MapError::InvalidCutK`] when the database's cut
-/// shape disagrees with `config`.
-pub fn map_aig_with_cut_db(
-    aig: &Aig,
+/// As [`map_aig`], plus [`MapError::InvalidCutK`] when a plain subject's
+/// database has another cut shape. A choice subject can have constant
+/// outputs its source network lacked: the choice sweep may prove them.
+pub fn map_subject(
+    subject: Subject<'_>,
     library: &CharacterizedLibrary,
     cache: &NpnMatchCache,
     config: &MapConfig,
-    db: &mut CutDb,
 ) -> Result<MappedNetlist, MapError> {
     if !(2..=6).contains(&config.cut_k) {
         return Err(MapError::InvalidCutK { k: config.cut_k });
     }
-    if db.config()
-        != (CutConfig {
-            k: config.cut_k,
-            max_cuts: config.max_cuts,
-        })
-    {
-        return Err(MapError::InvalidCutK { k: db.config().k });
-    }
-    let aig = aig.cleanup();
+    let shape = CutConfig {
+        k: config.cut_k,
+        max_cuts: config.max_cuts,
+    };
+    // A plain network is mapped in its cleaned form, the one its cut
+    // database is keyed to.
+    let cleaned;
+    let subject = match subject {
+        Subject::Plain(_, cuts) if cuts.config() != shape => {
+            return Err(MapError::InvalidCutK { k: cuts.config().k });
+        }
+        Subject::Plain(aig, cuts) => {
+            cleaned = aig.cleanup();
+            Subject::Plain(&cleaned, cuts)
+        }
+        choices => choices,
+    };
 
-    // Phase 1: cut enumeration — incremental against the database.
-    {
-        let _s = obs::span!("map/cuts");
-        db.ensure(&aig);
-    }
-    let cuts: &CutDb = db;
+    // Phase 1: cut enumeration — incremental against a plain network's
+    // database, one cut set per class across a choice network's rings.
+    let choice_cuts;
+    let span = obs::span!("map/cuts");
+    let (aig, cuts, choice): (&Aig, &dyn CutSource, Option<&ChoiceAig>) = match subject {
+        Subject::Plain(aig, cuts) => {
+            cuts.ensure(aig);
+            (aig, cuts, None)
+        }
+        Subject::Choices(choice) => {
+            choice_cuts = enumerate_cuts_choice(choice, shape);
+            (choice.arena(), &choice_cuts, Some(choice))
+        }
+    };
+    drop(span);
+    let net = Network {
+        aig,
+        order: match choice {
+            Some(choice) => choice.class_order().into(),
+            None => (0..aig.len() as u32)
+                .filter(|&n| matches!(aig.node(n), Node::And(_, _)))
+                .collect::<Vec<_>>()
+                .into(),
+        },
+        fanouts: match choice {
+            Some(choice) => choice_fanouts(choice).into(),
+            None => aig.fanout_counts().into(),
+        },
+        outputs: choice.map_or(aig.output_lits(), ChoiceAig::outputs),
+        cuts,
+    };
 
     // Phase 2: NPN-canonical matching — shared immutable class table plus
     // a per-run canonization memo.
@@ -124,161 +156,40 @@ pub fn map_aig_with_cut_db(
         Matcher::new(cache)
     };
 
-    // Phase 3: objective-driven selection — the arrival/flow DP, plus
-    // the delay objective's required-time and area-recovery passes.
-    let order: Vec<u32> = (0..aig.len() as u32)
-        .filter(|&n| matches!(aig.node(n), Node::And(_, _)))
-        .collect();
+    // Phase 3: objective-driven selection — the arrival/flow DP, plus the
+    // delay objective's required-time and area-recovery passes.
     let selection = {
         let _s = obs::span!("map/select");
-        select_matches(
-            &aig,
-            &order,
-            aig.fanout_counts(),
-            aig.output_lits(),
-            cuts,
-            &mut matcher,
-            library,
-            config,
-        )?
+        select_matches(&net, &mut matcher, library, config)?
     };
 
     // Phase 4: cover extraction (which matches are actually used, in
-    // topological emission order).
+    // topological emission order). Cut leaves are class representatives,
+    // so a choice cover never needs to know which ring member shaped a
+    // chosen cut.
     let cover = {
         let _s = obs::span!("map/cover");
-        extract_cover(
-            aig.len(),
-            aig.input_nodes(),
-            aig.output_lits(),
-            cuts,
-            &selection.chosen,
-        )?
+        extract_cover(&net, &selection.chosen)?
     };
 
     // Phase 5: inverter materialization and netlist assembly.
     let _s = obs::span!("map/materialize");
-    let mut netlist = materialize(
-        library,
-        cache.inverter(),
-        &cover,
-        aig.input_nodes(),
-        aig.output_lits(),
-    );
+    let mut netlist = materialize(library, cache.inverter(), &cover, &net);
     drop(_s);
     netlist.set_predicted_delay_s(selection.predicted);
     Ok(netlist)
 }
 
-/// Maps a choice network onto a characterized library with a private
-/// match cache. See [`map_choice_aig_with_cache`].
-///
-/// # Errors
-///
-/// As [`map_aig`].
-pub fn map_choice_aig(
-    choice: &ChoiceAig,
-    library: &CharacterizedLibrary,
-    config: &MapConfig,
-) -> Result<MappedNetlist, MapError> {
-    let cache = NpnMatchCache::new(library)?;
-    map_choice_aig_with_cache(choice, library, &cache, config)
-}
-
-/// Maps a [`ChoiceAig`] — the accumulated structural choices of a
-/// synthesis flow — onto a characterized library.
-///
-/// With [`MapConfig::use_choices`] the staged engine runs over the
-/// choice network's equivalence classes: cut enumeration walks every
-/// choice ring ([`enumerate_cuts_choice`]), so a cut of a class may be
-/// rooted in a structure only a losing flow pass produced; the
-/// NPN-match cache and the objective-driven selection are reused
-/// unchanged (the dynamic program simply iterates classes in
-/// [`ChoiceAig::class_order`]); and cover extraction materializes
-/// whichever alternative's cut won, because the emitted instances only
-/// reference cut leaves — class representatives — never the internal
-/// cone of the alternative that shaped the cut.
-///
-/// Without `use_choices` the rings are ignored: the collapsed
-/// (representative-resolved) network is mapped through the plain path.
-///
-/// # Errors
-///
-/// As [`map_aig`] — constant primary outputs notably *can* occur here
-/// even when the original network had none, because the choice sweep
-/// may prove an output constant.
-pub fn map_choice_aig_with_cache(
-    choice: &ChoiceAig,
-    library: &CharacterizedLibrary,
-    cache: &NpnMatchCache,
-    config: &MapConfig,
-) -> Result<MappedNetlist, MapError> {
-    if !(2..=6).contains(&config.cut_k) {
-        return Err(MapError::InvalidCutK { k: config.cut_k });
-    }
-    if !config.use_choices {
-        return map_aig_with_cache(&choice.collapsed(), library, cache, config);
-    }
-    let arena = choice.arena();
-
-    // Phase 1: choice-aware cut enumeration (one cut set per class).
-    let cuts = {
-        let _s = obs::span!("map/cuts");
-        enumerate_cuts_choice(
-            choice,
-            CutConfig {
-                k: config.cut_k,
-                max_cuts: config.max_cuts,
-            },
-        )
-    };
-
-    // Phase 2: the same shared match cache and per-run memo.
-    let mut matcher = {
-        let _s = obs::span!("map/match");
-        Matcher::new(cache)
-    };
-
-    // Phase 3: selection over classes, dependencies first.
-    let selection = {
-        let _s = obs::span!("map/select");
-        let fanouts = choice_fanouts(choice);
-        select_matches(
-            arena,
-            choice.class_order(),
-            &fanouts,
-            choice.outputs(),
-            &cuts,
-            &mut matcher,
-            library,
-            config,
-        )?
-    };
-
-    // Phases 4 + 5: unchanged — the cover walks cut leaves, which are
-    // class representatives, so the machinery never needs to know which
-    // ring member shaped a chosen cut.
-    let cover = {
-        let _s = obs::span!("map/cover");
-        extract_cover(
-            arena.len(),
-            arena.input_nodes(),
-            choice.outputs(),
-            &cuts,
-            &selection.chosen,
-        )?
-    };
-    let _s = obs::span!("map/materialize");
-    let mut netlist = materialize(
-        library,
-        cache.inverter(),
-        &cover,
-        arena.input_nodes(),
-        choice.outputs(),
-    );
-    drop(_s);
-    netlist.set_predicted_delay_s(selection.predicted);
-    Ok(netlist)
+/// The subject as phases 3–5 read it.
+struct Network<'a> {
+    aig: &'a Aig,
+    /// The AND nodes to cover, fanins first: every AND node of a plain
+    /// network, the class representatives of a choice network.
+    order: Cow<'a, [u32]>,
+    /// Estimated consumers per node (flow discount and load buckets).
+    fanouts: Cow<'a, [u32]>,
+    outputs: &'a [Lit],
+    cuts: &'a dyn CutSource,
 }
 
 /// Fanout estimate for the flow discount of choice-network selection:
@@ -464,6 +375,11 @@ impl Costs {
     fn match_unit(&self, gate: usize, output_inverted: bool) -> f64 {
         self.cell_unit[gate] + if output_inverted { self.inv_unit } else { 0.0 }
     }
+
+    /// The match's own area: cell plus dedicated output inverter.
+    fn match_area(&self, gate: usize, output_inverted: bool) -> f64 {
+        self.cell_area[gate] + if output_inverted { self.inv_area } else { 0.0 }
+    }
 }
 
 /// Scale-free comparison tolerance: arrival times are order 1e-11 s and
@@ -509,6 +425,30 @@ fn eval_match(
     arr_in + costs.match_delay(po_driver, fb, m.gate, m.output_inverted)
 }
 
+/// Every library match of every non-trivial cut of `node`, with its pins
+/// on the cut's support leaves, in cut-then-match order.
+fn candidates(node: u32, cuts: &dyn CutSource, matcher: &mut Matcher<'_>) -> Vec<Chosen> {
+    let mut out = Vec::new();
+    for cut in cuts.cuts_of(node) {
+        if cut.is_trivial(node) {
+            continue;
+        }
+        // The shared support projection (`aig::cuts`) both the mapper and
+        // the rewriting engine consume: the shrunk function plus the leaf
+        // node behind each remaining variable.
+        let (fs, leaves) = cut.function_over_support();
+        if leaves.is_empty() {
+            continue; // constant function; covered by a smaller cut
+        }
+        out.extend(matcher.matches(fs).iter().map(|cand| Chosen {
+            gate: cand.gate,
+            pins: cand.pins.iter().map(|&(v, inv)| (leaves[v], inv)).collect(),
+            output_inverted: cand.output_inverted,
+        }));
+    }
+    out
+}
+
 /// Phase 3: objective-driven selection — one match per AND node.
 ///
 /// Every node carries two costs: arrival time under the configured load
@@ -528,28 +468,19 @@ fn eval_match(
 /// DP's optimal depth while shedding area off the non-critical paths
 /// (the classical two-phase mapper of ABC's `&if`).
 ///
-/// `order` lists the AND nodes to process, fanins-first — ascending
-/// node index for a plain network, [`ChoiceAig::class_order`] for a
-/// choice network (where only class representatives are priced).
-///
-/// Generic over the cut supply ([`CutSource`]) so the plain path reads
-/// straight out of a [`CutDb`] while the choice path keeps its per-class
-/// `Vec<Vec<Cut>>`.
-#[allow(clippy::too_many_arguments)]
-fn select_matches<S: CutSource + ?Sized>(
-    aig: &Aig,
-    order: &[u32],
-    fanouts: &[u32],
-    outputs: &[Lit],
-    cuts: &S,
+/// Only the nodes of [`Network::order`] are priced: every AND node of a
+/// plain network, the class representatives of a choice network.
+fn select_matches(
+    net: &Network<'_>,
     matcher: &mut Matcher<'_>,
     library: &CharacterizedLibrary,
     config: &MapConfig,
 ) -> Result<Selection, MapError> {
     let costs = Costs::new(library, matcher.inverter(), config);
-    let n = aig.len();
+    let (fanouts, cuts) = (&net.fanouts[..], net.cuts);
+    let n = net.aig.len();
     let mut po_driver = vec![false; n];
-    for lit in outputs {
+    for lit in net.outputs {
         po_driver[lit.node() as usize] = true;
     }
 
@@ -558,78 +489,51 @@ fn select_matches<S: CutSource + ?Sized>(
     let mut chosen: Vec<Option<Chosen>> = vec![None; n];
 
     // Phase 3a: the arrival/flow DP.
-    for &node in order {
+    for &node in net.order.iter() {
         let idx = node as usize;
         let po = po_driver[idx];
         let fb = fanout_bucket(fanouts[idx]);
         let mut best: Option<(f64, f64, Chosen)> = None;
-        for cut in cuts.cuts_of(node) {
-            if cut.is_trivial(node) {
-                continue;
-            }
-            // The shared support projection (`aig::cuts`) both the mapper
-            // and the rewriting engine consume: the shrunk function plus
-            // the leaf node behind each remaining variable.
-            let (fs, leaves) = cut.function_over_support();
-            if leaves.is_empty() {
-                continue; // constant function; covered by a smaller cut
-            }
-            for cand in matcher.matches(fs) {
-                let pins: Vec<(u32, bool)> =
-                    cand.pins.iter().map(|&(v, inv)| (leaves[v], inv)).collect();
-                let mut arr_in = 0.0f64;
-                let mut inv_flow_cost = 0.0;
-                for &(leaf, inv) in &pins {
-                    let leaf_fb = fanout_bucket(fanouts[leaf as usize]);
-                    arr_in = arr_in.max(arrival[leaf as usize] + costs.pin_delay(inv, leaf_fb));
-                    if inv && !costs.free_neg {
-                        // One materialized inverter serves every consumer
-                        // of the complemented leaf, so its flow cost is
-                        // discounted by the leaf's fanout exactly like
-                        // the leaf's own flow below.
-                        inv_flow_cost += costs.inv_unit / fanouts[leaf as usize].max(1) as f64;
-                    }
+        for m in candidates(node, cuts, matcher) {
+            let arr = eval_match(&m, &arrival, fanouts, po, fb, &costs);
+            let mut inv_flow_cost = 0.0;
+            for &(leaf, inv) in &m.pins {
+                if inv && !costs.free_neg {
+                    // One materialized inverter serves every consumer of
+                    // the complemented leaf, so its flow cost is
+                    // discounted by the leaf's fanout exactly like the
+                    // leaf's own flow below.
+                    inv_flow_cost += costs.inv_unit / fanouts[leaf as usize].max(1) as f64;
                 }
-                let arr = arr_in + costs.match_delay(po, fb, cand.gate, cand.output_inverted);
-                let f = costs.match_unit(cand.gate, cand.output_inverted)
-                    + inv_flow_cost
-                    + pins
-                        .iter()
-                        .map(|&(leaf, _)| {
-                            flow[leaf as usize] / fanouts[leaf as usize].max(1) as f64
-                        })
-                        .sum::<f64>();
-                let better = match (&best, config.objective) {
-                    (None, _) => true,
-                    (Some((bd, bf, _)), Objective::Delay) => {
-                        // Relative epsilon, like the flow branch below:
-                        // arrivals are order 1e-11 s, so an absolute
-                        // 1e-15 tolerance would never declare a tie and
-                        // the area-flow tie-break would never fire.
-                        let eps = rel_eps(arr, *bd);
-                        arr < bd - eps || ((arr - bd).abs() <= eps && f < *bf)
-                    }
-                    (Some((bd, bf, _)), Objective::Area | Objective::Energy) => {
-                        // Relative epsilon: flow magnitudes differ by
-                        // orders between area (m²) and energy (J), and
-                        // summation order can perturb equal flows by an
-                        // ulp — without the tolerance the arrival
-                        // tie-break would never fire.
-                        let eps = rel_eps(f, *bf);
-                        f < *bf - eps || ((f - bf).abs() <= eps && arr < *bd)
-                    }
-                };
-                if better {
-                    best = Some((
-                        arr,
-                        f,
-                        Chosen {
-                            gate: cand.gate,
-                            pins,
-                            output_inverted: cand.output_inverted,
-                        },
-                    ));
+            }
+            let f = costs.match_unit(m.gate, m.output_inverted)
+                + inv_flow_cost
+                + m.pins
+                    .iter()
+                    .map(|&(leaf, _)| flow[leaf as usize] / fanouts[leaf as usize].max(1) as f64)
+                    .sum::<f64>();
+            let better = match (&best, config.objective) {
+                (None, _) => true,
+                (Some((bd, bf, _)), Objective::Delay) => {
+                    // Relative epsilon, like the flow branch below:
+                    // arrivals are order 1e-11 s, so an absolute 1e-15
+                    // tolerance would never declare a tie and the
+                    // area-flow tie-break would never fire.
+                    let eps = rel_eps(arr, *bd);
+                    arr < bd - eps || ((arr - bd).abs() <= eps && f < *bf)
                 }
+                (Some((bd, bf, _)), Objective::Area | Objective::Energy) => {
+                    // Relative epsilon: flow magnitudes differ by orders
+                    // between area (m²) and energy (J), and summation
+                    // order can perturb equal flows by an ulp — without
+                    // the tolerance the arrival tie-break would never
+                    // fire.
+                    let eps = rel_eps(f, *bf);
+                    f < *bf - eps || ((f - bf).abs() <= eps && arr < *bd)
+                }
+            };
+            if better {
+                best = Some((arr, f, m));
             }
         }
         let (arr, f, c) = best.ok_or(MapError::UnmatchedNode {
@@ -644,18 +548,15 @@ fn select_matches<S: CutSource + ?Sized>(
     // Phase 3b: required times + area recovery (delay objective only —
     // the other objectives already minimized their flow directly).
     if config.objective == Objective::Delay && config.recovery_rounds > 0 {
-        let target = predicted_critical(&arrival, outputs, &costs);
+        let target = predicted_critical(&arrival, net.outputs, &costs);
         recover_area(
             RecoverCtx {
-                order,
-                fanouts,
-                outputs,
+                net,
                 po_driver: &po_driver,
                 costs: &costs,
                 config,
                 target,
             },
-            cuts,
             matcher,
             &mut chosen,
             &mut arrival,
@@ -663,16 +564,14 @@ fn select_matches<S: CutSource + ?Sized>(
         );
     }
 
-    let predicted = predicted_critical(&arrival, outputs, &costs);
+    let predicted = predicted_critical(&arrival, net.outputs, &costs);
     Ok(Selection { chosen, predicted })
 }
 
 /// The read-only state recovery rounds share (bundled so the round loop
 /// and its helpers stay within clippy's argument budget).
 struct RecoverCtx<'a> {
-    order: &'a [u32],
-    fanouts: &'a [u32],
-    outputs: &'a [Lit],
+    net: &'a Network<'a>,
     po_driver: &'a [bool],
     costs: &'a Costs,
     config: &'a MapConfig,
@@ -687,91 +586,74 @@ struct RecoverCtx<'a> {
 /// flow (round 1) or exact local area (later rounds) subject to
 /// `arrival ≤ required` — the node's current match is always feasible,
 /// so the cover's predicted critical path never exceeds `target`.
-fn recover_area<S: CutSource + ?Sized>(
+fn recover_area(
     ctx: RecoverCtx<'_>,
-    cuts: &S,
     matcher: &mut Matcher<'_>,
     chosen: &mut [Option<Chosen>],
     arrival: &mut [f64],
     flow: &mut [f64],
 ) {
-    let costs = ctx.costs;
+    let (costs, net) = (ctx.costs, ctx.net);
     for round in 0..ctx.config.recovery_rounds {
         let mut span = obs::span!("map/recover");
         span.record("round", round as u64 + 1);
         let exact = round > 0;
-        let (mut refs, mut inv_refs) = cover_refs(chosen, ctx.outputs, costs.free_neg);
-        let required = required_times(&ctx, chosen, &refs);
-        for &node in ctx.order {
+        let mut cover = CoverRefs::of(chosen, net.outputs, costs);
+        let required = required_times(&ctx, chosen, &cover.refs);
+        for &node in net.order.iter() {
             let idx = node as usize;
             let po = ctx.po_driver[idx];
-            let fb = fanout_bucket(ctx.fanouts[idx]);
+            let fb = fanout_bucket(net.fanouts[idx]);
             let req = required[idx];
             // Tiny relative slack: required times are derived from the
             // same arithmetic, but subtraction re-association can cost
             // an ulp and must not reject the currently chosen match.
             let feasible = req + 1e-9 * req.abs();
-            let covered = refs[idx] > 0;
+            let covered = cover.refs[idx] > 0;
             // Exact-area probing prices a candidate's cone against the
             // cover *without* this node's current match, so sharing with
             // the match being replaced is not double-counted.
             if exact && covered {
                 if let Some(c) = &chosen[idx] {
-                    deref_match(c, chosen, &mut refs, &mut inv_refs, costs);
+                    cover.toggle(c, chosen, costs, false);
                 }
             }
             let mut best: Option<(f64, f64, Chosen)> = None;
-            for cut in cuts.cuts_of(node) {
-                if cut.is_trivial(node) {
+            for m in candidates(node, net.cuts, matcher) {
+                let arr = eval_match(&m, arrival, &net.fanouts, po, fb, costs);
+                if arr > feasible {
                     continue;
                 }
-                let (fs, leaves) = cut.function_over_support();
-                if leaves.is_empty() {
-                    continue;
-                }
-                for cand in matcher.matches(fs) {
-                    let pins: Vec<(u32, bool)> =
-                        cand.pins.iter().map(|&(v, inv)| (leaves[v], inv)).collect();
-                    let m = Chosen {
-                        gate: cand.gate,
-                        pins,
-                        output_inverted: cand.output_inverted,
-                    };
-                    let arr = eval_match(&m, arrival, ctx.fanouts, po, fb, costs);
-                    if arr > feasible {
-                        continue;
-                    }
-                    let cost = if exact {
-                        let a = ref_match(&m, chosen, &mut refs, &mut inv_refs, costs);
-                        deref_match(&m, chosen, &mut refs, &mut inv_refs, costs);
-                        a
-                    } else {
-                        let mut f = costs.match_unit(m.gate, m.output_inverted);
-                        for &(leaf, inv) in &m.pins {
-                            let share = refs[leaf as usize].max(1) as f64;
-                            f += flow[leaf as usize] / share;
-                            if inv && !costs.free_neg {
-                                f += costs.inv_unit / share;
-                            }
+                let cost = if exact {
+                    let a = cover.toggle(&m, chosen, costs, true);
+                    cover.toggle(&m, chosen, costs, false);
+                    a
+                } else {
+                    let mut f = costs.match_unit(m.gate, m.output_inverted);
+                    for &(leaf, inv) in &m.pins {
+                        let share = cover.refs[leaf as usize].max(1) as f64;
+                        f += flow[leaf as usize] / share;
+                        if inv && !costs.free_neg {
+                            f += costs.inv_unit / share;
                         }
-                        f
-                    };
-                    let better = match &best {
-                        None => true,
-                        Some((bc, ba, _)) => {
-                            let eps = rel_eps(cost, *bc);
-                            cost < bc - eps || ((cost - bc).abs() <= eps && arr < *ba)
-                        }
-                    };
-                    if better {
-                        best = Some((cost, arr, m));
                     }
+                    f
+                };
+                let better = match &best {
+                    None => true,
+                    Some((bc, ba, _)) => {
+                        let eps = rel_eps(cost, *bc);
+                        cost < bc - eps || ((cost - bc).abs() <= eps && arr < *ba)
+                    }
+                };
+                if better {
+                    best = Some((cost, arr, m));
                 }
             }
             match best {
                 Some((cost, arr, m)) => {
                     if exact && covered {
-                        ref_match(&m, chosen, &mut refs, &mut inv_refs, costs);
+                        cover.toggle(&m, chosen, costs, true);
                     }
                     arrival[idx] = arr;
                     if !exact {
@@ -784,9 +666,9 @@ fn recover_area<S: CutSource + ?Sized>(
                     // current match, refresh its arrival, restore refs.
                     if let Some(c) = chosen[idx].clone() {
                         if exact && covered {
-                            ref_match(&c, chosen, &mut refs, &mut inv_refs, costs);
+                            cover.toggle(&c, chosen, costs, true);
                         }
-                        arrival[idx] = eval_match(&c, arrival, ctx.fanouts, po, fb, costs);
+                        arrival[idx] = eval_match(&c, arrival, &net.fanouts, po, fb, costs);
                     }
                 }
             }
@@ -798,36 +680,70 @@ fn recover_area<S: CutSource + ?Sized>(
 /// matches plus PO taps) reading node `n`, `inv_refs[n]` of them through
 /// the shared inverter (families without free negation only). The
 /// exact-area walks keep both incrementally up to date.
-fn cover_refs(chosen: &[Option<Chosen>], outputs: &[Lit], free_neg: bool) -> (Vec<u32>, Vec<u32>) {
-    let n = chosen.len();
-    let mut refs = vec![0u32; n];
-    let mut inv_refs = vec![0u32; n];
-    let mut seen = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    for lit in outputs {
-        refs[lit.node() as usize] += 1;
-        if lit.is_complement() && !free_neg {
-            inv_refs[lit.node() as usize] += 1;
-        }
-        stack.push(lit.node());
+struct CoverRefs {
+    refs: Vec<u32>,
+    inv_refs: Vec<u32>,
+}
+
+impl CoverRefs {
+    /// The counts of the cover the primary outputs reach.
+    fn of(chosen: &[Option<Chosen>], outputs: &[Lit], costs: &Costs) -> Self {
+        let mut cover = CoverRefs {
+            refs: vec![0; chosen.len()],
+            inv_refs: vec![0; chosen.len()],
+        };
+        let taps: Vec<(u32, bool)> = outputs
+            .iter()
+            .map(|l| (l.node(), l.is_complement()))
+            .collect();
+        cover.walk(0.0, &taps, chosen, costs, true);
+        cover
     }
-    while let Some(node) = stack.pop() {
-        let idx = node as usize;
-        if seen[idx] {
-            continue;
-        }
-        seen[idx] = true;
-        if let Some(c) = &chosen[idx] {
-            for &(leaf, inv) in &c.pins {
-                refs[leaf as usize] += 1;
-                if inv && !free_neg {
-                    inv_refs[leaf as usize] += 1;
+
+    /// Pulls a match into the cover (`add`) or removes it: moves its pin
+    /// references, recursively (un)covering leaves whose count leaves or
+    /// returns to zero, and returns the exact area added or freed —
+    /// cells, dedicated output inverters, and shared input inverters.
+    fn toggle(&mut self, m: &Chosen, chosen: &[Option<Chosen>], costs: &Costs, add: bool) -> f64 {
+        let area = costs.match_area(m.gate, m.output_inverted);
+        self.walk(area, &m.pins, chosen, costs, add)
+    }
+
+    /// [`CoverRefs::toggle`]'s walk from `pins`, accumulating onto `area`.
+    /// Iterative so megagate-deep covers cannot overflow the stack.
+    fn walk(
+        &mut self,
+        mut area: f64,
+        pins: &[(u32, bool)],
+        chosen: &[Option<Chosen>],
+        costs: &Costs,
+        add: bool,
+    ) -> f64 {
+        // Steps a count; true when it crosses between zero and one.
+        let step = |count: &mut u32| {
+            if add {
+                *count += 1;
+                *count == 1
+            } else {
+                *count -= 1;
+                *count == 0
+            }
+        };
+        let mut stack = pins.to_vec();
+        while let Some((leaf, inv)) = stack.pop() {
+            let l = leaf as usize;
+            if inv && !costs.free_neg && step(&mut self.inv_refs[l]) {
+                area += costs.inv_area;
+            }
+            if step(&mut self.refs[l]) {
+                if let Some(c) = &chosen[l] {
+                    area += costs.match_area(c.gate, c.output_inverted);
+                    stack.extend_from_slice(&c.pins);
                 }
-                stack.push(leaf);
             }
         }
+        area
     }
-    (refs, inv_refs)
 }
 
 /// Backward required-time propagation over the current cover: every PO
@@ -837,25 +753,25 @@ fn cover_refs(chosen: &[Option<Chosen>], outputs: &[Lit], free_neg: bool) -> (Ve
 /// a later re-selection pulls them in, at which point the consumer's own
 /// feasibility check prices their true arrival.
 fn required_times(ctx: &RecoverCtx<'_>, chosen: &[Option<Chosen>], refs: &[u32]) -> Vec<f64> {
-    let costs = ctx.costs;
+    let (costs, net) = (ctx.costs, ctx.net);
     let mut required = vec![f64::INFINITY; chosen.len()];
-    for lit in ctx.outputs {
+    for lit in net.outputs {
         let idx = lit.node() as usize;
         let r = ctx.target - costs.po_tap_extra(lit.is_complement());
         if r < required[idx] {
             required[idx] = r;
         }
     }
-    for &node in ctx.order.iter().rev() {
+    for &node in net.order.iter().rev() {
         let idx = node as usize;
         if refs[idx] == 0 || !required[idx].is_finite() {
             continue;
         }
         let Some(c) = &chosen[idx] else { continue };
-        let fb = fanout_bucket(ctx.fanouts[idx]);
+        let fb = fanout_bucket(net.fanouts[idx]);
         let d = costs.match_delay(ctx.po_driver[idx], fb, c.gate, c.output_inverted);
         for &(leaf, inv) in &c.pins {
-            let leaf_fb = fanout_bucket(ctx.fanouts[leaf as usize]);
+            let leaf_fb = fanout_bucket(net.fanouts[leaf as usize]);
             let r = required[idx] - d - costs.pin_delay(inv, leaf_fb);
             let l = leaf as usize;
             if r < required[l] {
@@ -866,112 +782,22 @@ fn required_times(ctx: &RecoverCtx<'_>, chosen: &[Option<Chosen>], refs: &[u32])
     required
 }
 
-/// Pulls a match into the cover: increments its pin references
-/// (recursively re-covering leaves whose count rises from zero) and
-/// returns the exact area added — cells, dedicated output inverters, and
-/// shared input inverters newly materialized. Iterative so megagate-deep
-/// covers cannot overflow the stack.
-fn ref_match(
-    m: &Chosen,
-    chosen: &[Option<Chosen>],
-    refs: &mut [u32],
-    inv_refs: &mut [u32],
-    costs: &Costs,
-) -> f64 {
-    let mut area = costs.cell_area[m.gate]
-        + if m.output_inverted {
-            costs.inv_area
-        } else {
-            0.0
-        };
-    let mut stack: Vec<(u32, bool)> = m.pins.clone();
-    while let Some((leaf, inv)) = stack.pop() {
-        let l = leaf as usize;
-        if inv && !costs.free_neg {
-            inv_refs[l] += 1;
-            if inv_refs[l] == 1 {
-                area += costs.inv_area;
-            }
-        }
-        refs[l] += 1;
-        if refs[l] == 1 {
-            if let Some(c) = &chosen[l] {
-                area += costs.cell_area[c.gate]
-                    + if c.output_inverted {
-                        costs.inv_area
-                    } else {
-                        0.0
-                    };
-                stack.extend_from_slice(&c.pins);
-            }
-        }
-    }
-    area
-}
-
-/// Removes a match from the cover — the exact mirror of [`ref_match`]:
-/// decrements pin references (recursively un-covering leaves whose count
-/// drops to zero) and returns the area freed.
-fn deref_match(
-    m: &Chosen,
-    chosen: &[Option<Chosen>],
-    refs: &mut [u32],
-    inv_refs: &mut [u32],
-    costs: &Costs,
-) -> f64 {
-    let mut area = costs.cell_area[m.gate]
-        + if m.output_inverted {
-            costs.inv_area
-        } else {
-            0.0
-        };
-    let mut stack: Vec<(u32, bool)> = m.pins.clone();
-    while let Some((leaf, inv)) = stack.pop() {
-        let l = leaf as usize;
-        if inv && !costs.free_neg {
-            inv_refs[l] -= 1;
-            if inv_refs[l] == 0 {
-                area += costs.inv_area;
-            }
-        }
-        refs[l] -= 1;
-        if refs[l] == 0 {
-            if let Some(c) = &chosen[l] {
-                area += costs.cell_area[c.gate]
-                    + if c.output_inverted {
-                        costs.inv_area
-                    } else {
-                        0.0
-                    };
-                stack.extend_from_slice(&c.pins);
-            }
-        }
-    }
-    area
-}
-
 /// Phase 4: walks the chosen matches from the primary outputs and lists
 /// the matches actually used, in post-order (fanins precede consumers).
-fn extract_cover<S: CutSource + ?Sized>(
-    len: usize,
-    input_nodes: &[u32],
-    outputs: &[Lit],
-    cuts: &S,
-    chosen: &[Option<Chosen>],
-) -> Result<Vec<CoverStep>, MapError> {
-    for (k, lit) in outputs.iter().enumerate() {
+fn extract_cover(net: &Network<'_>, chosen: &[Option<Chosen>]) -> Result<Vec<CoverStep>, MapError> {
+    for (k, lit) in net.outputs.iter().enumerate() {
         if lit.node() == 0 {
             return Err(MapError::ConstantOutput { output: k });
         }
     }
-    let mut emitted = vec![false; len];
-    for &node in input_nodes {
+    let mut emitted = vec![false; net.aig.len()];
+    for &node in net.aig.input_nodes() {
         emitted[node as usize] = true;
     }
     let mut steps = Vec::new();
     // Iterative post-order DFS (two-phase stack entries).
     let mut stack: Vec<(u32, bool)> = Vec::new();
-    for lit in outputs {
+    for lit in net.outputs {
         stack.push((lit.node(), false));
         while let Some((node, expanded)) = stack.pop() {
             if emitted[node as usize] {
@@ -984,7 +810,7 @@ fn extract_cover<S: CutSource + ?Sized>(
                 .as_ref()
                 .ok_or(MapError::UnmatchedNode {
                     node,
-                    cuts: cuts.cuts_of(node).len(),
+                    cuts: net.cuts.cuts_of(node).len(),
                 })?;
             if expanded {
                 emitted[node as usize] = true;
@@ -1013,9 +839,9 @@ fn materialize(
     library: &CharacterizedLibrary,
     inv_idx: usize,
     cover: &[CoverStep],
-    input_nodes: &[u32],
-    outputs: &[Lit],
+    net: &Network<'_>,
 ) -> MappedNetlist {
+    let (input_nodes, outputs) = (net.aig.input_nodes(), net.outputs);
     let free_neg = library.family.free_input_negation();
     let pi_count = input_nodes.len();
     let mut instances: Vec<Instance> = Vec::with_capacity(cover.len());
@@ -1175,18 +1001,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_matches_private_cache() {
-        let aig = small_alu_aig();
-        let lib = characterize_library(GateFamily::CntfetGeneralized);
-        let cache = NpnMatchCache::new(&lib).expect("INV present");
-        let config = MapConfig::default();
-        let private = map_aig(&aig, &lib, &config).expect("maps");
-        let shared = map_aig_with_cache(&aig, &lib, &cache, &config).expect("maps");
-        assert_eq!(private.instances, shared.instances);
-        assert_eq!(private.outputs(), shared.outputs());
-    }
-
-    #[test]
     fn custom_cut_width_still_verifies() {
         let aig = small_alu_aig();
         let lib = characterize_library(GateFamily::Cmos);
@@ -1218,22 +1032,27 @@ mod tests {
 
     #[test]
     fn cut_db_mapping_matches_and_reuses() {
-        // Mapping through a persistent CutDb is identical to the one-shot
-        // path, and a second run over the same network recomputes nothing.
+        // Mapping through a shared match cache and a persistent CutDb is
+        // identical to the one-shot path (private cache, fresh database),
+        // and a second run over the same network recomputes nothing.
         let aig = small_alu_aig();
         let lib = characterize_library(GateFamily::Cmos);
         let cache = NpnMatchCache::new(&lib).expect("cache builds");
         let config = MapConfig::default();
-        let one_shot = map_aig_with_cache(&aig, &lib, &cache, &config).expect("maps");
+        let one_shot = map_aig(&aig, &lib, &config).expect("maps");
         let mut db = CutDb::new(CutConfig {
             k: config.cut_k,
             max_cuts: config.max_cuts,
         });
-        let first = map_aig_with_cut_db(&aig, &lib, &cache, &config, &mut db).expect("maps");
+        let map_with_db = |db: &mut CutDb| {
+            map_subject(Subject::Plain(&aig, db), &lib, &cache, &config).expect("maps")
+        };
+        let first = map_with_db(&mut db);
         assert_eq!(first.instances, one_shot.instances);
+        assert_eq!(first.outputs(), one_shot.outputs());
         let computed_once = db.computed();
         assert!(computed_once > 0);
-        let second = map_aig_with_cut_db(&aig, &lib, &cache, &config, &mut db).expect("maps");
+        let second = map_with_db(&mut db);
         assert_eq!(second.instances, one_shot.instances);
         assert_eq!(
             db.computed(),
@@ -1251,7 +1070,7 @@ mod tests {
         let config = MapConfig::default();
         let mut db = CutDb::new(CutConfig { k: 4, max_cuts: 4 });
         assert_eq!(
-            map_aig_with_cut_db(&aig, &lib, &cache, &config, &mut db).err(),
+            map_subject(Subject::Plain(&aig, &mut db), &lib, &cache, &config).err(),
             Some(MapError::InvalidCutK { k: 4 })
         );
     }
@@ -1344,26 +1163,30 @@ mod tests {
         assert!(inv_count <= 1, "inverters not shared: {inv_count}");
     }
 
-    /// A flow with a `dch` step over the small ALU: the choice network
-    /// plus the plain synthesized network for comparison.
-    fn alu_choices() -> (Aig, aig::ChoiceAig) {
-        let aig = small_alu_aig();
+    /// A flow with a `dch` step over the small ALU: its choice network.
+    fn alu_choices() -> aig::ChoiceAig {
         let flow = aig::Flow::parse("b; rw; rf; dch").expect("parses");
-        let (synthesized, choices, _) = flow.run_with_choices(&aig);
-        (synthesized, choices.expect("dch returns choices"))
+        let (_, choices, _) = flow.run_with_choices(&small_alu_aig());
+        choices.expect("dch returns choices")
+    }
+
+    fn map_choices(
+        choices: &aig::ChoiceAig,
+        lib: &CharacterizedLibrary,
+        config: &MapConfig,
+    ) -> Result<MappedNetlist, MapError> {
+        let cache = NpnMatchCache::new(lib).expect("INV present");
+        map_subject(Subject::Choices(choices), lib, &cache, config)
     }
 
     #[test]
     fn choice_mapping_verifies_in_all_families() {
         let original = small_alu_aig();
-        let (_, choices) = alu_choices();
-        let config = MapConfig {
-            use_choices: true,
-            ..MapConfig::default()
-        };
+        let choices = alu_choices();
         for family in GateFamily::ALL {
             let lib = characterize_library(family);
-            let mapped = map_choice_aig(&choices, &lib, &config).expect("choice mapping succeeds");
+            let mapped = map_choices(&choices, &lib, &MapConfig::default())
+                .expect("choice mapping succeeds");
             assert!(
                 verify_mapping(&original, &mapped, &lib).is_ok(),
                 "{family}: choice-mapped netlist differs from the original AIG"
@@ -1373,29 +1196,13 @@ mod tests {
     }
 
     #[test]
-    fn choice_mapping_without_use_choices_is_the_collapsed_plain_mapping() {
-        let (_, choices) = alu_choices();
-        let lib = characterize_library(GateFamily::CntfetGeneralized);
-        let config = MapConfig::default();
-        assert!(!config.use_choices);
-        let via_choice_entry =
-            map_choice_aig(&choices, &lib, &config).expect("collapsed mapping succeeds");
-        let plain = map_aig(&choices.collapsed(), &lib, &config).expect("plain mapping succeeds");
-        assert_eq!(via_choice_entry.instances, plain.instances);
-        assert_eq!(via_choice_entry.outputs(), plain.outputs());
-    }
-
-    #[test]
     fn choice_mapping_verifies_across_objectives() {
         let original = small_alu_aig();
-        let (_, choices) = alu_choices();
+        let choices = alu_choices();
         let lib = characterize_library(GateFamily::Cmos);
         for objective in Objective::ALL {
-            let config = MapConfig {
-                use_choices: true,
-                ..MapConfig::for_objective(objective)
-            };
-            let mapped = map_choice_aig(&choices, &lib, &config).expect("maps");
+            let mapped =
+                map_choices(&choices, &lib, &MapConfig::for_objective(objective)).expect("maps");
             assert!(
                 verify_mapping(&original, &mapped, &lib).is_ok(),
                 "{objective}: choice-mapped netlist differs"
@@ -1405,15 +1212,14 @@ mod tests {
 
     #[test]
     fn choice_mapping_rejects_bad_cut_width() {
-        let (_, choices) = alu_choices();
+        let choices = alu_choices();
         let lib = characterize_library(GateFamily::Cmos);
         let config = MapConfig {
             cut_k: 9,
-            use_choices: true,
             ..MapConfig::default()
         };
         assert_eq!(
-            map_choice_aig(&choices, &lib, &config).err(),
+            map_choices(&choices, &lib, &config).err(),
             Some(MapError::InvalidCutK { k: 9 })
         );
     }

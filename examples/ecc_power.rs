@@ -8,7 +8,7 @@
 //! ```
 
 use ambipolar::engine;
-use ambipolar::pipeline::{evaluate_circuit, PipelineConfig};
+use ambipolar::pipeline::{mapper_cut_db, run_job, PipelineConfig};
 use bench_circuits::ecc::{parity_bits, sec_circuit};
 use gate_lib::GateFamily;
 
@@ -29,9 +29,12 @@ fn main() {
         "library", "gates", "delay", "P_D", "P_T", "EDP (J·s)"
     );
     let mut results = Vec::new();
+    let mut db = mapper_cut_db(&config.map);
     for family in GateFamily::ALL {
         let library = engine::library(family);
-        let r = evaluate_circuit(&synthesized, library, &config).expect("mapping succeeds");
+        let r = run_job(&synthesized, None, library, &config, &mut db, None)
+            .expect("mapping succeeds")
+            .result;
         println!(
             "{:<22} {:>7} {:>10} {:>10} {:>10} {:>12.2e}",
             family.label(),

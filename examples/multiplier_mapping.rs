@@ -7,10 +7,10 @@
 //! ```
 
 use ambipolar::engine;
-use ambipolar::pipeline::{evaluate_circuit, PipelineConfig};
+use ambipolar::pipeline::{mapper_cut_db, run_job, PipelineConfig};
 use bench_circuits::multiplier::multiplier_circuit;
 use gate_lib::GateFamily;
-use techmap::{map_aig_with_cache, verify_mapping, MapConfig};
+use techmap::Verify;
 
 fn main() {
     let aig = multiplier_circuit(8);
@@ -27,25 +27,23 @@ fn main() {
         synthesized.depth()
     );
 
-    let config = PipelineConfig::default();
+    // Functional check: every mapped netlist is SAT-proven against the
+    // AIG (a failed proof reports the counterexample pattern).
+    let config = PipelineConfig {
+        verify: Verify::Sat,
+        ..PipelineConfig::default()
+    };
     println!(
         "{:<22} {:>7} {:>12} {:>10} {:>10} {:>14}",
         "library", "gates", "transistors", "delay", "P_T", "EDP"
     );
     let mut rows = Vec::new();
+    let mut db = mapper_cut_db(&config.map);
     for family in GateFamily::ALL {
         let library = engine::library(family);
-        // Functional check: the mapped netlist is SAT-proven against the
-        // AIG (a failed proof would print the counterexample pattern).
-        let mapped = map_aig_with_cache(
-            &synthesized,
-            library,
-            engine::match_cache(family),
-            &MapConfig::default(),
-        )
-        .expect("mapping succeeds");
-        verify_mapping(&synthesized, &mapped, library).unwrap_or_else(|e| panic!("{family}: {e}"));
-        let r = evaluate_circuit(&synthesized, library, &config).expect("mapping succeeds");
+        let r = run_job(&synthesized, None, library, &config, &mut db, None)
+            .unwrap_or_else(|e| panic!("{family}: {e}"))
+            .result;
         println!(
             "{:<22} {:>7} {:>12} {:>10} {:>10} {:>11.2e}",
             family.label(),

@@ -11,19 +11,13 @@ use ambipolar::engine;
 use charlib::gate_to_spice;
 use charlib::genlib::gate_to_genlib;
 use gate_lib::GateFamily;
-use techmap::{cell_histogram, map_aig_with_cache, to_structural_verilog, MapConfig};
+use techmap::{cell_histogram, map_aig, to_structural_verilog, MapConfig};
 
 fn main() {
     let bench = bench_circuits::benchmark_by_name("C1355").expect("C1355 exists");
     let synthesized = aig::synthesize(&bench.aig);
     let library = engine::library(GateFamily::CntfetGeneralized);
-    let mapped = map_aig_with_cache(
-        &synthesized,
-        library,
-        engine::match_cache(GateFamily::CntfetGeneralized),
-        &MapConfig::default(),
-    )
-    .expect("mapping succeeds");
+    let mapped = map_aig(&synthesized, library, &MapConfig::default()).expect("mapping succeeds");
 
     println!(
         "=== cell histogram of {} mapped with the generalized library ===",

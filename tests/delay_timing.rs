@@ -14,9 +14,10 @@
 //! (exactly the zero-PO-load bug this suite was written against).
 
 use ambipolar::engine;
+use ambipolar::pipeline::mapper_cut_db;
 use gate_lib::GateFamily;
 use rayon::prelude::*;
-use techmap::{critical_path, map_aig_with_cache, MapConfig, Objective};
+use techmap::{critical_path, map_subject, MapConfig, MappedNetlist, Objective, Subject};
 
 /// DP estimate vs STA may differ per net (estimated fanout × average
 /// pin cap vs the emitted cover's exact pin caps — cover consumer
@@ -27,6 +28,14 @@ use techmap::{critical_path, map_aig_with_cache, MapConfig, Objective};
 /// fanout-aware load model: predicted/STA in 0.69..=1.09 (the uniform
 /// two-pin model sat in 0.48..=0.99).
 const AGREEMENT_TOL: f64 = 1.6;
+
+/// Maps a catalog circuit through the family's shared match cache and a
+/// fresh cut database.
+fn map_catalog(aig: &aig::Aig, family: GateFamily, config: &MapConfig) -> MappedNetlist {
+    let (lib, cache) = (engine::library(family), engine::match_cache(family));
+    let cuts = &mut mapper_cut_db(config);
+    map_subject(Subject::Plain(aig, cuts), lib, cache, config).expect("catalog circuits map")
+}
 
 #[test]
 fn predicted_arrival_tracks_sta_across_the_catalog() {
@@ -45,9 +54,7 @@ fn predicted_arrival_tracks_sta_across_the_catalog() {
         .map(|&(ci, family)| {
             let (name, aig) = &synthesized[ci];
             let lib = engine::library(family);
-            let cache = engine::match_cache(family);
-            let mapped = map_aig_with_cache(aig, lib, cache, &MapConfig::default())
-                .expect("catalog circuits map");
+            let mapped = map_catalog(aig, family, &MapConfig::default());
             let predicted = mapped
                 .predicted_delay_s()
                 .expect("the mapper records its predicted critical path");
@@ -83,11 +90,8 @@ fn delay_objective_is_never_slower_than_area_objective() {
         .map(|&(ci, family)| {
             let (name, aig) = &synthesized[ci];
             let lib = engine::library(family);
-            let cache = engine::match_cache(family);
             let measure = |objective| {
-                let mapped =
-                    map_aig_with_cache(aig, lib, cache, &MapConfig::for_objective(objective))
-                        .expect("catalog circuits map");
+                let mapped = map_catalog(aig, family, &MapConfig::for_objective(objective));
                 (
                     mapped.predicted_delay_s().expect("predicted is recorded"),
                     critical_path(&mapped, lib).critical.value(),

@@ -1,16 +1,20 @@
 //! End-to-end integration: benchmark generation → synthesis → mapping →
 //! timing → power, with functional verification at every hand-off.
 
-use ambipolar::pipeline::{evaluate_circuit, PipelineConfig};
+use ambipolar::experiments::{table1_subset, Table1Config};
+use ambipolar::pipeline::{CircuitResult, PipelineConfig};
 use charlib::characterize_library;
 use gate_lib::GateFamily;
 use techmap::{map_aig, verify_mapping, MapConfig};
 
-fn quick_config() -> PipelineConfig {
-    PipelineConfig {
+/// One catalog circuit's Table-1 results at 4 K patterns, in family order.
+fn row(name: &str) -> [CircuitResult; 3] {
+    let pipeline = PipelineConfig {
         patterns: 4096,
         ..PipelineConfig::default()
-    }
+    };
+    let table = table1_subset(&Table1Config { pipeline }, Some(&[name])).expect("maps");
+    table.rows.into_iter().next().expect("one row").results
 }
 
 #[test]
@@ -37,17 +41,7 @@ fn mapped_netlists_are_functionally_correct_for_all_families() {
 
 #[test]
 fn paper_orderings_hold_on_an_xor_rich_circuit() {
-    let bench = bench_circuits::benchmark_by_name("C1355").expect("C1355");
-    let synthesized = aig::synthesize(&bench.aig);
-    let config = quick_config();
-    let results: Vec<_> = GateFamily::ALL
-        .iter()
-        .map(|&f| {
-            let lib = characterize_library(f);
-            evaluate_circuit(&synthesized, &lib, &config).expect("mapping succeeds")
-        })
-        .collect();
-    let (gen, conv, cmos) = (&results[0], &results[1], &results[2]);
+    let [gen, conv, cmos] = &row("C1355");
     // Gate count: generalized < conventional = CMOS.
     assert!(gen.gates < conv.gates);
     assert_eq!(conv.gates, cmos.gates, "same cell set, same mapper");
@@ -66,15 +60,9 @@ fn paper_orderings_hold_on_an_xor_rich_circuit() {
 fn control_dominated_circuit_still_wins_but_less() {
     // ALU/control circuits benefit less than XOR-rich ones (the paper's
     // per-row trend).
-    let config = quick_config();
     let edp_gain = |name: &str| {
-        let bench = bench_circuits::benchmark_by_name(name).expect("known");
-        let synthesized = aig::synthesize(&bench.aig);
-        let gen = characterize_library(GateFamily::CntfetGeneralized);
-        let conv = characterize_library(GateFamily::CntfetConventional);
-        let r_gen = evaluate_circuit(&synthesized, &gen, &config).expect("mapping succeeds");
-        let r_conv = evaluate_circuit(&synthesized, &conv, &config).expect("mapping succeeds");
-        r_conv.edp().value() / r_gen.edp().value()
+        let [gen, conv, _] = &row(name);
+        conv.edp().value() / gen.edp().value()
     };
     let ecc = edp_gain("C1908");
     let alu = edp_gain("C2670");
@@ -90,16 +78,8 @@ fn static_power_well_below_dynamic_at_circuit_level() {
     // Paper §4: "static power is about two orders of magnitude less than
     // dynamic power for both types of CNTFET families and one order of
     // magnitude less for the CMOS family."
-    let bench = bench_circuits::benchmark_by_name("i8").expect("i8");
-    let synthesized = aig::synthesize(&bench.aig);
-    let config = quick_config();
-    for (family, min_ratio) in [
-        (GateFamily::CntfetGeneralized, 50.0),
-        (GateFamily::CntfetConventional, 50.0),
-        (GateFamily::Cmos, 8.0),
-    ] {
-        let lib = characterize_library(family);
-        let r = evaluate_circuit(&synthesized, &lib, &config).expect("mapping succeeds");
+    let results = row("i8");
+    for ((r, family), min_ratio) in results.iter().zip(GateFamily::ALL).zip([50.0, 50.0, 8.0]) {
         let ratio = r.power.dynamic.value() / r.power.static_sub.value();
         assert!(
             ratio > min_ratio,

@@ -1,17 +1,33 @@
 //! Cross-crate determinism contract of the experiment engine:
 //!
 //! * a fixed seed yields an identical [`power_est::ActivityReport`] on
-//!   every run, and the parallel chunked simulation is bit-identical to
-//!   the serial reference;
-//! * the engine's Table-1 driver is deterministic and characterizes each
-//!   gate family exactly once per process, however many runs share it.
+//!   every run, and the parallel chunked simulation on a two-thread pool
+//!   is bit-identical to the serial reference;
+//! * the Table-1 driver is deterministic, identical at one and at two
+//!   threads and to fresh-database jobs run one at a time, and
+//!   characterizes each gate family exactly once per process, however
+//!   many runs share it.
 
 use ambipolar::engine;
-use ambipolar::experiments::Table1Config;
-use ambipolar::pipeline::PipelineConfig;
+use ambipolar::experiments::{table1_subset, Table1Config};
+use ambipolar::pipeline::{mapper_cut_db, run_job, PipelineConfig};
 use gate_lib::GateFamily;
 use power_est::{simulate_activity, simulate_activity_serial, CHUNK_WORDS};
-use techmap::{map_aig_with_cache, MapConfig};
+use std::sync::{Mutex, PoisonError};
+use techmap::MapConfig;
+
+/// Runs `op` on a pool of `threads` workers. The pool install is
+/// process-global, so installs are serialized across this binary's tests:
+/// no concurrent test can change the width under `op`.
+fn on_pool<R>(threads: usize, op: impl FnOnce() -> R) -> R {
+    static POOL_LOCK: Mutex<()> = Mutex::new(());
+    let _guard = POOL_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build()
+        .expect("pool construction cannot fail for n >= 1")
+        .install(op)
+}
 
 fn small_netlist() -> (
     techmap::MappedNetlist,
@@ -20,9 +36,8 @@ fn small_netlist() -> (
     let bench = bench_circuits::benchmark_by_name("t481").expect("t481 exists");
     let synthesized = aig::synthesize(&bench.aig);
     let lib = engine::library(GateFamily::CntfetGeneralized);
-    let cache = engine::match_cache(GateFamily::CntfetGeneralized);
-    let mapped = map_aig_with_cache(&synthesized, lib, cache, &MapConfig::default())
-        .expect("mapping succeeds");
+    let mapped =
+        techmap::map_aig(&synthesized, lib, &MapConfig::default()).expect("mapping succeeds");
     (mapped, lib)
 }
 
@@ -42,7 +57,7 @@ fn parallel_simulation_matches_serial_reference() {
     let (mapped, lib) = small_netlist();
     for patterns in [512usize, CHUNK_WORDS * 64 * 2 + 64] {
         for seed in [1u64, 0xBEEF] {
-            let par = simulate_activity(&mapped, lib, patterns, seed);
+            let par = on_pool(2, || simulate_activity(&mapped, lib, patterns, seed));
             let ser = simulate_activity_serial(&mapped, lib, patterns, seed);
             assert_eq!(par, ser, "patterns {patterns} seed {seed}");
         }
@@ -64,8 +79,8 @@ fn engine_characterizes_each_family_at_most_once() {
         },
     };
     let names = Some(&["t481"][..]);
-    let first = engine::run_table1_subset(&config, names).expect("mapping succeeds");
-    let second = engine::run_table1_subset(&config, names).expect("mapping succeeds");
+    let first = table1_subset(&config, names).expect("mapping succeeds");
+    let second = table1_subset(&config, names).expect("mapping succeeds");
     assert_eq!(
         engine::characterization_count(),
         after_warm,
@@ -79,6 +94,10 @@ fn engine_characterizes_each_family_at_most_once() {
     assert_eq!(format!("{first}"), format!("{second}"));
 }
 
+/// The serial reference for the Table-1 driver is the driver itself on a
+/// one-thread pool, plus every (circuit, family) job run alone against a
+/// fresh cut database — where the driver maps against a clone of a
+/// database it filled up front.
 #[test]
 fn engine_table_matches_serial_reference_table() {
     let config = Table1Config {
@@ -87,9 +106,25 @@ fn engine_table_matches_serial_reference_table() {
             ..PipelineConfig::default()
         },
     };
-    let names = Some(&["t481", "C1355"][..]);
-    let par = engine::run_table1_subset(&config, names).expect("mapping succeeds");
-    let ser = engine::run_table1_serial(&config, names).expect("mapping succeeds");
-    assert_eq!(par.rows.len(), 2);
-    assert_eq!(format!("{par}"), format!("{ser}"));
+    let names = ["t481", "C1355"];
+    let table_at = |threads| {
+        on_pool(threads, || table1_subset(&config, Some(&names))).expect("mapping succeeds")
+    };
+    let parallel = table_at(2);
+    let serial = table_at(1);
+    assert_eq!(parallel.rows.len(), 2);
+    assert_eq!(format!("{:?}", parallel.rows), format!("{:?}", serial.rows));
+
+    let pipeline = &config.pipeline;
+    let flow = engine::parse_flow(pipeline).expect("the default flow parses");
+    for (row, name) in parallel.rows.iter().zip(names) {
+        let bench = bench_circuits::benchmark_by_name(name).expect("catalog circuit");
+        let synthesized = flow.run(&bench.aig);
+        for (result, lib) in row.results.iter().zip(engine::libraries()) {
+            let fresh = &mut mapper_cut_db(&pipeline.map);
+            let job = run_job(&synthesized, None, lib, pipeline, fresh, None).expect("maps");
+            let what = format!("{name}/{}: fresh-database job vs table", lib.family);
+            assert_eq!(format!("{:?}", job.result), format!("{result:?}"), "{what}");
+        }
+    }
 }

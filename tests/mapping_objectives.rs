@@ -5,9 +5,12 @@
 //! the engine's shared NPN match caches.
 
 use ambipolar::engine;
+use ambipolar::pipeline::mapper_cut_db;
 use gate_lib::GateFamily;
 use rayon::prelude::*;
-use techmap::{map_aig_with_cache, verify_mapping, MapConfig, NetRef, Objective, VerifyError};
+use techmap::{
+    map_aig, map_subject, verify_mapping, MapConfig, NetRef, Objective, Subject, VerifyError,
+};
 
 #[test]
 fn every_circuit_family_objective_triple_is_sat_proven() {
@@ -37,7 +40,8 @@ fn every_circuit_family_objective_triple_is_sat_proven() {
             let library = engine::library(family);
             let cache = engine::match_cache(family);
             let config = MapConfig::for_objective(objective);
-            let mapped = match map_aig_with_cache(aig, library, cache, &config) {
+            let cuts = &mut mapper_cut_db(&config);
+            let mapped = match map_subject(Subject::Plain(aig, cuts), library, cache, &config) {
                 Ok(mapped) => mapped,
                 Err(e) => return Some(format!("{name}/{family}/{objective}: map error {e}")),
             };
@@ -72,9 +76,7 @@ fn corrupted_catalog_netlist_is_refuted_with_a_concrete_pattern() {
     let bench = bench_circuits::benchmark_by_name("t481").expect("t481");
     let synthesized = aig::synthesize(&bench.aig);
     let library = engine::library(GateFamily::Cmos);
-    let cache = engine::match_cache(GateFamily::Cmos);
-    let mapped =
-        map_aig_with_cache(&synthesized, library, cache, &MapConfig::default()).expect("t481 maps");
+    let mapped = map_aig(&synthesized, library, &MapConfig::default()).expect("t481 maps");
     let mut outputs = mapped.outputs().to_vec();
     outputs[0] = NetRef {
         net: outputs[0].net,
