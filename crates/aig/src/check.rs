@@ -13,6 +13,7 @@
 //! yields a concrete [`Equivalence::Counterexample`] input pattern.
 
 use crate::graph::{Aig, Lit, Node};
+use crate::profile::{self, Work};
 use rayon::prelude::*;
 use sat::{SolveResult, Solver};
 use std::collections::HashMap;
@@ -466,7 +467,7 @@ impl Sweeper {
         for w in 0..self.sigs.words {
             self.sigs.data[base + w] = self.sigs.lit_word(a, w) & self.sigs.lit_word(b, w);
         }
-        crate::profile::add_sim_words(self.sigs.words as u64);
+        profile::add(Work::SimWords, self.sigs.words as u64);
         self.repr.push(raw);
         debug_assert_eq!(self.enc.len(), self.f.len());
         self.try_merge(node);
@@ -508,14 +509,14 @@ impl Sweeper {
                 }
                 let phase = compl;
                 let target = Lit::new(cand, phase);
-                crate::profile::add_sat_merge_call();
+                profile::add(Work::SatMergeCalls, 1);
                 match self.prove_lits_equal(
                     Lit::new(node, false),
                     target,
                     Some(MERGE_CONFLICT_BUDGET),
                 ) {
                     Prove::Equal => {
-                        crate::profile::add_sat_merge_proven();
+                        profile::add(Work::SatMergeProven, 1);
                         self.repr[node as usize] = target;
                         // Record the proven equivalence as clauses; they
                         // are implied, and they help later queries.
@@ -531,7 +532,7 @@ impl Sweeper {
                         return;
                     }
                     Prove::Diff(pattern) => {
-                        crate::profile::add_sat_merge_refuted();
+                        profile::add(Work::SatMergeRefuted, 1);
                         refuted.push(cand);
                         batch.push(pattern);
                         if batch.len() == 64 {
@@ -540,7 +541,7 @@ impl Sweeper {
                     }
                     Prove::Unknown => {
                         // Budget out: try the next candidate.
-                        crate::profile::add_sat_merge_budget_out();
+                        profile::add(Work::SatMergeBudgetOut, 1);
                     }
                 }
             }
@@ -620,7 +621,7 @@ impl Sweeper {
         debug_assert!(!patterns.is_empty() && patterns.len() <= 64);
         let mut span = obs::span!("verify/refine");
         span.record("patterns", patterns.len() as u64);
-        crate::profile::add_refine_round();
+        profile::add(Work::RefineRounds, 1);
         if self.sigs.words == self.sigs.stride {
             self.sigs.widen();
         }
@@ -643,7 +644,7 @@ impl Sweeper {
             }
             self.sigs.data[n as usize * stride + words] = w;
         }
-        crate::profile::add_sim_words(self.f.len() as u64);
+        profile::add(Work::SimWords, self.f.len() as u64);
         // The constant keeps its zeroed lane. ANDs propagate per
         // frontier; levels narrower than the width-aware floor stay
         // serial.
@@ -651,7 +652,7 @@ impl Sweeper {
         let floor = PAR_LEVEL_THRESHOLD.max(4 * rayon::current_num_threads());
         for level in self.f.and_level_groups() {
             if parallel && level.len() >= floor {
-                crate::profile::add_par_tasks(level.len() as u64);
+                profile::add(Work::ParTasks, level.len() as u64);
                 let computed: Vec<u64> = {
                     let data = &self.sigs.data;
                     let word_of = |l: Lit| {

@@ -19,7 +19,7 @@
 
 use crate::choice::ChoiceAig;
 use crate::graph::{Aig, Lit, Node};
-use crate::profile;
+use crate::profile::{self, Work};
 use logic::TruthTable;
 use rayon::prelude::*;
 
@@ -258,7 +258,7 @@ impl CutDb {
                 continue;
             }
             if parallel && dirty.len() >= floor {
-                profile::add_par_tasks(dirty.len() as u64);
+                profile::add(Work::ParTasks, dirty.len() as u64);
                 let done: Vec<Vec<Cut>> = {
                     let db: &CutDb = &*self;
                     dirty
@@ -291,8 +291,8 @@ impl CutDb {
         }
         self.reused += reused;
         self.computed += computed;
-        profile::add_cuts_reused(reused);
-        profile::add_cuts_computed(computed);
+        profile::add(Work::CutsReused, reused);
+        profile::add(Work::CutsComputed, computed);
     }
 
     /// Re-keys the database from `old` to `new` through a pass's

@@ -29,7 +29,9 @@
 //! * [`sim`] — 64-way bit-parallel simulation;
 //! * [`check`] — SAT-based combinational equivalence checking
 //!   (simulation-filtered, closed by a CDCL proof over the Tseitin
-//!   encoding from [`cnf`]) with concrete counterexamples.
+//!   encoding from [`cnf`]) with concrete counterexamples;
+//! * [`profile`] — the engine's work counters, a view over nine `obs`
+//!   counters that an `obs::JobScope` attributes per job.
 //!
 //! # Example
 //!

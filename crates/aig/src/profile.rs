@@ -1,39 +1,14 @@
-//! Lightweight global performance counters for the synthesis engine.
-//!
-//! The hot loops (cut enumeration, SAT sweeping, signature simulation,
-//! parallel dispatch) bump relaxed atomics; the flow manager snapshots
-//! them around each pass so a [`crate::FlowReport`] can attribute cost
-//! to a phase instead of a wall-clock blur. Counters are process-global
-//! and monotone — consumers always work with deltas between two
-//! [`snapshot`]s, never with absolute values.
-//!
-//! When several requests run concurrently in one process (the `synthd`
-//! server), global deltas blur together: another thread's work lands
-//! between any two snapshots. A [`JobScope`] gives each request its own
-//! accumulator — every bump goes to the process-wide totals *and* to the
-//! scope installed on the bumping thread, and the scope token rides the
-//! vendored rayon shim's task-context hooks onto every parallel worker a
-//! request's tasks fan out to, so a scope's counters are exactly the
-//! work its own request performed.
+//! The engine's work counters: nine `obs` counters, `aig_cuts_reused_total`
+//! … `aig_par_tasks_total`, bumped by the hot loops (cut enumeration, SAT
+//! sweeping, signature simulation, parallel dispatch). [`Counters`] is
+//! their typed view: [`snapshot`] reads the monotone process-wide totals
+//! (consumers work with deltas between two snapshots), and [`scoped`]
+//! reads exactly one job's share, as collected by an [`obs::JobScope`].
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, OnceLock};
+use obs::{Counter, JobScope};
+use std::sync::OnceLock;
 
-static CUTS_REUSED: AtomicU64 = AtomicU64::new(0);
-static CUTS_COMPUTED: AtomicU64 = AtomicU64::new(0);
-static SAT_MERGE_CALLS: AtomicU64 = AtomicU64::new(0);
-static SAT_MERGE_PROVEN: AtomicU64 = AtomicU64::new(0);
-static SAT_MERGE_REFUTED: AtomicU64 = AtomicU64::new(0);
-static SAT_MERGE_BUDGET_OUT: AtomicU64 = AtomicU64::new(0);
-static SIM_WORDS: AtomicU64 = AtomicU64::new(0);
-static REFINE_ROUNDS: AtomicU64 = AtomicU64::new(0);
-static PAR_TASKS: AtomicU64 = AtomicU64::new(0);
-
-/// A consistent-enough view of every engine counter (each field is read
-/// individually; the counters are independent, so tearing across fields
-/// is acceptable for profiling).
+/// One value per engine counter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Cut sets served from the incremental database without recompute.
@@ -57,30 +32,31 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// Counter-by-counter difference `self - earlier` (saturating, so a
-    /// stale snapshot can never underflow).
-    pub fn delta_since(&self, earlier: &Counters) -> Counters {
+    /// The view of values given in [`Counters::pairs`] order.
+    fn from_values(v: [u64; 9]) -> Counters {
         Counters {
-            cuts_reused: self.cuts_reused.saturating_sub(earlier.cuts_reused),
-            cuts_computed: self.cuts_computed.saturating_sub(earlier.cuts_computed),
-            sat_merge_calls: self.sat_merge_calls.saturating_sub(earlier.sat_merge_calls),
-            sat_merge_proven: self
-                .sat_merge_proven
-                .saturating_sub(earlier.sat_merge_proven),
-            sat_merge_refuted: self
-                .sat_merge_refuted
-                .saturating_sub(earlier.sat_merge_refuted),
-            sat_merge_budget_out: self
-                .sat_merge_budget_out
-                .saturating_sub(earlier.sat_merge_budget_out),
-            sim_words: self.sim_words.saturating_sub(earlier.sim_words),
-            refine_rounds: self.refine_rounds.saturating_sub(earlier.refine_rounds),
-            par_tasks: self.par_tasks.saturating_sub(earlier.par_tasks),
+            cuts_reused: v[0],
+            cuts_computed: v[1],
+            sat_merge_calls: v[2],
+            sat_merge_proven: v[3],
+            sat_merge_refuted: v[4],
+            sat_merge_budget_out: v[5],
+            sim_words: v[6],
+            refine_rounds: v[7],
+            par_tasks: v[8],
         }
     }
 
+    /// Counter-by-counter difference `self - earlier` (saturating, so a
+    /// stale snapshot can never underflow).
+    pub fn delta_since(&self, earlier: &Counters) -> Counters {
+        let (now, then) = (self.pairs(), earlier.pairs());
+        Counters::from_values(std::array::from_fn(|i| now[i].1.saturating_sub(then[i].1)))
+    }
+
     /// The counters as `(name, value)` pairs, in a stable order — the one
-    /// serialization (flow reports, bench JSON) iterates.
+    /// serialization (telemetry, bench JSON) iterates. Each counter's
+    /// `obs` name is `aig_{name}_total`.
     pub fn pairs(&self) -> [(&'static str, u64); 9] {
         [
             ("cuts_reused", self.cuts_reused),
@@ -101,223 +77,42 @@ impl Counters {
     }
 }
 
-/// Reads every counter.
+/// Reads the process-wide totals.
 pub fn snapshot() -> Counters {
-    Counters {
-        cuts_reused: CUTS_REUSED.load(Relaxed),
-        cuts_computed: CUTS_COMPUTED.load(Relaxed),
-        sat_merge_calls: SAT_MERGE_CALLS.load(Relaxed),
-        sat_merge_proven: SAT_MERGE_PROVEN.load(Relaxed),
-        sat_merge_refuted: SAT_MERGE_REFUTED.load(Relaxed),
-        sat_merge_budget_out: SAT_MERGE_BUDGET_OUT.load(Relaxed),
-        sim_words: SIM_WORDS.load(Relaxed),
-        refine_rounds: REFINE_ROUNDS.load(Relaxed),
-        par_tasks: PAR_TASKS.load(Relaxed),
-    }
+    Counters::from_values(handles().map(Counter::get))
 }
 
-/// The atomic accumulator block behind one [`JobScope`].
-#[derive(Default)]
-struct ScopeCounters {
-    cuts_reused: AtomicU64,
-    cuts_computed: AtomicU64,
-    sat_merge_calls: AtomicU64,
-    sat_merge_proven: AtomicU64,
-    sat_merge_refuted: AtomicU64,
-    sat_merge_budget_out: AtomicU64,
-    sim_words: AtomicU64,
-    refine_rounds: AtomicU64,
-    par_tasks: AtomicU64,
+/// Reads what `scope` has collected of each engine counter.
+pub fn scoped(scope: &JobScope) -> Counters {
+    Counters::from_values(handles().map(|c| scope.get(c)))
 }
 
-impl ScopeCounters {
-    fn load(&self) -> Counters {
-        Counters {
-            cuts_reused: self.cuts_reused.load(Relaxed),
-            cuts_computed: self.cuts_computed.load(Relaxed),
-            sat_merge_calls: self.sat_merge_calls.load(Relaxed),
-            sat_merge_proven: self.sat_merge_proven.load(Relaxed),
-            sat_merge_refuted: self.sat_merge_refuted.load(Relaxed),
-            sat_merge_budget_out: self.sat_merge_budget_out.load(Relaxed),
-            sim_words: self.sim_words.load(Relaxed),
-            refine_rounds: self.refine_rounds.load(Relaxed),
-            par_tasks: self.par_tasks.load(Relaxed),
-        }
-    }
+/// One engine counter, by its position in [`Counters::pairs`].
+pub(crate) enum Work {
+    CutsReused,
+    CutsComputed,
+    SatMergeCalls,
+    SatMergeProven,
+    SatMergeRefuted,
+    SatMergeBudgetOut,
+    SimWords,
+    RefineRounds,
+    ParTasks,
 }
 
-/// Live scopes by token. Only consulted on a per-thread cache miss (the
-/// first bump after a scope change), never in the steady-state hot path.
-fn registry() -> &'static Mutex<HashMap<u64, Arc<ScopeCounters>>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<u64, Arc<ScopeCounters>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
+/// Adds `n` to one engine counter.
+pub(crate) fn add(work: Work, n: u64) {
+    handles()[work as usize].add(n);
 }
 
-/// Scope-token allocator (0 is reserved for "no scope").
-static NEXT_SCOPE: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// Scope token installed on this thread (0 = none). Worker threads
-    /// inherit it through the rayon shim's task-context hooks.
-    static CURRENT_SCOPE: Cell<u64> = const { Cell::new(0) };
-    /// Cache of the current token's accumulator, refreshed on mismatch.
-    static SCOPE_CACHE: RefCell<Option<(u64, Arc<ScopeCounters>)>> = const { RefCell::new(None) };
-}
-
-/// Registers the context hooks with the rayon shim (idempotent).
-fn register_propagation() {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        rayon::register_task_context_hooks(rayon::TaskContextHooks {
-            capture: || CURRENT_SCOPE.with(|c| c.get()),
-            install: |token| CURRENT_SCOPE.with(|c| c.set(token)),
-        });
-    });
-}
-
-/// Runs `f` against the thread's current scope accumulator, if any. A
-/// scope that finished while one of its parallel tasks was still running
-/// simply absorbs late bumps into a dead block — harmless by design.
-fn with_scope(f: impl Fn(&ScopeCounters)) {
-    let token = CURRENT_SCOPE.with(|c| c.get());
-    if token == 0 {
-        return;
-    }
-    SCOPE_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some((cached, counters)) = cache.as_ref() {
-            if *cached == token {
-                f(counters);
-                return;
-            }
-        }
-        let looked_up = registry()
-            .lock()
-            .expect("scope registry")
-            .get(&token)
-            .cloned();
-        if let Some(counters) = looked_up {
-            f(&counters);
-            *cache = Some((token, counters));
-        }
-    });
-}
-
-/// A per-request profiling scope: every engine counter bumped on the
-/// thread holding the scope — and on any rayon workers its parallel
-/// tasks fan out to — accumulates into this scope in addition to the
-/// process-wide totals. Scopes nest last-wins per thread; dropping one
-/// restores whatever was installed when it began.
-pub struct JobScope {
-    token: u64,
-    counters: Arc<ScopeCounters>,
-    prev: u64,
-}
-
-impl JobScope {
-    /// Opens a scope on the current thread.
-    pub fn begin() -> Self {
-        register_propagation();
-        let token = NEXT_SCOPE.fetch_add(1, Relaxed);
-        let counters = Arc::new(ScopeCounters::default());
-        registry()
-            .lock()
-            .expect("scope registry")
-            .insert(token, counters.clone());
-        let prev = CURRENT_SCOPE.with(|c| c.replace(token));
-        Self {
-            token,
-            counters,
-            prev,
-        }
-    }
-
-    /// The counters this scope has accumulated so far.
-    pub fn counters(&self) -> Counters {
-        self.counters.load()
-    }
-
-    /// Ends the scope and returns its accumulated counters.
-    pub fn finish(self) -> Counters {
-        self.counters()
-    }
-}
-
-impl Drop for JobScope {
-    fn drop(&mut self) {
-        registry()
-            .lock()
-            .expect("scope registry")
-            .remove(&self.token);
-        CURRENT_SCOPE.with(|c| {
-            if c.get() == self.token {
-                c.set(self.prev);
-            }
-        });
-    }
-}
-
-pub(crate) fn add_cuts_reused(n: u64) {
-    CUTS_REUSED.fetch_add(n, Relaxed);
-    with_scope(|s| {
-        s.cuts_reused.fetch_add(n, Relaxed);
-    });
-}
-
-pub(crate) fn add_cuts_computed(n: u64) {
-    CUTS_COMPUTED.fetch_add(n, Relaxed);
-    with_scope(|s| {
-        s.cuts_computed.fetch_add(n, Relaxed);
-    });
-}
-
-pub(crate) fn add_sat_merge_call() {
-    SAT_MERGE_CALLS.fetch_add(1, Relaxed);
-    with_scope(|s| {
-        s.sat_merge_calls.fetch_add(1, Relaxed);
-    });
-}
-
-pub(crate) fn add_sat_merge_proven() {
-    SAT_MERGE_PROVEN.fetch_add(1, Relaxed);
-    with_scope(|s| {
-        s.sat_merge_proven.fetch_add(1, Relaxed);
-    });
-}
-
-pub(crate) fn add_sat_merge_refuted() {
-    SAT_MERGE_REFUTED.fetch_add(1, Relaxed);
-    with_scope(|s| {
-        s.sat_merge_refuted.fetch_add(1, Relaxed);
-    });
-}
-
-pub(crate) fn add_sat_merge_budget_out() {
-    SAT_MERGE_BUDGET_OUT.fetch_add(1, Relaxed);
-    with_scope(|s| {
-        s.sat_merge_budget_out.fetch_add(1, Relaxed);
-    });
-}
-
-pub(crate) fn add_sim_words(n: u64) {
-    SIM_WORDS.fetch_add(n, Relaxed);
-    with_scope(|s| {
-        s.sim_words.fetch_add(n, Relaxed);
-    });
-}
-
-pub(crate) fn add_refine_round() {
-    REFINE_ROUNDS.fetch_add(1, Relaxed);
-    with_scope(|s| {
-        s.refine_rounds.fetch_add(1, Relaxed);
-    });
-}
-
-pub(crate) fn add_par_tasks(n: u64) {
-    PAR_TASKS.fetch_add(n, Relaxed);
-    with_scope(|s| {
-        s.par_tasks.fetch_add(n, Relaxed);
-    });
+/// The nine `obs` handles in [`Counters::pairs`] order, registered together.
+fn handles() -> &'static [&'static Counter; 9] {
+    static HANDLES: OnceLock<[&'static Counter; 9]> = OnceLock::new();
+    HANDLES.get_or_init(|| {
+        Counters::default()
+            .pairs()
+            .map(|(name, _)| obs::counter(&format!("aig_{name}_total")))
+    })
 }
 
 #[cfg(test)]
@@ -327,9 +122,9 @@ mod tests {
     #[test]
     fn deltas_are_monotone_and_saturating() {
         let before = snapshot();
-        add_cuts_reused(3);
-        add_cuts_computed(2);
-        add_par_tasks(1);
+        add(Work::CutsReused, 3);
+        add(Work::CutsComputed, 2);
+        add(Work::ParTasks, 1);
         let after = snapshot();
         let d = after.delta_since(&before);
         // Other tests may run concurrently and also bump the globals, so
@@ -344,47 +139,16 @@ mod tests {
     }
 
     #[test]
-    fn job_scope_attributes_only_its_own_work() {
+    fn counters_are_named_obs_counters() {
         let scope = JobScope::begin();
-        add_cuts_computed(5);
-        // Unscoped work on another thread must not leak into this scope.
-        std::thread::spawn(|| add_cuts_computed(1000))
-            .join()
-            .expect("bump thread");
-        add_cuts_reused(2);
-        let c = scope.finish();
-        assert_eq!(c.cuts_computed, 5);
-        assert_eq!(c.cuts_reused, 2);
-    }
-
-    #[test]
-    fn job_scope_propagates_to_parallel_workers() {
-        use rayon::prelude::*;
-        let scope = JobScope::begin();
-        (0..64usize).into_par_iter().for_each(|_| add_sim_words(1));
-        let c = scope.finish();
-        assert_eq!(
-            c.sim_words, 64,
-            "scoped bumps from rayon workers must land in the scope"
-        );
-    }
-
-    #[test]
-    fn job_scopes_nest_and_restore() {
-        let outer = JobScope::begin();
-        add_refine_round();
-        {
-            let inner = JobScope::begin();
-            add_refine_round();
-            let ci = inner.finish();
-            assert_eq!(ci.refine_rounds, 1, "inner sees only inner work");
+        add(Work::CutsComputed, 2);
+        add(Work::ParTasks, 9);
+        let c = scoped(&scope);
+        assert_eq!((c.cuts_reused, c.cuts_computed, c.par_tasks), (0, 2, 9));
+        let metrics = obs::render_prometheus();
+        for (name, _) in c.pairs() {
+            assert!(metrics.contains(&format!("\naig_{name}_total ")), "{name}");
         }
-        add_refine_round();
-        let co = outer.finish();
-        assert_eq!(
-            co.refine_rounds, 2,
-            "outer resumes after the inner scope ends (inner bumps are the inner scope's)"
-        );
     }
 
     #[test]

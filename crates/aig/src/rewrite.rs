@@ -21,6 +21,7 @@
 
 use crate::cuts::{CutConfig, CutDb, CutSource};
 use crate::graph::{compose_maps, Aig, Lit, Node};
+use crate::profile::{self, Work};
 use logic::npn::{npn_canon, NpnCanon};
 use logic::sop::isop;
 use logic::TruthTable;
@@ -768,6 +769,7 @@ pub(crate) fn rewrite_core(
     let parallel = rayon::current_num_threads() > 1;
     for level in input.and_level_groups() {
         if parallel && level.len() >= PAR_LEVEL_THRESHOLD {
+            profile::add(Work::ParTasks, level.len() as u64);
             let computed: Vec<Vec<ScoredCut>> = level
                 .par_iter()
                 .map(|&i| score_node(i, &mut HashMap::new()))
@@ -1199,5 +1201,38 @@ mod tests {
         assert_eq!(check_equivalence(&aig, &rewritten), Ok(Equivalence::Equal));
         // f is constant false, so g collapses to a.
         assert_eq!(rewritten.and_count(), 0);
+    }
+
+    #[test]
+    fn scoring_fan_out_counts_par_tasks() {
+        // 16 XORs of input pairs: levels of 32 and 16 ANDs, wide enough
+        // for both the cut and the scoring fan-out.
+        let mut aig = Aig::new();
+        let xs: Vec<Lit> = (0..32).map(|_| aig.input()).collect();
+        for pair in xs.chunks(2) {
+            let x = aig.xor(pair[0], pair[1]);
+            aig.output(x);
+        }
+        let par_tasks = |run: &dyn Fn()| {
+            let scope = obs::JobScope::begin();
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(2)
+                .build()
+                .expect("pool")
+                .install(run);
+            crate::profile::scoped(&scope).par_tasks
+        };
+        let config = RewriteConfig::default();
+        let cuts = CutConfig {
+            k: 4,
+            max_cuts: config.max_cuts,
+        };
+        let ensure_only = par_tasks(&|| CutDb::new(cuts).ensure(&aig));
+        let rewrite_pass = par_tasks(&|| drop(rewrite_with(&aig, &config)));
+        assert!(ensure_only > 0, "the cut fan-out must count its tasks");
+        assert!(
+            rewrite_pass > ensure_only,
+            "{rewrite_pass} vs {ensure_only}"
+        );
     }
 }

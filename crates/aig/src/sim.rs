@@ -1,6 +1,7 @@
 //! 64-way bit-parallel simulation of AIGs.
 
 use crate::graph::{Aig, Lit, Node};
+use crate::profile::{self, Work};
 
 /// Simulates the AIG on 64 parallel input patterns.
 ///
@@ -88,7 +89,7 @@ pub fn node_values_wide(aig: &Aig, inputs: &[WideWord]) -> Vec<WideWord> {
             }
         };
     }
-    crate::profile::add_sim_words((aig.len() * WIDE_WORDS) as u64);
+    profile::add(Work::SimWords, (aig.len() * WIDE_WORDS) as u64);
     values
 }
 

@@ -25,7 +25,6 @@ use crate::balance::{balance, balance_core};
 use crate::choice::ChoiceAig;
 use crate::cuts::{CutConfig, CutDb};
 use crate::graph::{Aig, Lit};
-use crate::profile;
 use crate::refactor::{refactor, refactor_core, REFACTOR_CUTS};
 use crate::rewrite::{rewrite_clean, rewrite_with, RewriteConfig};
 use std::time::{Duration, Instant};
@@ -522,7 +521,6 @@ impl Flow {
 
     fn run_full(&self, aig: &Aig) -> (Aig, Option<ChoiceAig>, FlowReport, FlowCuts) {
         let started = Instant::now();
-        let flow_counters = profile::snapshot();
         let mut best = aig.cleanup();
         let initial = Metrics::of(&best);
         let mut snapshots: Vec<Aig> = vec![best.clone()];
@@ -533,7 +531,6 @@ impl Flow {
             let mut span = obs::span!("flow/{}", step.name());
             let before = Metrics::of(&best);
             let t0 = Instant::now();
-            let counters = profile::snapshot();
             let is_dch = matches!(step, Step::Dch);
             let (candidate, node_map, after, accepted) = match step {
                 Step::Pass(pass) => {
@@ -582,18 +579,14 @@ impl Flow {
                 before,
                 after,
                 elapsed,
-                profile: profile::snapshot().delta_since(&counters),
             });
         }
         let (cuts_reused, cuts_computed) = cuts.stats();
-        obs::counter("flow_cuts_reused_total").add(cuts_reused);
-        obs::counter("flow_cuts_computed_total").add(cuts_computed);
         let report = FlowReport {
             initial,
             final_metrics: Metrics::of(&best),
             passes: reports,
             elapsed: started.elapsed(),
-            profile: profile::snapshot().delta_since(&flow_counters),
             cuts_reused,
             cuts_computed,
         };
@@ -632,14 +625,12 @@ pub struct PassReport {
     pub after: Metrics,
     /// Wall-clock time the pass took.
     pub elapsed: Duration,
-    /// Engine counter deltas attributed to this pass (cut reuse, SAT
-    /// merges, simulation volume, parallel tasks). Deltas of the global
-    /// counters, so concurrent flows in other threads can bleed in —
-    /// treat as attribution, not accounting.
-    pub profile: profile::Counters,
 }
 
-/// Per-pass metrics and timing of one [`Flow`] run.
+/// Per-pass metrics and timing of one [`Flow`] run, plus the run's own
+/// cut statistics. The engine's work counters (SAT merges, simulation
+/// volume, parallel tasks) are not copied here: an [`obs::JobScope`]
+/// around the run collects them exactly (see [`crate::profile`]).
 #[derive(Clone, Debug)]
 pub struct FlowReport {
     /// Metrics after the initial cleanup.
@@ -650,9 +641,6 @@ pub struct FlowReport {
     pub passes: Vec<PassReport>,
     /// Total wall-clock time including cleanup and metric reads.
     pub elapsed: Duration,
-    /// Engine counter deltas over the whole run (see
-    /// [`PassReport::profile`] for the per-pass attribution caveat).
-    pub profile: profile::Counters,
     /// Cut sets served from this run's databases without recompute —
     /// exact (read off the run's own [`FlowCuts`], not the globals).
     pub cuts_reused: u64,
@@ -686,14 +674,9 @@ impl std::fmt::Display for FlowReport {
         }
         writeln!(
             f,
-            "  cuts: {} reused / {} computed; sat merges: {} ({} proven); sim words: {}",
-            self.cuts_reused,
-            self.cuts_computed,
-            self.profile.sat_merge_calls,
-            self.profile.sat_merge_proven,
-            self.profile.sim_words,
-        )?;
-        Ok(())
+            "  cuts: {} reused / {} computed",
+            self.cuts_reused, self.cuts_computed
+        )
     }
 }
 
@@ -939,7 +922,7 @@ mod tests {
         assert_eq!(report.final_metrics, Metrics::of(&opt));
         assert_eq!(report.initial.ands, aig.and_count());
         // The display form renders one line per pass, plus a header and
-        // the trailing profile-counter line.
+        // the trailing cut-statistics line.
         let text = report.to_string();
         assert_eq!(text.lines().count(), 1 + report.passes.len() + 1);
         assert!(text.contains("cuts:"), "{text}");

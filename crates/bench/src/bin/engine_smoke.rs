@@ -87,7 +87,10 @@ fn run(args: &BenchArgs) {
     // per-class/ring statistics are reported too.
     let flow = args.flow();
     let sample = bench_circuits::benchmark_by_name("C1355").expect("C1355");
+    let scope = obs::JobScope::begin();
     let (_, sample_choices, flow_report) = flow.run_with_choices(&sample.aig);
+    let flow_counters = aig::profile::scoped(&scope);
+    drop(scope);
     println!("  flow stages on {} ({}):", sample.name, sample.function);
     for line in flow_report.to_string().lines() {
         println!("    {line}");
@@ -183,21 +186,6 @@ fn run(args: &BenchArgs) {
                 )
             })
             .collect();
-        // The sample flow's profile counters: the flow's own cut-database
-        // statistics (exact) plus its process-counter deltas.
-        let counter_json: Vec<String> = flow_report
-            .profile
-            .pairs()
-            .iter()
-            .filter(|(name, _)| !name.starts_with("cuts_"))
-            .map(|(name, value)| format!("\"{name}\": {value}"))
-            .collect();
-        let flow_profile = format!(
-            "{{\"cuts_reused\": {}, \"cuts_computed\": {}, {}}}",
-            flow_report.cuts_reused,
-            flow_report.cuts_computed,
-            counter_json.join(", "),
-        );
         let mut extra = vec![
             ("serial_seconds", bench::qor::json_seconds(serial_time)),
             ("parallel_seconds", bench::qor::json_seconds(parallel_time)),
@@ -206,7 +194,10 @@ fn run(args: &BenchArgs) {
                 bench::qor::json_seconds(rewrite_build),
             ),
             ("flow_stages_c1355", format!("[{}]", flow_passes.join(", "))),
-            ("flow_profile_c1355", flow_profile),
+            (
+                "flow_profile_c1355",
+                bench::qor::profile_json(&flow_report, &flow_counters),
+            ),
         ];
         if let Some(stats) = choice_stats {
             extra.push((

@@ -387,27 +387,16 @@ fn result_json(
             )
         })
         .collect();
-    // The profile object leads with the synth flow's own cut-database
-    // statistics (exact), then the process-counter deltas spanning the
-    // row's runs (attribution, not accounting — see `aig::profile`).
-    let counter_json: Vec<String> = counters
-        .pairs()
-        .iter()
-        .filter(|(name, _)| !name.starts_with("cuts_")) // the flow's exact numbers lead
-        .map(|(name, value)| format!("\"{name}\": {value}"))
-        .collect();
     format!(
         "{{\"family\": {}, \"target\": {}, \"ands\": {}, \"synth_ands\": {}, \"gates\": {}, {}, \
-         \"profile\": {{\"cuts_reused\": {}, \"cuts_computed\": {}, {}}}, \"spans_top\": {}}}",
+         \"profile\": {}, \"spans_top\": {}}}",
         bench::qor::json_string(family),
         size,
         ands,
         synth_ands,
         gates,
         phase_json.join(", "),
-        synth_report.cuts_reused,
-        synth_report.cuts_computed,
-        counter_json.join(", "),
+        bench::qor::profile_json(synth_report, counters),
         spans_top,
     )
 }

@@ -93,6 +93,21 @@ pub fn table1_json(
     out
 }
 
+/// A `profile` object: a flow's exact cut statistics, then the other
+/// engine counters.
+pub fn profile_json(flow: &aig::FlowReport, counters: &aig::profile::Counters) -> String {
+    let mut out = format!(
+        "{{\"cuts_reused\": {}, \"cuts_computed\": {}",
+        flow.cuts_reused, flow.cuts_computed
+    );
+    for (name, value) in counters.pairs() {
+        if !name.starts_with("cuts_") {
+            let _ = write!(out, ", \"{name}\": {value}");
+        }
+    }
+    out + "}"
+}
+
 // The scalar helpers live in the core crate so the server (`serve`)
 // and the bench binaries render numbers identically; re-exported here
 // to keep every existing `bench::qor::json_*` call site compiling.

@@ -1,35 +1,35 @@
-//! The workspace flight recorder: *where time went*, per request, as
-//! structured data — the complement of `aig::profile`'s *how much work
-//! happened* counters.
+//! The workspace flight recorder: *where time went* and *how much work
+//! ran*, per request, as structured data.
 //!
-//! Two pillars:
+//! Two pillars, joined by one per-thread task context:
 //!
 //! * **Tracing** ([`span!`], [`Span`], [`export_trace`]): lightweight
 //!   span guards with monotonic timestamps, thread IDs, and parent
 //!   links, recorded into a bounded in-memory ring buffer and exported
 //!   as Chrome trace-event JSON (loadable in Perfetto or
-//!   `chrome://tracing`). Span context rides the vendored rayon shim's
-//!   task-context hooks, so a span opened on a worker thread nests
-//!   under the span that launched the parallel operation — the same
-//!   mechanism `aig::profile::JobScope` uses for counter attribution.
-//!   Tracing is off by default and zero-cost when disabled: every
+//!   `chrome://tracing`). Tracing is off by default and zero-cost when disabled: every
 //!   instrumentation site is gated on one relaxed atomic load, before
 //!   any allocation or formatting.
 //!
 //! * **Metrics** ([`counter`], [`histogram`], [`render_prometheus`]):
 //!   a process-wide registry of named monotone counters and
 //!   fixed-bucket log-scale (powers of two) histograms, rendered in
-//!   the Prometheus text exposition format. Metrics are always on —
-//!   they are a handful of relaxed atomic bumps at request/phase
-//!   granularity, never per-node.
+//!   the Prometheus text exposition format. Metrics are always on.
 //!
-//! Spans answer "which pass/phase was slow on *this* request";
-//! `aig::profile` counters answer "how much algorithmic work ran";
-//! metrics answer "what does the process look like over its lifetime".
+//! * **The task context**: each thread's innermost open span and
+//!   current [`JobScope`], which collects every [`Counter`] bump made
+//!   under it. The rayon shim's one hook, set here, copies the context
+//!   onto every worker a parallel operation spawns.
+//!
+//! Spans answer "which pass/phase was slow on *this* request"; scoped
+//! counters answer "how much work did *this* request run"; metrics
+//! answer "what does the process look like over its lifetime".
 
+mod context;
 mod metrics;
 mod span;
 
+pub use context::JobScope;
 pub use metrics::{counter, histogram, render_prometheus, Counter, Histogram, BUCKET_COUNT};
 pub use span::{
     enabled, event, export_trace, reset, set_enabled, span_begin, span_stats, write_trace, Span,

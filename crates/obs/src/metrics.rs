@@ -12,9 +12,12 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 pub const BUCKET_COUNT: usize = 28;
 
 /// A monotone counter. Obtain a handle once via [`counter`]; bumping
-/// is one relaxed atomic add.
+/// is one relaxed atomic add (and an add to the thread's open
+/// [`JobScope`](crate::JobScope), if any).
 pub struct Counter {
     value: AtomicU64,
+    /// Dense registration index: the counter's slot in a scope.
+    pub(crate) id: usize,
 }
 
 impl Counter {
@@ -22,6 +25,7 @@ impl Counter {
     #[inline]
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Relaxed);
+        crate::context::record(self.id, n);
     }
 
     /// Adds one.
@@ -95,9 +99,11 @@ fn registry() -> MutexGuard<'static, BTreeMap<String, Metric>> {
 /// If `name` is already registered as a histogram.
 pub fn counter(name: &str) -> &'static Counter {
     let mut reg = registry();
+    let id = reg.len();
     match reg.entry(name.to_owned()).or_insert_with(|| {
         Metric::Counter(Box::leak(Box::new(Counter {
             value: AtomicU64::new(0),
+            id,
         })))
     }) {
         Metric::Counter(c) => c,

@@ -1,10 +1,12 @@
 //! Span guards, the bounded event ring, and the Chrome-trace exporter.
 
+use crate::context;
+use crate::metrics::{counter, Counter};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Completed events the ring retains; older events are dropped first.
@@ -21,13 +23,8 @@ pub fn enabled() -> bool {
     ENABLED.load(Relaxed)
 }
 
-/// Turns span recording on or off (process-wide). Enabling also
-/// registers the span-context propagation hooks with the rayon shim,
-/// so spans opened on parallel workers link to the launching span.
+/// Turns span recording on or off (process-wide).
 pub fn set_enabled(on: bool) {
-    if on {
-        register_propagation();
-    }
     ENABLED.store(on, Relaxed);
 }
 
@@ -49,10 +46,6 @@ static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// The innermost open span on this thread — the parent of any span
-    /// or instant event recorded here. Parallel workers inherit the
-    /// launching thread's value through the rayon task-context hooks.
-    static CURRENT_SPAN: Cell<u64> = const { Cell::new(0) };
     /// Child-duration accumulator per open span on this thread's stack
     /// (self time = own duration − accumulated child durations).
     /// Cross-thread children (spans on rayon workers) deliberately do
@@ -69,19 +62,6 @@ fn trace_tid() -> u64 {
         }
         t.get()
     })
-}
-
-/// Registers span-context capture/install with the rayon shim
-/// (idempotent). Coexists with `aig::profile`'s scope-token hooks —
-/// the shim propagates every registered hook pair.
-fn register_propagation() {
-    static ONCE: OnceLock<()> = OnceLock::new();
-    ONCE.get_or_init(|| {
-        rayon::register_task_context_hooks(rayon::TaskContextHooks {
-            capture: || CURRENT_SPAN.with(|c| c.get()),
-            install: |token| CURRENT_SPAN.with(|c| c.set(token)),
-        });
-    });
 }
 
 /// One recorded argument value.
@@ -104,25 +84,39 @@ struct Event {
     args: Vec<(&'static str, ArgVal)>,
 }
 
-fn ring() -> &'static Mutex<VecDeque<Event>> {
-    static RING: OnceLock<Mutex<VecDeque<Event>>> = OnceLock::new();
-    RING.get_or_init(|| Mutex::new(VecDeque::new()))
+/// The recorder's state, behind one lock.
+struct Ring {
+    events: VecDeque<Event>,
+    /// Events evicted since the last [`reset`].
+    dropped: u64,
+    /// Every eviction over the process lifetime, in the metrics frame.
+    dropped_total: &'static Counter,
+    /// Aggregated per-name statistics: (count, total µs, self µs).
+    stats: HashMap<String, (u64, u64, u64)>,
 }
 
-/// Aggregated per-name statistics: (count, total µs, self µs).
-type StatsMap = HashMap<String, (u64, u64, u64)>;
-
-fn stats() -> &'static Mutex<StatsMap> {
-    static STATS: OnceLock<Mutex<StatsMap>> = OnceLock::new();
-    STATS.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-fn push_event(event: Event) {
-    let mut ring = ring().lock().expect("trace ring");
-    if ring.len() >= RING_CAPACITY {
-        ring.pop_front();
+impl Ring {
+    fn push(&mut self, event: Event) {
+        if self.events.len() >= RING_CAPACITY {
+            self.events.pop_front();
+            self.dropped += 1;
+            self.dropped_total.inc();
+        }
+        self.events.push_back(event);
     }
-    ring.push_back(event);
+}
+
+fn ring() -> MutexGuard<'static, Ring> {
+    static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
+    let ring = RING.get_or_init(|| {
+        Mutex::new(Ring {
+            events: VecDeque::new(),
+            dropped: 0,
+            dropped_total: counter("obs_trace_events_dropped_total"),
+            stats: HashMap::new(),
+        })
+    });
+    ring.lock().expect("trace ring")
 }
 
 /// An open span. Closing (dropping) the guard records one complete
@@ -181,9 +175,9 @@ impl Span {
 /// Opens a live span (the enabled arm of [`span!`](crate::span!)).
 /// Prefer the macro: it skips name formatting when tracing is off.
 pub fn span_begin(name: String) -> Span {
-    register_propagation();
+    context::propagate();
     let id = NEXT_SPAN.fetch_add(1, Relaxed);
-    let parent = CURRENT_SPAN.with(|c| c.replace(id));
+    let parent = context::swap_span(id);
     CHILD_ACC.with(|acc| acc.borrow_mut().push(0));
     Span {
         live: Some(LiveSpan {
@@ -203,7 +197,7 @@ impl Drop for Span {
             return;
         };
         let dur_us = now_us().saturating_sub(live.start_us);
-        CURRENT_SPAN.with(|c| c.set(live.parent));
+        context::swap_span(live.parent);
         let child_us = CHILD_ACC.with(|acc| {
             let mut acc = acc.borrow_mut();
             let child = acc.pop().unwrap_or(0);
@@ -213,14 +207,12 @@ impl Drop for Span {
             child
         });
         let self_us = dur_us.saturating_sub(child_us);
-        {
-            let mut stats = stats().lock().expect("span stats");
-            let entry = stats.entry(live.name.clone()).or_insert((0, 0, 0));
-            entry.0 += 1;
-            entry.1 += dur_us;
-            entry.2 += self_us;
-        }
-        push_event(Event {
+        let mut ring = ring();
+        let entry = ring.stats.entry(live.name.clone()).or_insert((0, 0, 0));
+        entry.0 += 1;
+        entry.1 += dur_us;
+        entry.2 += self_us;
+        ring.push(Event {
             name: live.name,
             ts_us: live.start_us,
             dur_us: Some(dur_us),
@@ -239,13 +231,13 @@ pub fn event(name: &str) {
     if !enabled() {
         return;
     }
-    push_event(Event {
+    ring().push(Event {
         name: name.to_owned(),
         ts_us: now_us(),
         dur_us: None,
         tid: trace_tid(),
         id: 0,
-        parent: CURRENT_SPAN.with(|c| c.get()),
+        parent: context::current_span(),
         args: Vec::new(),
     });
 }
@@ -267,8 +259,8 @@ pub struct SpanStat {
 /// Every span name's aggregated statistics, ordered by self time
 /// descending (ties broken by name for a stable order).
 pub fn span_stats() -> Vec<SpanStat> {
-    let stats = stats().lock().expect("span stats");
-    let mut out: Vec<SpanStat> = stats
+    let mut out: Vec<SpanStat> = ring()
+        .stats
         .iter()
         .map(|(name, &(count, total_us, self_us))| SpanStat {
             name: name.clone(),
@@ -281,11 +273,14 @@ pub fn span_stats() -> Vec<SpanStat> {
     out
 }
 
-/// Clears the event ring and the aggregated statistics (the enabled
-/// flag is untouched). Open spans still close into the fresh ring.
+/// Clears the event ring, its drop count and the aggregated statistics
+/// (the enabled flag is untouched). Open spans still close into the
+/// fresh ring.
 pub fn reset() {
-    ring().lock().expect("trace ring").clear();
-    stats().lock().expect("span stats").clear();
+    let mut ring = ring();
+    ring.events.clear();
+    ring.dropped = 0;
+    ring.stats.clear();
 }
 
 fn escape_json(s: &str) -> String {
@@ -310,11 +305,13 @@ fn escape_json(s: &str) -> String {
 /// `args` carries the span `id` and `parent` link, so cross-thread
 /// nesting (parallel fan-outs) is machine-checkable even where the
 /// viewer would only infer nesting from per-thread time containment.
+/// The top-level `otherData` object carries `dropped_events`: how many
+/// events the ring evicted since the last [`reset`].
 pub fn export_trace() -> String {
-    let ring = ring().lock().expect("trace ring");
-    let mut out = String::with_capacity(128 + ring.len() * 160);
+    let ring = ring();
+    let mut out = String::with_capacity(128 + ring.events.len() * 160);
     out.push_str("{\"traceEvents\":[\n");
-    for (i, e) in ring.iter().enumerate() {
+    for (i, e) in ring.events.iter().enumerate() {
         if i > 0 {
             out.push_str(",\n");
         }
@@ -341,7 +338,10 @@ pub fn export_trace() -> String {
         }
         out.push_str("}}");
     }
-    out.push_str("\n]}\n");
+    out.push_str(&format!(
+        "\n],\"otherData\":{{\"dropped_events\":{}}}}}\n",
+        ring.dropped
+    ));
     out
 }
 
@@ -428,6 +428,36 @@ mod tests {
         );
     }
 
+    /// The shim's one hook carries the whole context: every worker task
+    /// sees both the launching span and the launching scope.
+    #[test]
+    fn one_hook_carries_span_and_scope() {
+        use rayon::prelude::*;
+        let _guard = TRACE_LOCK.lock().unwrap();
+        let bumps = counter("obs_test_hook_bumps");
+        set_enabled(true);
+        reset();
+        let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build();
+        let scope = crate::JobScope::begin();
+        let root = crate::span!("hook-root");
+        pool.expect("shim pools build").install(|| {
+            (0..32usize).into_par_iter().for_each(|_| {
+                let _child = crate::span!("hook-child");
+                bumps.inc();
+            });
+        });
+        set_enabled(false);
+        let link = format!("\"parent\":{}}}", root.id());
+        let trace = export_trace();
+        let children = trace.lines().filter(|l| l.contains("\"hook-child\""));
+        assert_eq!(
+            children.filter(|l| l.contains(&link)).count(),
+            32,
+            "{trace}"
+        );
+        assert_eq!(scope.get(bumps), 32, "every worker bump lands in the scope");
+    }
+
     #[test]
     fn events_and_args_render() {
         let _guard = TRACE_LOCK.lock().unwrap();
@@ -449,14 +479,19 @@ mod tests {
     #[test]
     fn ring_is_bounded() {
         let _guard = TRACE_LOCK.lock().unwrap();
+        let dropped_total = counter("obs_trace_events_dropped_total");
         set_enabled(true);
         reset();
+        let before = dropped_total.get();
         for i in 0..(RING_CAPACITY + 100) {
             event(&format!("e{i}"));
         }
         set_enabled(false);
-        let len = ring().lock().unwrap().len();
+        let len = ring().events.len();
         assert!(len <= RING_CAPACITY, "ring overflowed: {len}");
+        assert_eq!(dropped_total.get() - before, 100, "every eviction counts");
+        assert!(export_trace().ends_with(",\"otherData\":{\"dropped_events\":100}}\n"));
         reset();
+        assert!(export_trace().contains("\"dropped_events\":0"));
     }
 }

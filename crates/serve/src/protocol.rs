@@ -82,7 +82,7 @@ pub enum Response {
         /// spec, so resubmissions must produce identical bytes.
         qor_json: String,
         /// Telemetry for this request, split into a `"deterministic"`
-        /// section (cache flag + profile counters — byte-stable across
+        /// section (cache flag + engine counters — byte-stable across
         /// identical warm resubmissions) and a `"timing"` section
         /// (request id, wall clock, queue wait — never stable). Kept
         /// out of `qor_json` so determinism stays checkable.
@@ -403,10 +403,10 @@ impl Response {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn spec() -> JobSpec {
+    pub(crate) fn spec() -> JobSpec {
         JobSpec {
             family: GateFamily::Cmos,
             objective: Objective::Energy,

@@ -29,13 +29,14 @@
 use crate::cache::{CacheKey, SynthCache, SynthEntry};
 use crate::protocol::{JobSpec, ProtocolError, Request, Response};
 use crate::wire::{read_frame, write_frame};
-use aig::profile::JobScope;
 use ambipolar::json::{json_circuit_result, json_f64, json_string};
 use ambipolar::pipeline::{mapper_cut_db, run_job, JobError, PipelineConfig};
 use ambipolar::{engine, MappedJob};
+use obs::JobScope;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -321,9 +322,9 @@ fn submit_job(shared: &Arc<Shared>, spec: JobSpec) -> Response {
     shared.available.notify_one();
     match response.recv() {
         Ok(r) => r,
-        // The worker dropped the sender without responding — it
-        // panicked mid-job. The server stays up; this job reports an
-        // internal error.
+        // The worker dropped the sender without responding (a job's
+        // panic is caught and answered, so this is a worker that died
+        // outside a job). This job reports an internal error.
         Err(_) => Response::Error {
             request_id,
             msg: "worker failed while executing the job".into(),
@@ -332,6 +333,7 @@ fn submit_job(shared: &Arc<Shared>, spec: JobSpec) -> Response {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
+    let panics = obs::counter("synthd_worker_panics_total");
     loop {
         let job = {
             let mut queue = shared.queue.lock().expect("queue lock");
@@ -345,7 +347,18 @@ fn worker_loop(shared: &Arc<Shared>) {
                 queue = shared.available.wait(queue).expect("queue lock");
             }
         };
-        let response = execute_job(shared, &job.spec, job.accepted, job.id);
+        // A panicking job answers `Error` and the worker keeps serving;
+        // the job's span and scope guards restore its context on unwind.
+        let response = catch_unwind(AssertUnwindSafe(|| {
+            execute_job(shared, &job.spec, job.accepted, job.id)
+        }))
+        .unwrap_or_else(|_| {
+            panics.inc();
+            Response::Error {
+                request_id: job.id,
+                msg: "the job panicked; the worker recovered".into(),
+            }
+        });
         let counter = match &response {
             Response::Ok { .. } => &shared.stats.jobs_ok,
             Response::Timeout { .. } => &shared.stats.jobs_timeout,
@@ -358,13 +371,13 @@ fn worker_loop(shared: &Arc<Shared>) {
 
 /// Runs one job end to end: knob validation, warm-cache lookup,
 /// synthesis on a miss, mapping/verification/estimation via
-/// [`run_job`], then rendering. All profile counters the job causes —
-/// on whichever pool threads its parallel sections run — are captured
-/// by a [`JobScope`] and reported in the telemetry document. The whole
-/// execution runs under a `request` root span tagged with the server
-/// instance and request ids, and the request's latency and queue wait
-/// land in the `synthd_request_latency_us` / `synthd_queue_wait_us`
-/// histograms.
+/// [`run_job`], then rendering. Every engine counter bump the job
+/// causes — on whichever pool threads its parallel sections run — is
+/// collected by its [`JobScope`] and reported in the telemetry
+/// document. The whole execution runs under a `request` root span
+/// tagged with the server instance and request ids, and the request's
+/// latency and queue wait land in the `synthd_request_latency_us` /
+/// `synthd_queue_wait_us` histograms.
 fn execute_job(shared: &Shared, spec: &JobSpec, accepted: Instant, request_id: u64) -> Response {
     let mut root = obs::span!("request");
     root.record("server_id", shared.instance_id)
@@ -392,6 +405,9 @@ fn execute_job_inner(
     request_id: u64,
 ) -> Response {
     let scope = JobScope::begin();
+    // Fault injection: a job so named panics inside its span and scope.
+    #[cfg(test)]
+    assert_ne!(spec.name, "inject-panic", "injected fault");
     let deadline = (spec.timeout_ms > 0).then(|| accepted + Duration::from_millis(spec.timeout_ms));
 
     let config = match pipeline_config(spec) {
@@ -503,7 +519,7 @@ fn execute_job_inner(
         started.elapsed(),
         queue_wait,
         cache_hit,
-        &scope.finish(),
+        &aig::profile::scoped(&scope),
     );
     Response::Ok {
         request_id,
@@ -576,8 +592,8 @@ pub fn job_qor_json(spec: &JobSpec, synth_ands: usize, job: &MappedJob) -> Strin
 
 /// The per-request telemetry document, in two sections:
 ///
-/// * `"deterministic"` — the cache flag and every profile counter the
-///   job's [`JobScope`] attributed to it. A warm resubmission of an
+/// * `"deterministic"` — the cache flag and every engine counter the
+///   job's [`JobScope`] collected. A warm resubmission of an
 ///   identical spec repeats the exact same work against the exact same
 ///   cached state, so this section is **byte-stable** across warm
 ///   repeats (the determinism tests byte-compare it).
@@ -630,6 +646,7 @@ fn stats_json(shared: &Shared) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Client;
 
     #[test]
     fn module_names_are_verilog_safe() {
@@ -637,5 +654,69 @@ mod tests {
         assert_eq!(module_name("rand-10k.v2"), "rand_10k_v2");
         assert_eq!(module_name(""), "m");
         assert_eq!(module_name("9to1"), "m9to1");
+    }
+
+    /// A panicking job is answered with a typed `Error` and leaves its
+    /// worker serving: after two panics on a one-worker server, a normal
+    /// job runs exactly as on a fresh server. Replies are awaited with a
+    /// timeout, so a lost worker fails the test instead of hanging it.
+    #[test]
+    fn worker_survives_panicking_jobs() {
+        let circuit = bench_circuits::benchmark_by_name("t481").expect("catalog circuit");
+        let job = JobSpec {
+            verify: techmap::Verify::Off,
+            patterns: 256,
+            timeout_ms: 0,
+            aiger: aig::to_aiger_binary(&circuit.aig),
+            ..crate::protocol::tests::spec()
+        };
+        let faulty = JobSpec {
+            name: "inject-panic".into(),
+            ..job.clone()
+        };
+        let serve = |jobs: Vec<JobSpec>| {
+            let server = Server::start(ServerConfig {
+                workers: 1,
+                ..ServerConfig::default()
+            })
+            .expect("bind localhost");
+            let (tx, rx) = mpsc::channel();
+            let (addr, count) = (server.addr(), jobs.len());
+            let client = std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("connect");
+                for job in &jobs {
+                    let _ = tx.send(client.submit(job).expect("submit"));
+                }
+            });
+            let timeout = Duration::from_secs(120);
+            let replies: Vec<Response> = (0..count)
+                .map(|_| rx.recv_timeout(timeout).expect("the worker must survive"))
+                .collect();
+            client.join().expect("client thread");
+            (server, replies)
+        };
+        let deterministic = |reply: &Response| match reply {
+            Response::Ok { telemetry_json, .. } => {
+                telemetry_json.split("timing").next().map(str::to_owned)
+            }
+            other => panic!("expected Ok, got {other:?}"),
+        };
+        let (_, fresh) = serve(vec![job.clone()]);
+
+        let panics = obs::counter("synthd_worker_panics_total");
+        let panics_before = panics.get();
+        obs::set_enabled(true);
+        let (server, replies) = serve(vec![faulty.clone(), faulty, job]);
+        obs::set_enabled(false);
+        assert!(matches!(replies[0], Response::Error { request_id: 1, .. }));
+        assert!(matches!(replies[1], Response::Error { request_id: 2, .. }));
+        assert!(matches!(replies[2], Response::Ok { request_id: 3, .. }));
+        assert_eq!(deterministic(&replies[2]), deterministic(&fresh[0]));
+        assert_eq!(server.shared.stats.jobs_error.load(Ordering::Relaxed), 2);
+        assert_eq!(panics.get() - panics_before, 2);
+        // Unwinding restored the worker's span context: job 3's root
+        // span has no parent.
+        let root = format!("\"parent\":0,\"server_id\":{},", server.instance_id());
+        assert!(obs::export_trace().contains(&(root + "\"request_id\":3,")));
     }
 }

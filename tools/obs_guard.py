@@ -3,14 +3,16 @@
 
 Usage: obs_guard.py ARTIFACT.json TRACE.json
 
-ARTIFACT.json is a `loadgen --json` artifact produced in in-process
-mode with `--trace-out TRACE.json`, so the Chrome-trace file holds the
-server-side span ring of the same process that served the load. The
-guard exits non-zero when:
+ARTIFACT.json is a `loadgen --json --verify sat` artifact produced in
+in-process mode with `--trace-out TRACE.json`, so the Chrome-trace file
+holds the server-side span ring of the same process that served the
+load. The guard exits non-zero when:
 
   * the trace is not well-formed Chrome trace-event JSON, or any
     event's `args.parent` link points at a span id that is not in the
     trace (a broken tree);
+  * the trace's `otherData.dropped_events` is missing or non-zero (the
+    ring evicted events, so the trees below may be incomplete);
   * the number of root `request` spans (parent 0, `args.request_id`
     set) does not cover every job the artifact reports as executed —
     with a clean run (no timeouts/errors) the counts must match
@@ -28,11 +30,26 @@ guard exits non-zero when:
     zero or disagrees with the artifact's `jobs_ok` (the histogram is
     observed exactly once per job served), or `synthd_queue_wait_us`
     saw fewer observations than jobs served, or any histogram's
-    cumulative buckets decrease (a malformed exposition).
+    cumulative buckets decrease (a malformed exposition);
+  * the frame lacks any of the nine `aig_*_total` engine counters, or
+    `aig_sat_merge_calls_total` is zero (a SAT-verified run must have
+    issued merge queries).
 """
 
 import json
 import sys
+
+ENGINE_COUNTERS = (
+    "cuts_reused",
+    "cuts_computed",
+    "sat_merge_calls",
+    "sat_merge_proven",
+    "sat_merge_refuted",
+    "sat_merge_budget_out",
+    "sim_words",
+    "refine_rounds",
+    "par_tasks",
+)
 
 
 def metric_value(metrics, name):
@@ -66,6 +83,11 @@ def main() -> int:
     failures = []
 
     # --- span tree ---------------------------------------------------------
+    dropped = trace.get("otherData", {}).get("dropped_events")
+    if dropped is None:
+        failures.append("trace carries no otherData.dropped_events")
+    elif dropped != 0:
+        failures.append(f"the trace ring dropped {dropped} events")
     events = trace["traceEvents"]
     spans = {e["args"]["id"]: e for e in events if e.get("ph") == "X"}
     children = {}
@@ -162,6 +184,11 @@ def main() -> int:
             failures.append(f"{name}: cumulative bucket counts decrease")
         if buckets and buckets[-1][0] != "+Inf":
             failures.append(f"{name}: final bucket is not +Inf")
+    for counter in ENGINE_COUNTERS:
+        if metric_value(metrics, f"aig_{counter}_total") is None:
+            failures.append(f"metrics frame lacks aig_{counter}_total")
+    if not metric_value(metrics, "aig_sat_merge_calls_total"):
+        failures.append("aig_sat_merge_calls_total is zero under --verify sat")
 
     if failures:
         print("OBSERVABILITY GUARD FAILURES:", file=sys.stderr)
