@@ -14,7 +14,6 @@
 
 use crate::graph::{Aig, Lit, Node};
 use crate::profile::{self, Work};
-use rayon::prelude::*;
 use sat::{SolveResult, Solver};
 use std::collections::HashMap;
 
@@ -234,12 +233,6 @@ enum Prove {
     Diff(Vec<bool>),
     Unknown,
 }
-
-/// Minimum AND nodes on one level before the sweeper's resimulation
-/// fans the level out across worker threads. The effective floor is
-/// width-aware: levels narrower than 4× the pool size stay serial, since
-/// splitting them buys less than the task-spawn overhead costs.
-const PAR_LEVEL_THRESHOLD: usize = 64;
 
 /// Signature words are allocated in cache-line blocks of this many
 /// `u64`s. The slack between the logical width and the allocated stride
@@ -612,11 +605,9 @@ impl Sweeper {
     ///
     /// The word lands in a pre-allocated slack lane of the signature
     /// block when one is free (the block re-strides only every
-    /// [`SIG_WORD_BLOCK`]th round), then propagates one level frontier at
-    /// a time: a node's word depends only on its fanins' words on
-    /// strictly lower levels, so wide frontiers fan out over the worker
-    /// pool and commit serially in node order — bit-identical to the
-    /// serial walk.
+    /// [`SIG_WORD_BLOCK`]th round), then propagates in one walk over the
+    /// fraig in index order, which is topological: a node's word depends
+    /// only on its fanins' words, and fanins precede their consumers.
     fn refine(&mut self, patterns: &[Vec<bool>]) {
         debug_assert!(!patterns.is_empty() && patterns.len() <= 64);
         let mut span = obs::span!("verify/refine");
@@ -645,45 +636,11 @@ impl Sweeper {
             self.sigs.data[n as usize * stride + words] = w;
         }
         profile::add(Work::SimWords, self.f.len() as u64);
-        // The constant keeps its zeroed lane. ANDs propagate per
-        // frontier; levels narrower than the width-aware floor stay
-        // serial.
-        let parallel = rayon::current_num_threads() > 1;
-        let floor = PAR_LEVEL_THRESHOLD.max(4 * rayon::current_num_threads());
-        for level in self.f.and_level_groups() {
-            if parallel && level.len() >= floor {
-                profile::add(Work::ParTasks, level.len() as u64);
-                let computed: Vec<u64> = {
-                    let data = &self.sigs.data;
-                    let word_of = |l: Lit| {
-                        data[l.node() as usize * stride + words]
-                            ^ if l.is_complement() { u64::MAX } else { 0 }
-                    };
-                    level
-                        .par_iter()
-                        .map(|&i| {
-                            let Node::And(a, b) = self.f.node(i) else {
-                                unreachable!("only AND nodes are grouped by level");
-                            };
-                            word_of(a) & word_of(b)
-                        })
-                        .collect()
-                };
-                for (&i, w) in level.iter().zip(computed) {
-                    self.sigs.data[i as usize * stride + words] = w;
-                }
-            } else {
-                for &i in &level {
-                    let Node::And(a, b) = self.f.node(i) else {
-                        unreachable!("only AND nodes are grouped by level");
-                    };
-                    let data = &self.sigs.data;
-                    let wa = data[a.node() as usize * stride + words]
-                        ^ if a.is_complement() { u64::MAX } else { 0 };
-                    let wb = data[b.node() as usize * stride + words]
-                        ^ if b.is_complement() { u64::MAX } else { 0 };
-                    self.sigs.data[i as usize * stride + words] = wa & wb;
-                }
+        // The constant keeps its zeroed lane.
+        for (i, node) in self.f.nodes().enumerate() {
+            if let Node::And(a, b) = node {
+                self.sigs.data[i * stride + words] =
+                    self.sigs.lit_word(a, words) & self.sigs.lit_word(b, words);
             }
         }
         self.sigs.words = words + 1;

@@ -5,7 +5,7 @@
 //! node's positive output over the cut leaves.
 //!
 //! [`CutDb`] is the persistent form: a flat cut arena keyed to one
-//! network, filled level-by-level by [`CutDb::ensure`] and carried
+//! network, filled in arena order by [`CutDb::ensure`] and carried
 //! *across* optimization passes by [`CutDb::retarget`], which translates
 //! the cut sets of structurally unchanged cones through a pass's
 //! old-node → new-literal map and invalidates only the dirty remainder.
@@ -21,7 +21,6 @@ use crate::choice::ChoiceAig;
 use crate::graph::{Aig, Lit, Node};
 use crate::profile::{self, Work};
 use logic::TruthTable;
-use rayon::prelude::*;
 
 /// A cut: sorted leaf nodes plus the root function over them.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,22 +88,11 @@ impl Default for CutConfig {
     }
 }
 
-/// Minimum AND nodes on one level before the level is even considered
-/// for fan-out across worker threads.
-const PAR_LEVEL_THRESHOLD: usize = 16;
-
-/// Width-aware parallel dispatch floor: a level narrower than ~4 tasks
-/// per worker loses more to dispatch overhead than it gains, so such
-/// levels stay serial regardless of the static threshold.
-fn par_level_floor() -> usize {
-    PAR_LEVEL_THRESHOLD.max(4 * rayon::current_num_threads())
-}
-
 /// Read access to per-node cut sets. Implemented by the plain
 /// `Vec<Vec<Cut>>` layout [`enumerate_cuts`] returns and by [`CutDb`],
 /// so downstream consumers (the technology mapper's selection phase)
 /// accept either source.
-pub trait CutSource: Sync {
+pub trait CutSource {
     /// The stored cuts of `node` (empty for the constant, for nodes
     /// without computed cuts, and for out-of-range indices).
     fn cuts_of(&self, node: u32) -> &[Cut];
@@ -144,15 +132,14 @@ pub fn enumerate_cuts(aig: &Aig, config: CutConfig) -> Vec<Vec<Cut>> {
 /// A persistent, incrementally maintained cut database.
 ///
 /// The cuts live in one flat arena (`store`) with a `(start, end)` span
-/// per node — the serial fill path appends pruned cuts straight into the
-/// arena, so no per-node `Vec` allocation survives ([`enumerate_cuts`]
-/// only pays for the per-node layout when explicitly unpacking).
+/// per node — the fill appends pruned cuts straight into the arena, so
+/// no per-node `Vec` allocation survives ([`enumerate_cuts`] only pays
+/// for the per-node layout when explicitly unpacking).
 ///
 /// Lifecycle: [`CutDb::ensure`] computes the cut sets of every node that
-/// has none, one topological level at a time (wide levels fan out over
-/// the worker pool, committed serially in node order — bit-identical to
-/// the serial walk at any thread count). After a pass transforms the
-/// network, [`CutDb::retarget`] re-keys the database to the new network:
+/// has none, in one walk over the arena in index order, which is
+/// topological (fanins precede their consumers). After a pass transforms
+/// the network, [`CutDb::retarget`] re-keys the database to the new network:
 /// cones the pass left structurally intact (same AND shape over the
 /// translated fanins, same operand order, clean all the way down) keep
 /// their cuts — leaves renamed through the map, truth tables permuted to
@@ -222,8 +209,8 @@ impl CutDb {
         self.span.clear();
     }
 
-    /// Computes the cut sets of every dirty node of `aig`, level by
-    /// level. The database must be keyed to `aig` (freshly created,
+    /// Computes the cut sets of every dirty node of `aig`, in index
+    /// order. The database must be keyed to `aig` (freshly created,
     /// [`CutDb::reset`], or [`CutDb::retarget`]ed through the map of the
     /// pass that produced `aig`); a node-count mismatch falls back to a
     /// full recompute.
@@ -242,52 +229,22 @@ impl CutDb {
                 self.span[i as usize] = Some((s, s + 1));
             }
         }
-        let parallel = rayon::current_num_threads() > 1;
-        let floor = par_level_floor();
         let mut scratch: Vec<Cut> = Vec::new();
         let (mut reused, mut computed) = (0u64, 0u64);
-        for level in aig.and_level_groups() {
-            let dirty: Vec<u32> = level
-                .iter()
-                .copied()
-                .filter(|&i| self.span[i as usize].is_none())
-                .collect();
-            reused += (level.len() - dirty.len()) as u64;
-            computed += dirty.len() as u64;
-            if dirty.is_empty() {
+        for (idx, node) in aig.nodes().enumerate() {
+            let Node::And(a, b) = node else { continue };
+            if self.span[idx].is_some() {
+                reused += 1;
                 continue;
             }
-            if parallel && dirty.len() >= floor {
-                profile::add(Work::ParTasks, dirty.len() as u64);
-                let done: Vec<Vec<Cut>> = {
-                    let db: &CutDb = &*self;
-                    dirty
-                        .par_iter()
-                        .map(|&idx| {
-                            let mut local: Vec<Cut> = Vec::new();
-                            node_cuts(aig, idx, db, db.config, &mut local)
-                        })
-                        .collect()
-                };
-                for (&idx, cuts) in dirty.iter().zip(done) {
-                    let s = self.store.len() as u32;
-                    self.store.extend(cuts);
-                    self.span[idx as usize] = Some((s, self.store.len() as u32));
-                }
-            } else {
-                for &idx in &dirty {
-                    let Node::And(a, b) = aig.node(idx) else {
-                        unreachable!("only AND nodes are grouped by level");
-                    };
-                    scratch.clear();
-                    merge_fanin_cuts(a, b, self, self.config, &mut scratch);
-                    prune(&mut scratch, self.config.max_cuts);
-                    let s = self.store.len() as u32;
-                    self.store.append(&mut scratch);
-                    self.store.push(Cut::trivial(idx));
-                    self.span[idx as usize] = Some((s, self.store.len() as u32));
-                }
-            }
+            computed += 1;
+            scratch.clear();
+            merge_fanin_cuts(a, b, self, self.config, &mut scratch);
+            prune(&mut scratch, self.config.max_cuts);
+            let s = self.store.len() as u32;
+            self.store.append(&mut scratch);
+            self.store.push(Cut::trivial(idx as u32));
+            self.span[idx] = Some((s, self.store.len() as u32));
         }
         self.reused += reused;
         self.computed += computed;
@@ -421,30 +378,6 @@ fn translate_cut(cut: &Cut, map: &[Option<Lit>]) -> Option<Cut> {
         cut.tt.permute(&perm)
     };
     Some(Cut { leaves, tt })
-}
-
-/// The stored cut set of one AND node as an owned vector: fanin cut sets
-/// merged into `scratch` (cleared, capacity reused), pruned in place,
-/// plus the trivial cut. Used by the parallel fill path, which needs an
-/// owned result per task; the serial path appends into the database's
-/// flat arena directly.
-fn node_cuts<S: CutSource + ?Sized>(
-    aig: &Aig,
-    idx: u32,
-    all: &S,
-    config: CutConfig,
-    scratch: &mut Vec<Cut>,
-) -> Vec<Cut> {
-    let Node::And(a, b) = aig.node(idx) else {
-        unreachable!("only AND nodes are grouped by level");
-    };
-    scratch.clear();
-    merge_fanin_cuts(a, b, all, config, scratch);
-    prune(scratch, config.max_cuts);
-    let mut kept = Vec::with_capacity(scratch.len() + 1);
-    kept.append(scratch);
-    kept.push(Cut::trivial(idx));
-    kept
 }
 
 /// Enumerates cuts over a choice network: one cut set per equivalence

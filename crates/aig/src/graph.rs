@@ -246,7 +246,7 @@ impl Aig {
 
     /// Whether two AIGs are structurally identical: same node arrays
     /// (fanins, input ordinals) and same output literals. This is
-    /// bit-level identity, the relation the engine's parallel/serial
+    /// bit-level identity, the relation the engine's thread-count
     /// determinism contract is stated in — far stronger than functional
     /// equivalence.
     pub fn same_structure(&self, other: &Aig) -> bool {
@@ -303,26 +303,6 @@ impl Aig {
     /// Logic level of one node.
     pub fn level(&self, idx: u32) -> u32 {
         self.level[idx as usize]
-    }
-
-    /// AND-node indices grouped by logic level, ascending, index-ordered
-    /// within a level. A node's fanins sit on strictly lower levels, so
-    /// each group is an independently computable frontier — the unit the
-    /// parallel hot loops (cut enumeration, rewrite scoring, sweeper
-    /// resimulation) fan out over before committing serially in node
-    /// order.
-    pub fn and_level_groups(&self) -> Vec<Vec<u32>> {
-        let mut by_level: Vec<Vec<u32>> = Vec::new();
-        for (idx, node) in self.nodes().enumerate() {
-            if matches!(node, Node::And(_, _)) {
-                let l = self.level[idx] as usize;
-                if by_level.len() <= l {
-                    by_level.resize_with(l + 1, Vec::new);
-                }
-                by_level[l].push(idx as u32);
-            }
-        }
-        by_level
     }
 
     /// Depth of the network: maximum level over outputs.

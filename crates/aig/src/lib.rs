@@ -30,7 +30,7 @@
 //! * [`check`] — SAT-based combinational equivalence checking
 //!   (simulation-filtered, closed by a CDCL proof over the Tseitin
 //!   encoding from [`cnf`]) with concrete counterexamples;
-//! * [`profile`] — the engine's work counters, a view over nine `obs`
+//! * [`profile`] — the engine's work counters, a view over eight `obs`
 //!   counters that an `obs::JobScope` attributes per job.
 //!
 //! # Example
@@ -72,5 +72,5 @@ pub use cuts::{enumerate_cuts, enumerate_cuts_choice, Cut, CutConfig, CutDb, Cut
 pub use graph::{Aig, Lit};
 pub use refactor::refactor;
 pub use rewrite::{rewrite, rewrite_with, RewriteConfig, RewriteLibrary};
-pub use sim::{simulate64, simulate_wide, WideWord, WIDE_WORDS};
+pub use sim::simulate64;
 pub use synth::{synthesize, Flow, FlowCuts, FlowError, FlowReport, Metrics, Pass, DEFAULT_FLOW};

@@ -1,9 +1,9 @@
-//! The engine's work counters: nine `obs` counters, `aig_cuts_reused_total`
-//! … `aig_par_tasks_total`, bumped by the hot loops (cut enumeration, SAT
-//! sweeping, signature simulation, parallel dispatch). [`Counters`] is
-//! their typed view: [`snapshot`] reads the monotone process-wide totals
-//! (consumers work with deltas between two snapshots), and [`scoped`]
-//! reads exactly one job's share, as collected by an [`obs::JobScope`].
+//! The engine's work counters: eight `obs` counters, `aig_cuts_reused_total`
+//! … `aig_refine_rounds_total`, bumped by the hot loops (cut enumeration,
+//! SAT sweeping, signature simulation). [`Counters`] is their typed view:
+//! [`snapshot`] reads the monotone process-wide totals (consumers work
+//! with deltas between two snapshots), and [`scoped`] reads exactly one
+//! job's share, as collected by an [`obs::JobScope`].
 
 use obs::{Counter, JobScope};
 use std::sync::OnceLock;
@@ -27,13 +27,15 @@ pub struct Counters {
     pub sim_words: u64,
     /// Signature-refinement rounds (class rebuilds) in the sweeper.
     pub refine_rounds: u64,
-    /// Tasks dispatched to the worker pool by the parallel hot loops.
+    /// Always 0: the engine dispatches no tasks of its own. Kept only
+    /// because the frozen benchmark harness reads it; it is not one of
+    /// the counters [`Counters::pairs`] lists.
     pub par_tasks: u64,
 }
 
 impl Counters {
     /// The view of values given in [`Counters::pairs`] order.
-    fn from_values(v: [u64; 9]) -> Counters {
+    fn from_values(v: [u64; 8]) -> Counters {
         Counters {
             cuts_reused: v[0],
             cuts_computed: v[1],
@@ -43,7 +45,7 @@ impl Counters {
             sat_merge_budget_out: v[5],
             sim_words: v[6],
             refine_rounds: v[7],
-            par_tasks: v[8],
+            par_tasks: 0,
         }
     }
 
@@ -57,7 +59,7 @@ impl Counters {
     /// The counters as `(name, value)` pairs, in a stable order — the one
     /// serialization (telemetry, bench JSON) iterates. Each counter's
     /// `obs` name is `aig_{name}_total`.
-    pub fn pairs(&self) -> [(&'static str, u64); 9] {
+    pub fn pairs(&self) -> [(&'static str, u64); 8] {
         [
             ("cuts_reused", self.cuts_reused),
             ("cuts_computed", self.cuts_computed),
@@ -67,7 +69,6 @@ impl Counters {
             ("sat_merge_budget_out", self.sat_merge_budget_out),
             ("sim_words", self.sim_words),
             ("refine_rounds", self.refine_rounds),
-            ("par_tasks", self.par_tasks),
         ]
     }
 
@@ -97,7 +98,6 @@ pub(crate) enum Work {
     SatMergeBudgetOut,
     SimWords,
     RefineRounds,
-    ParTasks,
 }
 
 /// Adds `n` to one engine counter.
@@ -105,9 +105,9 @@ pub(crate) fn add(work: Work, n: u64) {
     handles()[work as usize].add(n);
 }
 
-/// The nine `obs` handles in [`Counters::pairs`] order, registered together.
-fn handles() -> &'static [&'static Counter; 9] {
-    static HANDLES: OnceLock<[&'static Counter; 9]> = OnceLock::new();
+/// The eight `obs` handles in [`Counters::pairs`] order, registered together.
+fn handles() -> &'static [&'static Counter; 8] {
+    static HANDLES: OnceLock<[&'static Counter; 8]> = OnceLock::new();
     HANDLES.get_or_init(|| {
         Counters::default()
             .pairs()
@@ -124,14 +124,14 @@ mod tests {
         let before = snapshot();
         add(Work::CutsReused, 3);
         add(Work::CutsComputed, 2);
-        add(Work::ParTasks, 1);
+        add(Work::RefineRounds, 1);
         let after = snapshot();
         let d = after.delta_since(&before);
         // Other tests may run concurrently and also bump the globals, so
         // only lower bounds are stable.
         assert!(d.cuts_reused >= 3);
         assert!(d.cuts_computed >= 2);
-        assert!(d.par_tasks >= 1);
+        assert!(d.refine_rounds >= 1);
         // Reversed order saturates to zero instead of wrapping.
         let z = before.delta_since(&after);
         assert_eq!(z.cuts_reused, 0);
@@ -142,9 +142,9 @@ mod tests {
     fn counters_are_named_obs_counters() {
         let scope = JobScope::begin();
         add(Work::CutsComputed, 2);
-        add(Work::ParTasks, 9);
+        add(Work::RefineRounds, 9);
         let c = scoped(&scope);
-        assert_eq!((c.cuts_reused, c.cuts_computed, c.par_tasks), (0, 2, 9));
+        assert_eq!((c.cuts_reused, c.cuts_computed, c.refine_rounds), (0, 2, 9));
         let metrics = obs::render_prometheus();
         for (name, _) in c.pairs() {
             assert!(metrics.contains(&format!("\naig_{name}_total ")), "{name}");
@@ -165,6 +165,6 @@ mod tests {
             par_tasks: 9,
         };
         let sum: u64 = c.pairs().iter().map(|&(_, v)| v).sum();
-        assert_eq!(sum, 45, "every field appears exactly once");
+        assert_eq!(sum, 36, "every field but par_tasks appears once");
     }
 }

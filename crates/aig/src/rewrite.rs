@@ -21,11 +21,9 @@
 
 use crate::cuts::{CutConfig, CutDb, CutSource};
 use crate::graph::{compose_maps, Aig, Lit, Node};
-use crate::profile::{self, Work};
 use logic::npn::{npn_canon, NpnCanon};
 use logic::sop::isop;
 use logic::TruthTable;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -645,36 +643,16 @@ pub fn rewrite(aig: &Aig) -> Aig {
     rewrite_with(aig, &RewriteConfig::default())
 }
 
-/// Minimum AND nodes on one level before candidate scoring fans the
-/// level out across worker threads.
-const PAR_LEVEL_THRESHOLD: usize = 16;
-
-/// The commit-independent half of one cut candidate's price, computed in
-/// the parallel scoring phase: everything that is a pure function of the
-/// *input* graph (cut function, NPN canonization, MFFC size). The
-/// out-graph-dependent half — pin binding, structural-hash dry run, level
-/// pricing — stays in the serial commit loop.
-struct ScoredCut {
-    /// Cut leaves in support order (the pin binding order).
-    leaf_nodes: Vec<u32>,
-    canon: NpnCanon,
-    /// MFFC size: AND nodes freed if the root is re-expressed over the
-    /// leaves.
-    freed: i64,
-}
-
 /// One DAG-aware rewriting pass. The returned AIG is functionally
 /// equivalent and never larger than the (cleaned) input; callers — the
 /// [`Flow`](crate::synth::Flow) engine — additionally gate acceptance on
 /// their own criteria and, in debug builds, on a SAT equivalence proof.
 ///
-/// The pass is split into a scoring phase and a commit phase. Scoring —
-/// cut truth tables, NPN canonization, MFFC sizing — depends only on the
-/// immutable input graph, so it fans out over topological levels
-/// (order-preserving `par_iter`, serial fallback under the level-size
-/// threshold) and is bit-identical to serial at any thread count. The
-/// commit loop walks nodes in order exactly as before, pricing each
-/// pre-scored candidate against the evolving output graph.
+/// The pass walks the input's AND nodes once, in index (topological)
+/// order. Each node's 4-cuts are canonized (through one per-pass memo)
+/// and sized (MFFC against the immutable input graph), then priced
+/// against the evolving output graph; the best candidate is committed
+/// before the walk moves on.
 pub fn rewrite_with(aig: &Aig, config: &RewriteConfig) -> Aig {
     let mut db = CutDb::new(CutConfig {
         k: 4,
@@ -740,53 +718,12 @@ pub(crate) fn rewrite_core(
     db.ensure(input);
     let cuts: &CutDb = db;
     let refs = input.fanout_counts();
-
-    // Scoring phase: pure per-(node, cut) work over the fixed input.
-    let score_node = |idx: u32, memo: &mut HashMap<u64, NpnCanon>| -> Vec<ScoredCut> {
-        cuts.cuts_of(idx)
-            .iter()
-            .filter(|cut| !cut.is_trivial(idx))
-            .map(|cut| {
-                let (fs, leaf_nodes) = cut.function_over_support();
-                let f4 = fs.extend_to(4);
-                let canon = *memo.entry(f4.bits()).or_insert_with(|| npn_canon(f4));
-                let freed = mffc_size_ro(input, idx, &cut.leaves, refs) as i64;
-                ScoredCut {
-                    leaf_nodes,
-                    canon,
-                    freed,
-                }
-            })
-            .collect()
-    };
-    let mut scored: Vec<Vec<ScoredCut>> = Vec::new();
-    scored.resize_with(input.len(), Vec::new);
     // Per-pass canonization memo: the same cut function recurs across
-    // many nodes (mirrors the mapper's `Matcher`). Parallel tasks use
-    // per-task memos instead — canonization is deterministic, so the
-    // values cannot differ, only the cache locality does.
+    // many nodes (mirrors the mapper's `Matcher`).
     let mut canon_memo: HashMap<u64, NpnCanon> = HashMap::new();
-    let parallel = rayon::current_num_threads() > 1;
-    for level in input.and_level_groups() {
-        if parallel && level.len() >= PAR_LEVEL_THRESHOLD {
-            profile::add(Work::ParTasks, level.len() as u64);
-            let computed: Vec<Vec<ScoredCut>> = level
-                .par_iter()
-                .map(|&i| score_node(i, &mut HashMap::new()))
-                .collect();
-            for (&i, s) in level.iter().zip(computed) {
-                scored[i as usize] = s;
-            }
-        } else {
-            for &i in &level {
-                scored[i as usize] = score_node(i, &mut canon_memo);
-            }
-        }
-    }
-
-    // Commit phase: serial, in node order, pricing against the evolving
-    // output graph (whose arena maintains levels incrementally, so the
-    // depth-aware mode reads them for free).
+    // Cuts are priced against the evolving output graph, whose arena
+    // maintains levels incrementally, so the depth-aware mode reads them
+    // for free.
     let mut out = Aig::new();
     let mut map: Vec<Lit> = vec![Lit::FALSE; input.len()];
     for &i in input.input_nodes() {
@@ -808,14 +745,21 @@ pub(crate) fn rewrite_core(
             }
         };
         let mut best: Option<(i64, i64, Plan)> = None;
-        for sc in &scored[idx] {
-            let leaf_lits: Vec<Lit> = sc.leaf_nodes.iter().map(|&n| map[n as usize]).collect();
-            let plan = lib.plan(&sc.canon, &leaf_lits);
+        for cut in cuts.cuts_of(idx as u32) {
+            if cut.is_trivial(idx as u32) {
+                continue;
+            }
+            let (fs, leaf_nodes) = cut.function_over_support();
+            let f4 = fs.extend_to(4);
+            let canon = *canon_memo.entry(f4.bits()).or_insert_with(|| npn_canon(f4));
+            let leaf_lits: Vec<Lit> = leaf_nodes.iter().map(|&n| map[n as usize]).collect();
+            let plan = lib.plan(&canon, &leaf_lits);
             let (added, root_level) = lib.count_new_with_level(&out, out.node_levels(), &plan);
             if config.level_aware && root_level > copy_level {
                 continue;
             }
-            let gain = sc.freed - added as i64;
+            let freed = mffc_size_ro(input, idx as u32, &cut.leaves, refs) as i64;
+            let gain = freed - added as i64;
             if best.as_ref().is_none_or(|(g, _, _)| gain > *g) {
                 best = Some((gain, added as i64, plan));
             }
@@ -868,8 +812,8 @@ fn edge(mapped: Lit, e: Lit) -> Lit {
 /// nodes (root included) that die when the root is re-expressed over the
 /// leaves — the classic dereference walk, run against a *read-only*
 /// fanout array. Decrements are tracked in a small per-call overlay map,
-/// so concurrent scoring tasks can share one `refs` slice without cloning
-/// it or taking turns; the cone of a 4-cut is a handful of nodes, so the
+/// so every cut of the pass reads one `refs` slice without cloning or
+/// restoring it; the cone of a 4-cut is a handful of nodes, so the
 /// overlay stays tiny.
 fn mffc_size_ro(aig: &Aig, root: u32, leaves: &[u32], refs: &[u32]) -> usize {
     let mut overlay: HashMap<u32, u32> = HashMap::new();
@@ -1201,38 +1145,5 @@ mod tests {
         assert_eq!(check_equivalence(&aig, &rewritten), Ok(Equivalence::Equal));
         // f is constant false, so g collapses to a.
         assert_eq!(rewritten.and_count(), 0);
-    }
-
-    #[test]
-    fn scoring_fan_out_counts_par_tasks() {
-        // 16 XORs of input pairs: levels of 32 and 16 ANDs, wide enough
-        // for both the cut and the scoring fan-out.
-        let mut aig = Aig::new();
-        let xs: Vec<Lit> = (0..32).map(|_| aig.input()).collect();
-        for pair in xs.chunks(2) {
-            let x = aig.xor(pair[0], pair[1]);
-            aig.output(x);
-        }
-        let par_tasks = |run: &dyn Fn()| {
-            let scope = obs::JobScope::begin();
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(2)
-                .build()
-                .expect("pool")
-                .install(run);
-            crate::profile::scoped(&scope).par_tasks
-        };
-        let config = RewriteConfig::default();
-        let cuts = CutConfig {
-            k: 4,
-            max_cuts: config.max_cuts,
-        };
-        let ensure_only = par_tasks(&|| CutDb::new(cuts).ensure(&aig));
-        let rewrite_pass = par_tasks(&|| drop(rewrite_with(&aig, &config)));
-        assert!(ensure_only > 0, "the cut fan-out must count its tasks");
-        assert!(
-            rewrite_pass > ensure_only,
-            "{rewrite_pass} vs {ensure_only}"
-        );
     }
 }

@@ -1,7 +1,6 @@
 //! 64-way bit-parallel simulation of AIGs.
 
 use crate::graph::{Aig, Lit, Node};
-use crate::profile::{self, Work};
 
 /// Simulates the AIG on 64 parallel input patterns.
 ///
@@ -48,61 +47,6 @@ pub fn lit_word(lit: Lit, values: &[u64]) -> u64 {
     }
 }
 
-/// Words per [`WideWord`] — one cache line of simulation state per node,
-/// 256 patterns per network pass.
-pub const WIDE_WORDS: usize = 4;
-
-/// A cache-line block of 4 × 64 = 256 simulation patterns.
-pub type WideWord = [u64; WIDE_WORDS];
-
-/// Simulates the AIG on 256 parallel input patterns — the widened twin of
-/// [`simulate64`], amortizing every node visit (fanin loads, complement
-/// masks, bounds checks) over a full cache line of patterns.
-///
-/// # Panics
-///
-/// Panics if `inputs.len()` differs from the AIG's input count.
-pub fn simulate_wide(aig: &Aig, inputs: &[WideWord]) -> Vec<WideWord> {
-    let values = node_values_wide(aig, inputs);
-    aig.output_lits()
-        .iter()
-        .map(|l| lit_wide(*l, &values))
-        .collect()
-}
-
-/// Widened twin of [`node_values64`]: the value block of every node.
-///
-/// # Panics
-///
-/// Panics if `inputs.len()` differs from the AIG's input count.
-pub fn node_values_wide(aig: &Aig, inputs: &[WideWord]) -> Vec<WideWord> {
-    assert_eq!(inputs.len(), aig.input_count(), "input word count mismatch");
-    let mut values = vec![[0u64; WIDE_WORDS]; aig.len()];
-    for (i, node) in aig.nodes().enumerate() {
-        values[i] = match node {
-            Node::Const => [0; WIDE_WORDS],
-            Node::Input(k) => inputs[k as usize],
-            Node::And(a, b) => {
-                let wa = lit_wide(a, &values);
-                let wb = lit_wide(b, &values);
-                std::array::from_fn(|w| wa[w] & wb[w])
-            }
-        };
-    }
-    profile::add(Work::SimWords, (aig.len() * WIDE_WORDS) as u64);
-    values
-}
-
-/// Reads a literal's value block from wide node values.
-pub fn lit_wide(lit: Lit, values: &[WideWord]) -> WideWord {
-    let v = values[lit.node() as usize];
-    if lit.is_complement() {
-        std::array::from_fn(|w| !v[w])
-    } else {
-        v
-    }
-}
-
 /// The xorshift64* pattern generator shared by every simulation-based
 /// checker in the workspace (the equivalence sweeper's signature words,
 /// `techmap`'s simulation verifier): one algorithm, one seeding rule, so
@@ -124,13 +68,6 @@ impl PatternRng {
         self.state ^= self.state << 25;
         self.state ^= self.state >> 27;
         self.state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// The next 256-pattern block — exactly [`WIDE_WORDS`] consecutive
-    /// [`PatternRng::next_word`] draws, so mixing wide and narrow
-    /// consumers keeps one reproducible stream.
-    pub fn next_wide(&mut self) -> WideWord {
-        std::array::from_fn(|_| self.next_word())
     }
 }
 
@@ -182,39 +119,6 @@ mod tests {
             let out = evaluate(&aig, &bits);
             assert_eq!(out[0], expect_sum, "sum at {bits:?}");
             assert_eq!(out[1], expect_cout, "cout at {bits:?}");
-        }
-    }
-
-    #[test]
-    fn wide_kernel_matches_four_narrow_passes() {
-        // simulate_wide lane w must equal simulate64 on lane w's words.
-        let mut aig = Aig::new();
-        let xs: Vec<Lit> = (0..6).map(|_| aig.input()).collect();
-        let s = aig.xor_many(&xs);
-        let c = aig.and_many(&xs[..3]);
-        let m = aig.and(s, c.not());
-        aig.output(s);
-        aig.output(c);
-        aig.output(m);
-        let mut rng = PatternRng::new(0xA5A5);
-        let wide: Vec<WideWord> = (0..6).map(|_| rng.next_wide()).collect();
-        let got = simulate_wide(&aig, &wide);
-        for w in 0..WIDE_WORDS {
-            let narrow: Vec<u64> = wide.iter().map(|b| b[w]).collect();
-            let expect = simulate64(&aig, &narrow);
-            for (o, e) in expect.iter().enumerate() {
-                assert_eq!(got[o][w], *e, "output {o}, lane {w}");
-            }
-        }
-    }
-
-    #[test]
-    fn next_wide_is_four_narrow_draws() {
-        let mut a = PatternRng::new(7);
-        let mut b = PatternRng::new(7);
-        let block = a.next_wide();
-        for w in block {
-            assert_eq!(w, b.next_word());
         }
     }
 

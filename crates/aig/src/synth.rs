@@ -21,12 +21,12 @@
 //! SAT sweep: the current network with every proven class collapsed onto
 //! its representative.
 
-use crate::balance::{balance, balance_core};
+use crate::balance::balance_core;
 use crate::choice::ChoiceAig;
 use crate::cuts::{CutConfig, CutDb};
 use crate::graph::{Aig, Lit};
-use crate::refactor::{refactor, refactor_core, REFACTOR_CUTS};
-use crate::rewrite::{rewrite_clean, rewrite_with, RewriteConfig};
+use crate::refactor::{refactor_core, REFACTOR_CUTS};
+use crate::rewrite::{rewrite_clean, RewriteConfig};
 use std::time::{Duration, Instant};
 
 /// The default synthesis script: balance for depth, rewrite and refactor
@@ -86,8 +86,8 @@ impl FlowCuts {
 
     /// Re-keys both databases after an accepted step: translated through
     /// the pass's node map when one exists, dropped otherwise. Public so
-    /// callers driving [`Pass::apply_incremental`] outside a [`Flow`]
-    /// can keep the databases keyed to the network they accept.
+    /// callers driving [`Pass::apply`] outside a [`Flow`] can keep the
+    /// databases keyed to the network they accept.
     pub fn retarget(&mut self, old: &Aig, new: &Aig, map: Option<&NodeMap>) {
         match map {
             Some(map) => {
@@ -126,19 +126,12 @@ impl Default for FlowCuts {
 pub trait Pass {
     /// Script token for reports and error messages (`"b"`, `"rw -z"`, …).
     fn name(&self) -> &'static str;
-    /// Proposes a rewritten network.
-    fn apply(&self, aig: &Aig) -> Aig;
+    /// Proposes a rewritten network against the flow's persistent cut
+    /// databases, together with the old-node → new-literal map the flow
+    /// retargets the databases through on acceptance.
+    fn apply(&self, aig: &Aig, cuts: &mut FlowCuts) -> (Aig, NodeMap);
     /// Whether the candidate should replace the current network.
     fn accept(&self, before: Metrics, after: Metrics) -> bool;
-    /// Proposes a rewritten network against the flow's persistent cut
-    /// databases, additionally reporting the old-node → new-literal map
-    /// so the flow can retarget the databases on acceptance. The default
-    /// falls back to [`Pass::apply`] with no map (the databases are
-    /// reset when such a step is accepted).
-    fn apply_incremental(&self, aig: &Aig, cuts: &mut FlowCuts) -> (Aig, Option<NodeMap>) {
-        let _ = cuts;
-        (self.apply(aig), None)
-    }
 }
 
 /// Delay-oriented AND-tree balancing (`b`).
@@ -149,8 +142,8 @@ impl Pass for BalancePass {
         "b"
     }
 
-    fn apply(&self, aig: &Aig) -> Aig {
-        balance(aig)
+    fn apply(&self, aig: &Aig, _cuts: &mut FlowCuts) -> (Aig, NodeMap) {
+        balance_core(aig)
     }
 
     /// Accepts when depth improves without an outsized size regression,
@@ -161,11 +154,6 @@ impl Pass for BalancePass {
         } else {
             after.depth == before.depth && after.ands <= before.ands
         }
-    }
-
-    fn apply_incremental(&self, aig: &Aig, _cuts: &mut FlowCuts) -> (Aig, Option<NodeMap>) {
-        let (out, map) = balance_core(aig);
-        (out, Some(map))
     }
 }
 
@@ -190,15 +178,13 @@ impl Pass for RewritePass {
         }
     }
 
-    fn apply(&self, aig: &Aig) -> Aig {
-        rewrite_with(
-            aig,
-            &RewriteConfig {
-                zero_gain: self.zero_gain,
-                level_aware: self.level_aware,
-                ..RewriteConfig::default()
-            },
-        )
+    fn apply(&self, aig: &Aig, cuts: &mut FlowCuts) -> (Aig, NodeMap) {
+        let config = RewriteConfig {
+            zero_gain: self.zero_gain,
+            level_aware: self.level_aware,
+            ..RewriteConfig::default()
+        };
+        rewrite_clean(aig, &config, &mut cuts.rewrite)
     }
 
     /// `rw` must strictly shrink; `rw -z` may also hold size constant
@@ -222,16 +208,6 @@ impl Pass for RewritePass {
         };
         size_ok && after.depth <= depth_cap
     }
-
-    fn apply_incremental(&self, aig: &Aig, cuts: &mut FlowCuts) -> (Aig, Option<NodeMap>) {
-        let config = RewriteConfig {
-            zero_gain: self.zero_gain,
-            level_aware: self.level_aware,
-            ..RewriteConfig::default()
-        };
-        let (out, map) = rewrite_clean(aig, &config, &mut cuts.rewrite);
-        (out, Some(map))
-    }
 }
 
 /// Cut-based SOP refactoring (`rf`).
@@ -242,17 +218,12 @@ impl Pass for RefactorPass {
         "rf"
     }
 
-    fn apply(&self, aig: &Aig) -> Aig {
-        refactor(aig)
+    fn apply(&self, aig: &Aig, cuts: &mut FlowCuts) -> (Aig, NodeMap) {
+        refactor_core(aig, &mut cuts.refactor)
     }
 
     fn accept(&self, before: Metrics, after: Metrics) -> bool {
         after.ands < before.ands
-    }
-
-    fn apply_incremental(&self, aig: &Aig, cuts: &mut FlowCuts) -> (Aig, Option<NodeMap>) {
-        let (out, map) = refactor_core(aig, &mut cuts.refactor);
-        (out, Some(map))
     }
 }
 
@@ -534,10 +505,10 @@ impl Flow {
             let is_dch = matches!(step, Step::Dch);
             let (candidate, node_map, after, accepted) = match step {
                 Step::Pass(pass) => {
-                    let (candidate, node_map) = pass.apply_incremental(&best, &mut cuts);
+                    let (candidate, node_map) = pass.apply(&best, &mut cuts);
                     let after = Metrics::of(&candidate);
                     let accepted = pass.accept(before, after);
-                    (candidate, node_map, after, accepted)
+                    (candidate, Some(node_map), after, accepted)
                 }
                 Step::Dch => {
                     // Snapshots in reverse-chronological order, current
@@ -629,8 +600,8 @@ pub struct PassReport {
 
 /// Per-pass metrics and timing of one [`Flow`] run, plus the run's own
 /// cut statistics. The engine's work counters (SAT merges, simulation
-/// volume, parallel tasks) are not copied here: an [`obs::JobScope`]
-/// around the run collects them exactly (see [`crate::profile`]).
+/// volume) are not copied here: an [`obs::JobScope`] around the run
+/// collects them exactly (see [`crate::profile`]).
 #[derive(Clone, Debug)]
 pub struct FlowReport {
     /// Metrics after the initial cleanup.

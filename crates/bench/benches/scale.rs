@@ -1,25 +1,15 @@
 //! Criterion bench: the industrial-scale hot loops in isolation — 4/6-cut
 //! enumeration and `dch` sweeper signature propagation on a 10k-AND
-//! seeded random AIG, serial (one worker) vs parallel (the default
-//! pool). Run once in `--test` mode by CI to keep the harness callable;
-//! run normally to track the nodes/sec trajectory alongside the `scale`
-//! bin's end-to-end numbers.
+//! seeded random AIG. Run once in `--test` mode by CI to keep the harness
+//! callable; run normally to track the nodes/sec trajectory alongside the
+//! `scale` bin's end-to-end numbers.
 
 use aig::cuts::{enumerate_cuts, CutConfig};
 use aig::Flow;
 use criterion::{criterion_group, criterion_main, Criterion};
 
-fn pool(threads: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool construction cannot fail for n >= 1")
-}
-
 fn bench_scale(c: &mut Criterion) {
     let aig = bench_circuits::scale::random_kregular(10_000, 0x5CA1_AB1E);
-    let serial = pool(1);
-    let parallel = pool(rayon::current_num_threads());
     // Warm the shared rewrite library outside the timed region.
     aig::rewrite::library();
 
@@ -30,12 +20,7 @@ fn bench_scale(c: &mut Criterion) {
             k,
             ..CutConfig::default()
         };
-        group.bench_function(format!("{label}_serial"), |b| {
-            b.iter(|| serial.install(|| enumerate_cuts(&aig, config)))
-        });
-        group.bench_function(format!("{label}_parallel"), |b| {
-            b.iter(|| parallel.install(|| enumerate_cuts(&aig, config)))
-        });
+        group.bench_function(label, |b| b.iter(|| enumerate_cuts(&aig, config)));
     }
     group.finish();
 
@@ -44,12 +29,7 @@ fn bench_scale(c: &mut Criterion) {
     let dch = Flow::parse("dch").expect("dch parses");
     let mut group = c.benchmark_group("sweeper_rand10k");
     group.sample_size(10);
-    group.bench_function("dch_serial", |b| {
-        b.iter(|| serial.install(|| dch.run(&aig)))
-    });
-    group.bench_function("dch_parallel", |b| {
-        b.iter(|| parallel.install(|| dch.run(&aig)))
-    });
+    group.bench_function("dch", |b| b.iter(|| dch.run(&aig)));
     group.finish();
 }
 

@@ -1,34 +1,31 @@
 //! Nodes/sec scale harness: runs the synthesis hot loops — synth flow,
 //! `dch` sweep, technology mapping — over the deterministic synthetic
-//! workloads of `bench_circuits::scale` at each requested size, serial
-//! (one worker) vs parallel (the `--threads`/environment pool), and
+//! workloads of `bench_circuits::scale` at each requested size, and
 //! reports throughput in AND nodes per second.
 //!
 //! ```text
 //! cargo run --release -p bench --bin scale                      # 10k 50k 100k
 //! cargo run --release -p bench --bin scale -- 10k 100k 1m
-//! cargo run --release -p bench --bin scale -- --threads 8 --json BENCH_scale.json
+//! cargo run --release -p bench --bin scale -- --json BENCH_scale.json
 //! cargo run --release -p bench --bin scale -- 10k --verify sat  # SAT-prove the synth results
 //! cargo run --release -p bench --bin scale -- 10k --emit-aiger /tmp/scale  # AIGER for map_aiger
 //! ```
 //!
-//! The serial and parallel runs must produce bit-identical networks (the
-//! engine's determinism contract); the bin asserts this on every
-//! workload, so a throughput run doubles as a determinism check.
-//! `--verify sat` additionally SAT-proves each synthesized network
-//! equivalent to its generator output (slow at large sizes; CI runs it
-//! on the 10k workloads).
+//! Every phase runs on the calling thread: the engine is serial, and its
+//! parallelism lives at job grain (the Table-1 driver, `synthd`), which
+//! this harness does not exercise — so it takes no `--threads`.
+//! `--verify sat` SAT-proves each synthesized network equivalent to its
+//! generator output (slow at large sizes; CI runs it on the 10k
+//! workloads).
 //!
 //! Each phase is timed as the *minimum* over [`TIMING_RUNS`] identical
-//! runs per pool — the minimum is the standard robust estimator for a
+//! runs — the minimum is the standard robust estimator for a
 //! deterministic workload (every run does exactly the same work; any
-//! excess over the fastest run is scheduler or cache noise). When the
-//! parallel pool has one worker it is configuration-identical to the
-//! serial pool, so both columns report the shared best time instead of
-//! sampling the same distribution twice. Each row also records the
-//! `aig::profile` counter deltas of its serial runs (cut reuse, SAT
-//! merges, simulation words), which `tools/scale_guard.py` checks to
-//! prove the incremental cut database is live.
+//! excess over the fastest run is scheduler or cache noise). Each row
+//! also records the `aig::profile` counters of exactly one run of each
+//! phase (cut reuse, SAT merges, simulation words), which
+//! `tools/scale_guard.py` checks to prove the incremental cut database
+//! is live.
 //!
 //! Span tracing runs for the whole harness (span granularity is one
 //! flow pass / mapper phase, far too coarse to perturb the timings):
@@ -55,7 +52,7 @@ const SYNTH_FLOW: &str = "b;rw;rf;b;rw -z;b";
 /// 10k/50k; the committed baseline includes 100k).
 const DEFAULT_SIZES: [usize; 3] = [10_000, 50_000, 100_000];
 
-/// Timed runs per phase per pool; the reported time is the minimum.
+/// Timed runs per phase; the reported time is the minimum.
 const TIMING_RUNS: usize = 2;
 
 fn parse_size(s: &str) -> Option<usize> {
@@ -74,22 +71,21 @@ struct Phase {
     name: &'static str,
     /// AND count the throughput is normalized by (the phase's input).
     ands: usize,
-    serial_seconds: f64,
-    parallel_seconds: f64,
+    seconds: f64,
 }
 
 impl Phase {
-    fn serial_nps(&self) -> f64 {
-        self.ands as f64 / self.serial_seconds.max(1e-9)
-    }
-
-    fn parallel_nps(&self) -> f64 {
-        self.ands as f64 / self.parallel_seconds.max(1e-9)
+    fn nps(&self) -> f64 {
+        self.ands as f64 / self.seconds.max(1e-9)
     }
 }
 
 fn main() {
     let args = BenchArgs::parse();
+    if args.threads.is_some() {
+        eprintln!("scale runs every phase on one thread; --threads is not supported");
+        std::process::exit(2);
+    }
     obs::set_enabled(true);
     let sizes: Vec<usize> = if args.positional.is_empty() {
         DEFAULT_SIZES.to_vec()
@@ -105,19 +101,13 @@ fn main() {
             .collect()
     };
     let verify = args.verify.unwrap_or(Verify::Off);
-    let threads = args.threads.unwrap_or_else(rayon::current_num_threads);
     let synth_flow = Flow::parse(SYNTH_FLOW).expect("the synth flow parses");
     let dch_flow = Flow::parse("dch").expect("the dch flow parses");
     let library = engine::library(GateFamily::ALL[0]);
     let cache = engine::match_cache(GateFamily::ALL[0]);
     let map_config = args.pipeline_config().map;
-    let serial_pool = pool(1);
-    let parallel_pool = pool(threads);
 
-    println!(
-        "scale harness: sizes {:?}, flow \"{SYNTH_FLOW}\", serial (1 thread) vs parallel ({threads} thread(s))",
-        sizes
-    );
+    println!("scale harness: sizes {sizes:?}, flow \"{SYNTH_FLOW}\"");
     let started = Instant::now();
     let mut rows: Vec<String> = Vec::new();
     for &size in &sizes {
@@ -126,78 +116,52 @@ fn main() {
                 emit_aiger(dir, spec.family, size, &aig);
             }
             let ands = aig.and_count();
-            let counters_before = aig::profile::snapshot();
+            let row_scope = obs::JobScope::begin();
             let spans_before = obs::span_stats();
 
-            // Synth: serial and parallel must agree bit-for-bit. The
-            // serial run keeps its FlowReport so the row can record the
-            // cut database's reuse statistics.
-            let (t_synth_s, (synth_s, synth_report)) =
-                timed_best(&serial_pool, || synth_flow.run_with_report(&aig));
-            let (t_synth_p, (synth_p, _)) =
-                timed_best(&parallel_pool, || synth_flow.run_with_report(&aig));
-            assert!(
-                synth_s.same_structure(&synth_p),
-                "{} {size}: parallel synth diverged from serial",
-                spec.family
-            );
-            let (t_synth_s, t_synth_p) = fold_single_thread(threads, t_synth_s, t_synth_p);
+            // Synth keeps its FlowReport so the row can record the cut
+            // database's reuse statistics.
+            let (t_synth, (synth_aig, synth_report)) =
+                timed_best(|| synth_flow.run_with_report(&aig));
             let synth = Phase {
                 name: "synth",
                 ands,
-                serial_seconds: t_synth_s,
-                parallel_seconds: t_synth_p,
+                seconds: t_synth,
             };
 
             // dch sweep over the raw workload.
-            let (t_dch_s, dch_s) = timed_best(&serial_pool, || dch_flow.run(&aig));
-            let (t_dch_p, dch_p) = timed_best(&parallel_pool, || dch_flow.run(&aig));
-            assert!(
-                dch_s.same_structure(&dch_p),
-                "{} {size}: parallel dch diverged from serial",
-                spec.family
-            );
-            let (t_dch_s, t_dch_p) = fold_single_thread(threads, t_dch_s, t_dch_p);
+            let (t_dch, _) = timed_best(|| dch_flow.run(&aig));
             let dch = Phase {
                 name: "dch",
                 ands,
-                serial_seconds: t_dch_s,
-                parallel_seconds: t_dch_p,
+                seconds: t_dch,
             };
 
             // Mapping the synthesized network (the pipeline's next stage).
-            let map_ands = synth_s.and_count();
-            let map = || {
+            let (t_map, mapped) = timed_best(|| {
                 let cuts = &mut mapper_cut_db(&map_config);
-                techmap::map_subject(Subject::Plain(&synth_s, cuts), library, cache, &map_config)
-            };
-            let (t_map_s, mapped_s) = timed_best(&serial_pool, map);
-            let (t_map_p, mapped_p) = timed_best(&parallel_pool, map);
-            let (t_map_s, t_map_p) = fold_single_thread(threads, t_map_s, t_map_p);
-            let (mapped_s, mapped_p) = match (mapped_s, mapped_p) {
-                (Ok(s), Ok(p)) => (s, p),
-                (Err(e), _) | (_, Err(e)) => {
-                    eprintln!("{} {size}: mapping failed: {e}", spec.family);
-                    std::process::exit(1);
-                }
-            };
-            let row_counters = aig::profile::snapshot().delta_since(&counters_before);
-            assert_eq!(
-                mapped_s.gate_count(),
-                mapped_p.gate_count(),
-                "{} {size}: parallel mapping diverged from serial",
-                spec.family
-            );
+                techmap::map_subject(
+                    Subject::Plain(&synth_aig, cuts),
+                    library,
+                    cache,
+                    &map_config,
+                )
+            });
+            let mapped = mapped.unwrap_or_else(|e| {
+                eprintln!("{} {size}: mapping failed: {e}", spec.family);
+                std::process::exit(1);
+            });
+            let row_counters = aig::profile::scoped(&row_scope);
+            drop(row_scope);
             let map = Phase {
                 name: "map",
-                ands: map_ands,
-                serial_seconds: t_map_s,
-                parallel_seconds: t_map_p,
+                ands: synth_aig.and_count(),
+                seconds: t_map,
             };
 
             if verify == Verify::Sat {
                 let t = Instant::now();
-                let proof = check_equivalence(&aig, &synth_s).unwrap_or_else(|e| {
+                let proof = check_equivalence(&aig, &synth_aig).unwrap_or_else(|e| {
                     eprintln!("{} {size}: verify shape mismatch: {e}", spec.family);
                     std::process::exit(1);
                 });
@@ -217,13 +181,11 @@ fn main() {
 
             for phase in [&synth, &dch, &map] {
                 println!(
-                    "  {:<5} {:>8} {:<5}: {:>12.0} nodes/s serial, {:>12.0} nodes/s parallel ({:.2}x)",
+                    "  {:<5} {:>8} {:<5}: {:>12.0} nodes/s",
                     spec.family,
                     size,
                     phase.name,
-                    phase.serial_nps(),
-                    phase.parallel_nps(),
-                    phase.serial_seconds / phase.parallel_seconds.max(1e-9),
+                    phase.nps(),
                 );
             }
             println!(
@@ -239,8 +201,8 @@ fn main() {
                 spec.family,
                 size,
                 ands,
-                synth_s.and_count(),
-                mapped_s.gate_count(),
+                synth_aig.and_count(),
+                mapped.gate_count(),
                 &[synth, dch, map],
                 &synth_report,
                 &row_counters,
@@ -252,10 +214,9 @@ fn main() {
 
     if let Some(path) = &args.json {
         let doc = format!(
-            "{{\n  \"artifact\": \"scale\",\n  \"flow\": {},\n  \"threads\": {},\n  \
+            "{{\n  \"artifact\": \"scale\",\n  \"flow\": {},\n  \
              \"sizes\": [{}],\n  \"results\": [\n    {}\n  ]\n}}\n",
             bench::qor::json_string(SYNTH_FLOW),
-            threads,
             sizes
                 .iter()
                 .map(ToString::to_string)
@@ -309,42 +270,25 @@ fn spans_top_json(before: &[obs::SpanStat]) -> String {
     format!("[{}]", top.join(", "))
 }
 
-fn pool(threads: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool construction cannot fail for n >= 1")
-}
-
 fn timed<R>(work: impl FnOnce() -> R) -> (f64, R) {
     let t = Instant::now();
     let r = work();
     (t.elapsed().as_secs_f64(), r)
 }
 
-/// Runs `work` [`TIMING_RUNS`] times inside `pool`, returning the fastest
-/// wall-clock and the (deterministic, hence identical) last result.
-fn timed_best<R>(pool: &rayon::ThreadPool, work: impl Fn() -> R + Sync) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut result = None;
-    for _ in 0..TIMING_RUNS {
-        let (t, r) = pool.install(|| timed(&work));
+/// Runs `work` [`TIMING_RUNS`] times, returning the fastest wall-clock
+/// and the (deterministic, hence identical) last result. Only the first
+/// run counts toward the caller's `obs::JobScope`: the repeats run under
+/// a throwaway scope of their own.
+fn timed_best<R>(work: impl Fn() -> R) -> (f64, R) {
+    let (mut best, mut result) = timed(&work);
+    let _repeats = obs::JobScope::begin();
+    for _ in 1..TIMING_RUNS {
+        let (t, r) = timed(&work);
         best = best.min(t);
-        result = Some(r);
+        result = r;
     }
-    (best, result.expect("TIMING_RUNS >= 1"))
-}
-
-/// With one worker the "parallel" pool is configuration-identical to the
-/// serial pool, so both columns report the shared best measurement
-/// instead of sampling the same distribution twice.
-fn fold_single_thread(threads: usize, serial: f64, parallel: f64) -> (f64, f64) {
-    if threads == 1 {
-        let best = serial.min(parallel);
-        (best, best)
-    } else {
-        (serial, parallel)
-    }
+    (best, result)
 }
 
 fn emit_aiger(dir: &str, family: &str, size: usize, aig: &Aig) {
@@ -372,18 +316,17 @@ fn result_json(
     counters: &aig::profile::Counters,
     spans_top: &str,
 ) -> String {
+    // The `serial_` keys are what `tools/scale_guard.py` and the
+    // committed baseline read.
     let phase_json: Vec<String> = phases
         .iter()
         .map(|p| {
             format!(
-                "\"{}\": {{\"ands\": {}, \"serial_seconds\": {}, \"parallel_seconds\": {}, \
-                 \"serial_nodes_per_sec\": {}, \"parallel_nodes_per_sec\": {}}}",
+                "\"{}\": {{\"ands\": {}, \"serial_seconds\": {}, \"serial_nodes_per_sec\": {}}}",
                 p.name,
                 p.ands,
-                bench::qor::json_f64(p.serial_seconds),
-                bench::qor::json_f64(p.parallel_seconds),
-                bench::qor::json_f64(p.serial_nps()),
-                bench::qor::json_f64(p.parallel_nps()),
+                bench::qor::json_f64(p.seconds),
+                bench::qor::json_f64(p.nps()),
             )
         })
         .collect();

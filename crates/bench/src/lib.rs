@@ -40,9 +40,11 @@ pub mod qor;
 ///   choices (a `dch` step is appended when the flow has none) and each
 ///   circuit is mapped over them, keeping the choice netlist whenever it
 ///   uses no more gates;
-/// * `--threads N` — worker-pool width for the parallel hot loops
-///   (`N >= 1`; `1` forces the serial paths). Default: the rayon
-///   environment (`RAYON_NUM_THREADS`, then the machine's parallelism);
+/// * `--threads N` — width of the job fan-out: the Table-1 driver's
+///   circuit × family jobs and the activity simulation's chunks
+///   (`N >= 1`). Default: the rayon environment (`RAYON_NUM_THREADS`,
+///   then the machine's parallelism). `scale`, whose phases run on one
+///   thread, rejects it;
 /// * `--json PATH` — write the machine-readable QoR/runtime artifact
 ///   (supported by `table1`, `engine_smoke`, and `scale`);
 /// * `--trace-out PATH` — enable span tracing and write a
@@ -284,11 +286,10 @@ impl BenchArgs {
 
     /// Runs `work` under the worker pool `--threads` selects: a scoped
     /// rayon pool of exactly `N` threads when the flag was given, the
-    /// process-default pool otherwise. Every bench binary wraps its body
-    /// in this, so serial-vs-parallel comparisons (`--threads 1` vs the
-    /// default) are controllable from any artifact without environment
-    /// variables. Results are identical either way — the hot loops are
-    /// bit-identical at any thread count — only the wall clock moves.
+    /// process-default pool otherwise. The pool sets the width of the
+    /// job fan-out, so `--threads 1` against the default compares one
+    /// thread with many without environment variables. Results are
+    /// identical at any width; only the wall clock moves.
     pub fn with_thread_pool<R>(&self, work: impl FnOnce() -> R) -> R {
         match self.threads {
             Some(n) => rayon::ThreadPoolBuilder::new()

@@ -15,7 +15,8 @@
 //!
 //! Workers never build private thread pools
 //! (`rayon::ThreadPool::install` swaps a *process-global* pool
-//! in the vendored shim): the pipeline's parallel hot loops run on the
+//! in the vendored shim): each job's synthesis and mapping run on its
+//! worker thread, the activity simulation fans its chunks out on the
 //! shared pool, and job-level parallelism comes from the worker count.
 //!
 //! # Warm caches

@@ -159,8 +159,7 @@ pub fn verify_mapping(
 }
 
 /// Verifies by simulation only: exhaustive for ≤ 16 inputs (definitive),
-/// `rounds` random 64-pattern words — rounded up to whole 256-pattern
-/// [`aig::WideWord`] blocks — otherwise (a pass is probabilistic, a
+/// `rounds` random 64-pattern words otherwise (a pass is probabilistic, a
 /// failure is always real and reported as a [`CexReport`]).
 ///
 /// # Errors
@@ -228,20 +227,10 @@ pub fn verify_mapping_sim(
             check_round(&inputs, &expected, mask)?;
         }
     } else {
-        // Random rounds run through the widened simulation kernel: one
-        // AIG pass covers a whole cache-line block of patterns (rounds
-        // are rounded up to full blocks — strictly more coverage).
-        let mut inputs = vec![0u64; n];
-        for _ in 0..rounds.div_ceil(aig::WIDE_WORDS) {
-            let wide: Vec<aig::WideWord> = (0..n).map(|_| rng.next_wide()).collect();
-            let expected = aig::simulate_wide(&aig, &wide);
-            for w in 0..aig::WIDE_WORDS {
-                for (i, block) in wide.iter().enumerate() {
-                    inputs[i] = block[w];
-                }
-                let lane: Vec<u64> = expected.iter().map(|b| b[w]).collect();
-                check_round(&inputs, &lane, u64::MAX)?;
-            }
+        for _ in 0..rounds {
+            let inputs: Vec<u64> = (0..n).map(|_| rng.next_word()).collect();
+            let expected = aig::simulate64(&aig, &inputs);
+            check_round(&inputs, &expected, u64::MAX)?;
         }
     }
     Ok(())
@@ -302,12 +291,13 @@ mod tests {
     use charlib::characterize_library;
     use gate_lib::GateFamily;
 
-    fn adder_aig() -> Aig {
+    /// A `bits`-bit ripple-carry adder: `2 * bits` inputs.
+    fn adder_aig(bits: usize) -> Aig {
         let mut aig = Aig::new();
-        let a: Vec<_> = (0..4).map(|_| aig.input()).collect();
-        let b: Vec<_> = (0..4).map(|_| aig.input()).collect();
+        let a: Vec<_> = (0..bits).map(|_| aig.input()).collect();
+        let b: Vec<_> = (0..bits).map(|_| aig.input()).collect();
         let mut carry = aig::Lit::FALSE;
-        for i in 0..4 {
+        for i in 0..bits {
             let axb = aig.xor(a[i], b[i]);
             let sum = aig.xor(axb, carry);
             let c1 = aig.and(a[i], b[i]);
@@ -319,9 +309,39 @@ mod tests {
         aig
     }
 
+    /// `mapped` with its last output re-routed to a different net.
+    fn reroute_last_output(mapped: &MappedNetlist) -> MappedNetlist {
+        let mut outputs = mapped.outputs().to_vec();
+        let o = outputs.len() - 1;
+        outputs[o] = NetRef::plain(if outputs[o].net == 0 { 1 } else { 0 });
+        MappedNetlist::new(
+            mapped.family,
+            mapped.pi_count,
+            mapped.instances.clone(),
+            outputs,
+        )
+    }
+
+    /// Asserts that `report` is a real disagreement between `aig` and
+    /// `netlist`, checked by simulating both on its pattern.
+    fn assert_real_disagreement(
+        aig: &Aig,
+        netlist: &MappedNetlist,
+        lib: &CharacterizedLibrary,
+        report: &CexReport,
+    ) {
+        assert_eq!(report.inputs.len(), aig.input_count());
+        assert_ne!(report.expected, report.got);
+        let expected = aig::sim::evaluate(aig, &report.inputs);
+        let words: Vec<u64> = report.inputs.iter().map(|&b| u64::from(b)).collect();
+        let got = netlist.output_words(&netlist.simulate64(lib, &words));
+        assert_eq!(expected[report.output], report.expected);
+        assert_eq!(got[report.output] & 1 == 1, report.got);
+    }
+
     #[test]
     fn correct_mappings_prove_in_every_family_and_mode() {
-        let aig = adder_aig();
+        let aig = adder_aig(4);
         for family in GateFamily::ALL {
             let lib = characterize_library(family);
             let mapped = map_aig(&aig, &lib, &MapConfig::default()).expect("maps");
@@ -335,32 +355,15 @@ mod tests {
 
     #[test]
     fn corrupted_netlist_yields_concrete_counterexample() {
-        let aig = adder_aig();
+        let aig = adder_aig(4);
         let lib = characterize_library(GateFamily::Cmos);
         let mapped = map_aig(&aig, &lib, &MapConfig::default()).expect("maps");
-        // Corrupt: re-route the last output to a different net.
-        let mut outputs = mapped.outputs().to_vec();
-        let o = outputs.len() - 1;
-        outputs[o] = NetRef::plain(if outputs[o].net == 0 { 1 } else { 0 });
-        let corrupted = MappedNetlist::new(
-            mapped.family,
-            mapped.pi_count,
-            mapped.instances.clone(),
-            outputs,
-        );
+        let corrupted = reroute_last_output(&mapped);
         let err = verify_mapping(&aig, &corrupted, &lib).expect_err("must fail");
         let VerifyError::Mismatch(report) = err else {
             panic!("expected a counterexample, got {err:?}");
         };
-        assert_eq!(report.inputs.len(), aig.input_count());
-        assert_ne!(report.expected, report.got);
-        // The pattern is a real disagreement, checkable by simulation.
-        let expected = aig::sim::evaluate(&aig, &report.inputs);
-        let words: Vec<u64> = report.inputs.iter().map(|&b| u64::from(b)).collect();
-        let values = corrupted.simulate64(&lib, &words);
-        let got = corrupted.output_words(&values);
-        assert_eq!(expected[report.output], report.expected);
-        assert_eq!(got[report.output] & 1 == 1, report.got);
+        assert_real_disagreement(&aig, &corrupted, &lib, &report);
         assert!(report.to_string().contains("differs on input pattern"));
         // The sim mode finds it too (8 inputs: exhaustive, definitive).
         assert!(matches!(
@@ -370,8 +373,25 @@ mod tests {
     }
 
     #[test]
+    fn random_rounds_catch_a_corrupted_wide_netlist() {
+        // 20 inputs: past the exhaustive limit, so the sim verifier runs
+        // its random rounds.
+        let aig = adder_aig(10);
+        assert!(aig.input_count() > 16);
+        let lib = characterize_library(GateFamily::Cmos);
+        let mapped = map_aig(&aig, &lib, &MapConfig::default()).expect("maps");
+        verify_mapping_sim(&aig, &mapped, &lib, 3, 8).expect("the correct netlist passes");
+        let corrupted = reroute_last_output(&mapped);
+        let err = verify_mapping_sim(&aig, &corrupted, &lib, 3, 8).expect_err("must fail");
+        let VerifyError::Mismatch(report) = err else {
+            panic!("expected a counterexample, got {err:?}");
+        };
+        assert_real_disagreement(&aig, &corrupted, &lib, &report);
+    }
+
+    #[test]
     fn flipped_output_phase_is_caught() {
-        let aig = adder_aig();
+        let aig = adder_aig(4);
         let lib = characterize_library(GateFamily::CntfetGeneralized);
         let mapped = map_aig(&aig, &lib, &MapConfig::default()).expect("maps");
         let mut outputs = mapped.outputs().to_vec();
@@ -391,7 +411,7 @@ mod tests {
 
     #[test]
     fn shape_mismatch_is_typed() {
-        let aig = adder_aig();
+        let aig = adder_aig(4);
         let lib = characterize_library(GateFamily::Cmos);
         let mapped = map_aig(&aig, &lib, &MapConfig::default()).expect("maps");
         let mut outputs = mapped.outputs().to_vec();

@@ -31,7 +31,7 @@ load. The guard exits non-zero when:
     observed exactly once per job served), or `synthd_queue_wait_us`
     saw fewer observations than jobs served, or any histogram's
     cumulative buckets decrease (a malformed exposition);
-  * the frame lacks any of the nine `aig_*_total` engine counters, or
+  * the frame lacks any of the eight `aig_*_total` engine counters, or
     `aig_sat_merge_calls_total` is zero (a SAT-verified run must have
     issued merge queries).
 """
@@ -48,7 +48,6 @@ ENGINE_COUNTERS = (
     "sat_merge_budget_out",
     "sim_words",
     "refine_rounds",
-    "par_tasks",
 )
 
 
