@@ -8,16 +8,9 @@ use crate::graph::{Aig, Lit, Node};
 use std::collections::HashMap;
 
 /// Rebalances the AIG for depth; the function of every output is
-/// preserved (checked by the `check` module in tests).
+/// preserved (checked by the `check` module in tests). This is the
+/// flow's `b` pass. It enumerates no cuts.
 pub fn balance(aig: &Aig) -> Aig {
-    balance_core(aig).0
-}
-
-/// [`balance`] that also reports the old-node → new-literal map (`None`
-/// for nodes that were absorbed into a collapsed AND tree and have no
-/// counterpart). The incremental cut database uses the map to keep the
-/// cuts of cones the balancing left structurally intact.
-pub(crate) fn balance_core(aig: &Aig) -> (Aig, Vec<Option<Lit>>) {
     let fanouts = aig.fanout_counts();
     let mut out = Aig::new();
     let mut levels: Vec<u32> = vec![0];
@@ -29,12 +22,10 @@ pub(crate) fn balance_core(aig: &Aig) -> (Aig, Vec<Option<Lit>>) {
         map.insert(i, lit);
         levels.push(0);
     }
-    let mut result = Aig::new();
-    std::mem::swap(&mut result, &mut out);
     let mut ctx = Ctx {
         aig,
         fanouts,
-        out: result,
+        out,
         levels,
         map,
     };
@@ -53,11 +44,7 @@ pub(crate) fn balance_core(aig: &Aig) -> (Aig, Vec<Option<Lit>>) {
     for l in output_lits {
         ctx.out.output(l);
     }
-    let mut node_map: Vec<Option<Lit>> = vec![None; aig.len()];
-    for (old, lit) in ctx.map {
-        node_map[old as usize] = Some(lit);
-    }
-    (ctx.out, node_map)
+    ctx.out
 }
 
 struct Ctx<'a> {

@@ -1,17 +1,14 @@
 //! K-feasible priority-cut enumeration with cut truth tables.
 //!
-//! Both the technology mapper (k = 6) and the refactoring pass (k = 4)
-//! enumerate cuts with this module. Each cut carries the function of the
-//! node's positive output over the cut leaves.
+//! The technology mapper (k = 6) and the rewriting and refactoring passes
+//! (k = 4) enumerate cuts with this module. Each cut carries the function
+//! of the node's positive output over the cut leaves.
 //!
-//! [`CutDb`] is the persistent form: a flat cut arena keyed to one
-//! network, filled in arena order by [`CutDb::ensure`] and carried
-//! *across* optimization passes by [`CutDb::retarget`], which translates
-//! the cut sets of structurally unchanged cones through a pass's
-//! old-node → new-literal map and invalidates only the dirty remainder.
-//! Pass 2..n of a multi-pass flow therefore recomputes cuts for a small
-//! fraction of the network instead of all of it; the reuse is counted in
-//! [`crate::profile`].
+//! [`CutDb`] is the filled form: a flat cut arena keyed to one network,
+//! filled in arena order by [`CutDb::ensure`]. Each synthesis pass builds
+//! and fills its own database for the network it is handed. The mapper's
+//! database is held by its caller, so one network's k=6 cuts are
+//! enumerated once and served to every library it is mapped onto.
 //!
 //! [`enumerate_cuts_choice`] is the choice-aware variant: cuts of a
 //! class representative may be rooted in any ring member's cone, so the
@@ -120,16 +117,14 @@ impl CutSource for CutDb {
 /// nodes get only their trivial cut (inputs) or nothing (constant).
 ///
 /// This is the one-shot convenience wrapper around [`CutDb`]: it fills a
-/// fresh database and unpacks it into the per-node vector layout. Flows
-/// that run several passes over the same network should hold a [`CutDb`]
-/// instead and let [`CutDb::retarget`] carry cuts across passes.
+/// fresh database and unpacks it into the per-node vector layout.
 pub fn enumerate_cuts(aig: &Aig, config: CutConfig) -> Vec<Vec<Cut>> {
     let mut db = CutDb::new(config);
     db.ensure(aig);
-    db.into_per_node()
+    (0..aig.len() as u32).map(|i| db.cuts(i).to_vec()).collect()
 }
 
-/// A persistent, incrementally maintained cut database.
+/// A cut database keyed to one network.
 ///
 /// The cuts live in one flat arena (`store`) with a `(start, end)` span
 /// per node — the fill appends pruned cuts straight into the arena, so
@@ -138,25 +133,16 @@ pub fn enumerate_cuts(aig: &Aig, config: CutConfig) -> Vec<Vec<Cut>> {
 ///
 /// Lifecycle: [`CutDb::ensure`] computes the cut sets of every node that
 /// has none, in one walk over the arena in index order, which is
-/// topological (fanins precede their consumers). After a pass transforms
-/// the network, [`CutDb::retarget`] re-keys the database to the new network:
-/// cones the pass left structurally intact (same AND shape over the
-/// translated fanins, same operand order, clean all the way down) keep
-/// their cuts — leaves renamed through the map, truth tables permuted to
-/// the re-sorted leaf order — while every other node is marked dirty and
-/// recomputed by the next `ensure`. [`CutDb::reset`] drops everything
-/// (used after passes that cannot produce a node map).
+/// topological (fanins precede their consumers). Nodes already filled are
+/// skipped, so a caller that maps one network several times pays for the
+/// enumeration once. [`CutDb::reset`] drops everything.
 #[derive(Clone, Debug)]
 pub struct CutDb {
     config: CutConfig,
     /// Flat cut arena; a node's cuts are `store[span[n].0..span[n].1]`.
     store: Vec<Cut>,
-    /// Per-node spans into `store`; `None` = dirty (not computed).
+    /// Per-node spans into `store`; `None` = not computed yet.
     span: Vec<Option<(u32, u32)>>,
-    /// Cut sets served from the database without recompute.
-    reused: u64,
-    /// Cut sets enumerated from fanin cut sets.
-    computed: u64,
 }
 
 impl CutDb {
@@ -167,8 +153,6 @@ impl CutDb {
             config,
             store: Vec::new(),
             span: Vec::new(),
-            reused: 0,
-            computed: 0,
         }
     }
 
@@ -177,7 +161,7 @@ impl CutDb {
         self.config
     }
 
-    /// The stored cuts of `node` (empty while the node is dirty).
+    /// The stored cuts of `node` (empty until [`CutDb::ensure`] fills it).
     pub fn cuts(&self, node: u32) -> &[Cut] {
         match self.span.get(node as usize).copied().flatten() {
             Some((s, e)) => &self.store[s as usize..e as usize],
@@ -185,35 +169,18 @@ impl CutDb {
         }
     }
 
-    /// Whether `node` has a computed (non-dirty) cut set.
-    pub fn is_valid(&self, node: u32) -> bool {
-        self.span
-            .get(node as usize)
-            .is_some_and(|span| span.is_some())
-    }
-
-    /// Cut sets served without recompute so far (monotone).
-    pub fn reused(&self) -> u64 {
-        self.reused
-    }
-
-    /// Cut sets enumerated so far (monotone).
-    pub fn computed(&self) -> u64 {
-        self.computed
-    }
-
     /// Drops every stored cut; the next [`CutDb::ensure`] recomputes
-    /// from scratch. Used after a pass that cannot report a node map.
+    /// from scratch.
     pub fn reset(&mut self) {
         self.store.clear();
         self.span.clear();
     }
 
-    /// Computes the cut sets of every dirty node of `aig`, in index
-    /// order. The database must be keyed to `aig` (freshly created,
-    /// [`CutDb::reset`], or [`CutDb::retarget`]ed through the map of the
-    /// pass that produced `aig`); a node-count mismatch falls back to a
-    /// full recompute.
+    /// Computes the cut sets of every node of `aig` that has none, in
+    /// index order. The database must be fresh, [`CutDb::reset`], or
+    /// already filled for `aig`; a node-count mismatch falls back to a
+    /// full recompute. Skipped nodes count as reused cut sets in
+    /// [`crate::profile`], enumerated ones as computed.
     pub fn ensure(&mut self, aig: &Aig) {
         if self.span.len() != aig.len() {
             self.reset();
@@ -246,138 +213,9 @@ impl CutDb {
             self.store.push(Cut::trivial(idx as u32));
             self.span[idx] = Some((s, self.store.len() as u32));
         }
-        self.reused += reused;
-        self.computed += computed;
         profile::add(Work::CutsReused, reused);
         profile::add(Work::CutsComputed, computed);
     }
-
-    /// Re-keys the database from `old` to `new` through a pass's
-    /// old-node → new-literal map (`None` = the pass dropped the node).
-    ///
-    /// A node is *clean* when its new counterpart is the same AND over
-    /// the translated fanin literals — positive mapping, operand order
-    /// preserved by the renaming — and both fanin cones are recursively
-    /// clean. For a clean node, elementwise translation of its stored
-    /// cuts (rename leaves, re-sort, permute the truth table) is
-    /// *identical* to from-scratch enumeration on `new`: the fanin cut
-    /// sets agree in content and order by induction, merge order and the
-    /// priority prune are invariant under the injective leaf renaming
-    /// (the length sort is stable), and the edge complements are
-    /// unchanged. Everything else is marked dirty for the next
-    /// [`CutDb::ensure`]. An operand-order swap is treated as dirty
-    /// because it transposes the merge-pair enumeration, which can
-    /// change which cuts survive the prune.
-    pub fn retarget(&mut self, old: &Aig, new: &Aig, map: &[Option<Lit>]) {
-        if self.span.len() != old.len() || map.len() != old.len() {
-            // Not keyed to `old`: drop everything and key to `new`.
-            self.reset();
-            self.span.resize(new.len(), None);
-            return;
-        }
-        let mut store: Vec<Cut> = Vec::new();
-        let mut span: Vec<Option<(u32, u32)>> = vec![None; new.len()];
-        span[0] = Some((0, 0));
-        for &i in new.input_nodes() {
-            let s = store.len() as u32;
-            store.push(Cut::trivial(i));
-            span[i as usize] = Some((s, s + 1));
-        }
-        let mut clean = vec![false; old.len()];
-        clean[0] = map[0] == Some(Lit::FALSE);
-        for (ord, &i) in old.input_nodes().iter().enumerate() {
-            clean[i as usize] = match map[i as usize] {
-                Some(l) if !l.is_complement() => new.input_nodes().get(ord) == Some(&l.node()),
-                _ => false,
-            };
-        }
-        'nodes: for idx in 0..old.len() {
-            let Node::And(a, b) = old.node(idx as u32) else {
-                continue;
-            };
-            let Some(l) = map[idx] else { continue };
-            if l.is_complement() {
-                continue;
-            }
-            if !clean[a.node() as usize] || !clean[b.node() as usize] {
-                continue;
-            }
-            let (Some(la), Some(lb)) = (map[a.node() as usize], map[b.node() as usize]) else {
-                continue;
-            };
-            let ta = if a.is_complement() { la.not() } else { la };
-            let tb = if b.is_complement() { lb.not() } else { lb };
-            if ta.0 > tb.0 {
-                // The renaming swapped the operand order.
-                continue;
-            }
-            if new.node(l.node()) != Node::And(ta, tb) {
-                continue;
-            }
-            clean[idx] = true;
-            let Some((s, e)) = self.span[idx] else {
-                continue;
-            };
-            let nidx = l.node() as usize;
-            if span[nidx].is_some() {
-                continue;
-            }
-            let start = store.len();
-            for cut in &self.store[s as usize..e as usize] {
-                match translate_cut(cut, map) {
-                    Some(c) => store.push(c),
-                    None => {
-                        // Defensive: a clean cone's cut leaves are always
-                        // mapped positively, but never translate halfway.
-                        store.truncate(start);
-                        continue 'nodes;
-                    }
-                }
-            }
-            span[nidx] = Some((start as u32, store.len() as u32));
-        }
-        self.store = store;
-        self.span = span;
-    }
-
-    /// Unpacks into the per-node vector layout (cloning the cuts of
-    /// valid nodes; dirty nodes come out empty).
-    pub fn into_per_node(self) -> Vec<Vec<Cut>> {
-        (0..self.span.len())
-            .map(|i| self.cuts(i as u32).to_vec())
-            .collect()
-    }
-}
-
-/// Translates one cut through an old-node → new-literal map: leaves are
-/// renamed (must map to positive literals, injectively), re-sorted, and
-/// the truth table permuted to the new leaf order. `None` when any leaf
-/// is dropped, complemented, or collides after renaming.
-fn translate_cut(cut: &Cut, map: &[Option<Lit>]) -> Option<Cut> {
-    let k = cut.leaves.len();
-    debug_assert!(k <= 6);
-    let mut renamed = [(0u32, 0usize); 6];
-    for (i, &leaf) in cut.leaves.iter().enumerate() {
-        let l = (*map.get(leaf as usize)?)?;
-        if l.is_complement() {
-            return None;
-        }
-        renamed[i] = (l.node(), i);
-    }
-    let renamed = &mut renamed[..k];
-    renamed.sort_unstable();
-    if renamed.windows(2).any(|w| w[0].0 == w[1].0) {
-        return None;
-    }
-    let leaves: Vec<u32> = renamed.iter().map(|&(n, _)| n).collect();
-    let identity = renamed.iter().enumerate().all(|(pos, &(_, i))| pos == i);
-    let tt = if identity {
-        cut.tt
-    } else {
-        let perm: Vec<usize> = renamed.iter().map(|&(_, i)| i).collect();
-        cut.tt.permute(&perm)
-    };
-    Some(Cut { leaves, tt })
 }
 
 /// Enumerates cuts over a choice network: one cut set per equivalence
@@ -837,104 +675,33 @@ mod tests {
     fn cutdb_matches_one_shot_enumeration() {
         let aig = sample_network();
         let config = CutConfig { k: 4, max_cuts: 6 };
+        let scope = obs::JobScope::begin();
         let mut db = CutDb::new(config);
         db.ensure(&aig);
+        let first = profile::scoped(&scope);
+        assert!(first.cuts_computed > 0);
+        assert_eq!(first.cuts_reused, 0, "first fill computes everything");
+        // A second ensure on the same network is pure reuse.
+        db.ensure(&aig);
+        let second = profile::scoped(&scope).delta_since(&first);
+        assert_eq!(second.cuts_computed, 0);
+        assert!(second.cuts_reused > 0);
         let per_node = enumerate_cuts(&aig, config);
         for idx in 0..aig.len() as u32 {
             assert_eq!(db.cuts(idx), &per_node[idx as usize][..], "node {idx}");
-        }
-        assert!(db.computed() > 0);
-        assert_eq!(db.reused(), 0, "first fill computes everything");
-        // A second ensure on the same network is pure reuse.
-        let computed_before = db.computed();
-        db.ensure(&aig);
-        assert_eq!(db.computed(), computed_before);
-        assert!(db.reused() > 0);
-    }
-
-    #[test]
-    fn cutdb_retarget_through_identity_cleanup_keeps_everything() {
-        let aig = sample_network();
-        let config = CutConfig { k: 4, max_cuts: 8 };
-        let mut db = CutDb::new(config);
-        db.ensure(&aig);
-        let computed = db.computed();
-        let (clean, map) = aig.cleanup_with_map();
-        assert!(aig.same_structure(&clean), "network was already compact");
-        db.retarget(&aig, &clean, &map);
-        db.ensure(&clean);
-        assert_eq!(
-            db.computed(),
-            computed,
-            "identity retarget recomputes nothing"
-        );
-        let fresh = enumerate_cuts(&clean, config);
-        for idx in 0..clean.len() as u32 {
-            assert_eq!(db.cuts(idx), &fresh[idx as usize][..], "node {idx}");
-        }
-    }
-
-    #[test]
-    fn cutdb_retarget_after_dropping_a_cone_matches_fresh_enumeration() {
-        // Build a network with a dangling cone, enumerate, then cleanup:
-        // surviving cones must keep their cuts (renamed), and the result
-        // must equal from-scratch enumeration on the cleaned network.
-        let mut aig = Aig::new();
-        let xs: Vec<Lit> = (0..5).map(|_| aig.input()).collect();
-        let keep1 = aig.and(xs[0], xs[1]);
-        let dead = aig.xor(xs[1], xs[2]); // becomes dangling
-        let _dead2 = aig.and(dead, xs[3]);
-        let keep2 = aig.and(keep1, xs[4].not());
-        let keep3 = aig.xor(keep2, xs[3]);
-        aig.output(keep3);
-        let config = CutConfig { k: 4, max_cuts: 6 };
-        let mut db = CutDb::new(config);
-        db.ensure(&aig);
-        let computed = db.computed();
-        let (clean, map) = aig.cleanup_with_map();
-        assert!(clean.and_count() < aig.and_count());
-        db.retarget(&aig, &clean, &map);
-        db.ensure(&clean);
-        // The surviving cone is structurally untouched, only renamed —
-        // nothing to recompute.
-        assert_eq!(db.computed(), computed);
-        let fresh = enumerate_cuts(&clean, config);
-        for idx in 0..clean.len() as u32 {
-            assert_eq!(db.cuts(idx), &fresh[idx as usize][..], "node {idx}");
         }
     }
 
     #[test]
     fn cutdb_reset_forgets_and_recomputes() {
         let aig = sample_network();
+        let scope = obs::JobScope::begin();
         let mut db = CutDb::new(CutConfig { k: 4, max_cuts: 8 });
         db.ensure(&aig);
-        let computed = db.computed();
+        let computed = profile::scoped(&scope).cuts_computed;
         db.reset();
         assert!(db.cuts(aig.len() as u32 - 1).is_empty());
         db.ensure(&aig);
-        assert_eq!(db.computed(), 2 * computed);
-    }
-
-    #[test]
-    fn translate_cut_permutes_the_truth_table() {
-        // Leaves 2,5 renamed to 9,4: the sorted order flips, so variable
-        // 0 and 1 must swap in the truth table.
-        let cut = Cut {
-            leaves: vec![2, 5],
-            tt: TruthTable::var(2, 0) & !TruthTable::var(2, 1),
-        };
-        let mut map: Vec<Option<Lit>> = vec![None; 6];
-        map[2] = Some(Lit::new(9, false));
-        map[5] = Some(Lit::new(4, false));
-        let t = translate_cut(&cut, &map).expect("translates");
-        assert_eq!(t.leaves, vec![4, 9]);
-        assert_eq!(t.tt, !TruthTable::var(2, 0) & TruthTable::var(2, 1));
-        // A complemented mapping refuses to translate.
-        map[5] = Some(Lit::new(4, true));
-        assert!(translate_cut(&cut, &map).is_none());
-        // A collision refuses to translate.
-        map[5] = Some(Lit::new(9, false));
-        assert!(translate_cut(&cut, &map).is_none());
+        assert_eq!(profile::scoped(&scope).cuts_computed, 2 * computed);
     }
 }

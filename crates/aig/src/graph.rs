@@ -328,16 +328,9 @@ impl Aig {
     }
 
     /// Rebuilds the AIG keeping only logic reachable from the outputs
-    /// (removes dangling nodes); input count and order are preserved.
+    /// (removes dangling nodes); input count and order are preserved, and
+    /// surviving AND nodes keep their relative (topological) order.
     pub fn cleanup(&self) -> Aig {
-        self.cleanup_with_map().0
-    }
-
-    /// [`Aig::cleanup`] that also returns the old-node → new-literal map
-    /// (`None` for nodes the cleanup dropped). The map is what lets the
-    /// incremental cut database ([`crate::cuts::CutDb`]) follow a pass
-    /// through its internal cleanup instead of being invalidated by it.
-    pub fn cleanup_with_map(&self) -> (Aig, Vec<Option<Lit>>) {
         let mut out = Aig::new();
         let mut map: Vec<Option<Lit>> = vec![None; self.len()];
         map[0] = Some(Lit::FALSE);
@@ -376,19 +369,8 @@ impl Aig {
             let l = map[o.node() as usize].expect("outputs are reachable");
             out.output(if o.is_complement() { l.not() } else { l });
         }
-        (out, map)
+        out
     }
-}
-
-/// Composes a total old-node → literal map with a second (possibly
-/// partial) map over the intermediate graph: `result[i] = m2[m1[i]]`
-/// with complement bits folded, `None` where the second map dropped the
-/// node. This is how a pass chains its construction map with the map of
-/// its trailing [`Aig::cleanup_with_map`].
-pub fn compose_maps(m1: &[Lit], m2: &[Option<Lit>]) -> Vec<Option<Lit>> {
-    m1.iter()
-        .map(|l| m2[l.node() as usize].map(|t| if l.is_complement() { t.not() } else { t }))
-        .collect()
 }
 
 #[cfg(test)]

@@ -73,4 +73,4 @@ pub use graph::{Aig, Lit};
 pub use refactor::refactor;
 pub use rewrite::{rewrite, rewrite_with, RewriteConfig, RewriteLibrary};
 pub use sim::simulate64;
-pub use synth::{synthesize, Flow, FlowCuts, FlowError, FlowReport, Metrics, Pass, DEFAULT_FLOW};
+pub use synth::{synthesize, Flow, FlowError, FlowReport, Metrics, Pass, DEFAULT_FLOW};

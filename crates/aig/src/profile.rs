@@ -11,7 +11,8 @@ use std::sync::OnceLock;
 /// One value per engine counter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
-    /// Cut sets served from the incremental database without recompute.
+    /// Cut sets a [`CutDb::ensure`](crate::CutDb::ensure) found already
+    /// filled (a warm mapper database mapping one network again).
     pub cuts_reused: u64,
     /// Cut sets enumerated from fanin cut sets.
     pub cuts_computed: u64,

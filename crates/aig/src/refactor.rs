@@ -2,29 +2,19 @@
 //! their cut functions when the SOP form is cheaper (ABC's `refactor`,
 //! first-order).
 
-use crate::cuts::{CutConfig, CutDb, CutSource};
-use crate::graph::{compose_maps, Aig, Lit, Node};
+use crate::cuts::{CutConfig, CutDb};
+use crate::graph::{Aig, Lit, Node};
 use logic::sop::isop;
 
-/// The enumeration parameters the refactoring pass uses (and the flow's
-/// refactor cut database is keyed to).
-pub(crate) const REFACTOR_CUTS: CutConfig = CutConfig { k: 4, max_cuts: 6 };
-
-/// One refactoring pass. The returned AIG is functionally equivalent;
-/// callers (see [`synthesize`](crate::synth::synthesize)) keep it only when
-/// it actually shrinks the network.
+/// One refactoring pass (the flow's `rf`): enumerates the 4-cuts of
+/// `aig` (at most 6 per node) into a database of its own, then rebuilds
+/// each node from the cheapest SOP of its cuts when that beats the cone
+/// it replaces. The returned AIG is functionally equivalent; callers (see
+/// [`synthesize`](crate::synth::synthesize)) keep it only when it
+/// actually shrinks the network.
 pub fn refactor(aig: &Aig) -> Aig {
-    let mut db = CutDb::new(REFACTOR_CUTS);
-    refactor_core(aig, &mut db).0
-}
-
-/// [`refactor`] against a persistent cut database: cuts of `aig` are
-/// taken from (and missing ones computed into) `db`, and the old-node →
-/// new-literal map of the transformation is returned alongside the
-/// network so the caller can retarget its databases.
-pub(crate) fn refactor_core(aig: &Aig, db: &mut CutDb) -> (Aig, Vec<Option<Lit>>) {
-    db.ensure(aig);
-    let cuts: &CutDb = db;
+    let mut cuts = CutDb::new(CutConfig { k: 4, max_cuts: 6 });
+    cuts.ensure(aig);
     let mut out = Aig::new();
     let mut map: Vec<Lit> = vec![Lit::FALSE; aig.len()];
     for (pos, &i) in aig.input_nodes().iter().enumerate() {
@@ -40,7 +30,7 @@ pub(crate) fn refactor_core(aig: &Aig, db: &mut CutDb) -> (Aig, Vec<Option<Lit>>
         // Alternative: SOP rebuild of the best non-trivial cut.
         let mut best = copied;
         let mut best_cost = usize::MAX;
-        for cut in cuts.cuts_of(idx as u32) {
+        for cut in cuts.cuts(idx as u32) {
             if cut.leaves.len() < 2 || cut.leaves.len() > 4 {
                 continue;
             }
@@ -64,9 +54,7 @@ pub(crate) fn refactor_core(aig: &Aig, db: &mut CutDb) -> (Aig, Vec<Option<Lit>>
         let l = apply(map[o.node() as usize], *o);
         out.output(l);
     }
-    let (result, cleanup_map) = out.cleanup_with_map();
-    let node_map = compose_maps(&map, &cleanup_map);
-    (result, node_map)
+    out.cleanup()
 }
 
 fn apply(mapped: Lit, edge: Lit) -> Lit {

@@ -19,8 +19,8 @@
 //! against the evolving output graph), the cleaned input is returned
 //! unchanged.
 
-use crate::cuts::{CutConfig, CutDb, CutSource};
-use crate::graph::{compose_maps, Aig, Lit, Node};
+use crate::cuts::{CutConfig, CutDb};
+use crate::graph::{Aig, Lit, Node};
 use logic::npn::{npn_canon, NpnCanon};
 use logic::sop::isop;
 use logic::TruthTable;
@@ -643,80 +643,29 @@ pub fn rewrite(aig: &Aig) -> Aig {
     rewrite_with(aig, &RewriteConfig::default())
 }
 
-/// One DAG-aware rewriting pass. The returned AIG is functionally
-/// equivalent and never larger than the (cleaned) input; callers — the
-/// [`Flow`](crate::synth::Flow) engine — additionally gate acceptance on
-/// their own criteria and, in debug builds, on a SAT equivalence proof.
+/// One DAG-aware rewriting pass (the flow's `rw`, `rw -z`, `rw -l`). The
+/// returned AIG is functionally equivalent and never larger than the
+/// cleaned input; callers — the [`Flow`](crate::synth::Flow) engine —
+/// additionally gate acceptance on their own criteria and, in debug
+/// builds, on a SAT equivalence proof.
 ///
-/// The pass walks the input's AND nodes once, in index (topological)
-/// order. Each node's 4-cuts are canonized (through one per-pass memo)
-/// and sized (MFFC against the immutable input graph), then priced
-/// against the evolving output graph; the best candidate is committed
-/// before the walk moves on.
+/// The pass first cleans its input: the commit loop walks the arena in
+/// index order, so a dangling node or a different numbering would shift
+/// its tie-breaks, and the result must not depend on whether the caller
+/// hands it a compact network. It then enumerates the cleaned network's
+/// 4-cuts into a database of its own and walks the AND nodes once, in
+/// index (topological) order. Each node's cuts are canonized (through
+/// one per-pass memo) and sized (MFFC against the immutable input
+/// graph), then priced against the evolving output graph; the best
+/// candidate is committed before the walk moves on.
 pub fn rewrite_with(aig: &Aig, config: &RewriteConfig) -> Aig {
-    let mut db = CutDb::new(CutConfig {
+    let lib = library();
+    let input = aig.cleanup();
+    let mut cuts = CutDb::new(CutConfig {
         k: 4,
         max_cuts: config.max_cuts,
     });
-    rewrite_clean(aig, config, &mut db).0
-}
-
-/// [`rewrite_core`] behind the same input `cleanup` the public wrapper
-/// performs — the pass's result must not depend on whether the caller
-/// hands it a compact network, and the commit loop walks the arena in
-/// index order, so a dangling node or a different numbering would shift
-/// its tie-breaks. The database arrives keyed to `aig`, is retargeted
-/// onto the cleaned copy for the core, and is re-keyed to `aig`'s node
-/// space afterwards so the caller's bookkeeping (the flow retargets it
-/// through the returned map on acceptance) stays valid. The returned
-/// map is over `aig`'s node space: the cleanup map composed with the
-/// core's.
-pub(crate) fn rewrite_clean(
-    aig: &Aig,
-    config: &RewriteConfig,
-    db: &mut CutDb,
-) -> (Aig, Vec<Option<Lit>>) {
-    let (clean, to_clean) = aig.cleanup_with_map();
-    db.retarget(aig, &clean, &to_clean);
-    let (out, core_map) = rewrite_core(&clean, config, db);
-    // The cleanup map is injective on surviving nodes, so it inverts
-    // into a clean-node → old-literal map that re-keys the database.
-    let mut from_clean: Vec<Option<Lit>> = vec![None; clean.len()];
-    from_clean[0] = Some(Lit::FALSE);
-    for (i, slot) in to_clean.iter().enumerate() {
-        if let Some(l) = slot {
-            if l.node() != 0 {
-                from_clean[l.node() as usize] = Some(Lit::new(i as u32, l.is_complement()));
-            }
-        }
-    }
-    db.retarget(&clean, aig, &from_clean);
-    let map = to_clean
-        .iter()
-        .map(|slot| {
-            slot.and_then(|l| {
-                core_map[l.node() as usize].map(|m| if l.is_complement() { m.not() } else { m })
-            })
-        })
-        .collect();
-    (out, map)
-}
-
-/// [`rewrite_with`] against a persistent cut database: cuts of `aig` are
-/// taken from (and missing ones computed into) `db`, and the old-node →
-/// new-literal map of the transformation is returned alongside the
-/// network so the caller can retarget its databases. Unlike the public
-/// wrapper this does not clean up the input first — the flow engine
-/// always hands it a compact network the database is keyed to.
-pub(crate) fn rewrite_core(
-    aig: &Aig,
-    config: &RewriteConfig,
-    db: &mut CutDb,
-) -> (Aig, Vec<Option<Lit>>) {
-    let lib = library();
-    let input = aig;
-    db.ensure(input);
-    let cuts: &CutDb = db;
+    cuts.ensure(&input);
     let refs = input.fanout_counts();
     // Per-pass canonization memo: the same cut function recurs across
     // many nodes (mirrors the mapper's `Matcher`).
@@ -745,7 +694,7 @@ pub(crate) fn rewrite_core(
             }
         };
         let mut best: Option<(i64, i64, Plan)> = None;
-        for cut in cuts.cuts_of(idx as u32) {
+        for cut in cuts.cuts(idx as u32) {
             if cut.is_trivial(idx as u32) {
                 continue;
             }
@@ -758,7 +707,7 @@ pub(crate) fn rewrite_core(
             if config.level_aware && root_level > copy_level {
                 continue;
             }
-            let freed = mffc_size_ro(input, idx as u32, &cut.leaves, refs) as i64;
+            let freed = mffc_size_ro(&input, idx as u32, &cut.leaves, refs) as i64;
             let gain = freed - added as i64;
             if best.as_ref().is_none_or(|(g, _, _)| gain > *g) {
                 best = Some((gain, added as i64, plan));
@@ -786,17 +735,12 @@ pub(crate) fn rewrite_core(
         let l = edge(map[o.node() as usize], *o);
         out.output(l);
     }
-    let (result, cleanup_map) = out.cleanup_with_map();
+    let result = out.cleanup();
+    // No-growth guard: fall back to the cleaned input unchanged.
     if result.and_count() > input.and_count() {
-        // No-growth guard: fall back to the input unchanged, with the
-        // identity map (every node survives as itself).
-        let identity = (0..input.len())
-            .map(|i| Some(Lit::new(i as u32, false)))
-            .collect();
-        (input.clone(), identity)
+        input
     } else {
-        let node_map = compose_maps(&map, &cleanup_map);
-        (result, node_map)
+        result
     }
 }
 
@@ -1059,32 +1003,42 @@ mod tests {
         assert!(z.and_count() <= aig.cleanup().and_count());
     }
 
+    /// A seeded network over 7 inputs: `ops` random AND/XOR/OR
+    /// operations and 4 outputs. With `dead`, every fourth operation is
+    /// followed by an AND that nothing reads.
+    fn random_network(seed: u64, ops: usize, dead: bool) -> Aig {
+        let mut aig = Aig::new();
+        let mut nets: Vec<Lit> = (0..7).map(|_| aig.input()).collect();
+        let mut s = seed | 1;
+        for op in 0..ops {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let a = nets[(s as usize) % nets.len()];
+            let b = nets[(s as usize >> 8) % nets.len()];
+            let f = match s % 3 {
+                0 => aig.and(a, b.not()),
+                1 => aig.xor(a, b),
+                _ => aig.or(a, b),
+            };
+            nets.push(f);
+            if dead && op % 4 == 3 {
+                aig.and(f.not(), nets[(s as usize >> 16) % nets.len()]);
+            }
+        }
+        for k in 0..4 {
+            aig.output(nets[nets.len() - 1 - k]);
+        }
+        aig
+    }
+
     #[test]
     fn level_aware_mode_never_deepens() {
         // `rw -l` prices every candidate's root level against the plain
         // structural copy, which composes into a global guarantee: the
         // rewritten network is never deeper than the (cleaned) input.
         for seed in [1u64, 9, 0xBEE, 0xFEED] {
-            let mut aig = Aig::new();
-            let xs: Vec<Lit> = (0..7).map(|_| aig.input()).collect();
-            let mut nets = xs.clone();
-            let mut s = seed | 1;
-            for _ in 0..50 {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                let a = nets[(s as usize) % nets.len()];
-                let b = nets[(s as usize >> 8) % nets.len()];
-                let f = match s % 3 {
-                    0 => aig.and(a, b.not()),
-                    1 => aig.xor(a, b),
-                    _ => aig.or(a, b),
-                };
-                nets.push(f);
-            }
-            for k in 0..4 {
-                aig.output(nets[nets.len() - 1 - k]);
-            }
+            let aig = random_network(seed, 50, false);
             let cleaned = aig.cleanup();
             let rewritten = rewrite_with(
                 &aig,
@@ -1101,6 +1055,28 @@ mod tests {
                 rewritten.depth()
             );
             assert!(rewritten.and_count() <= cleaned.and_count());
+        }
+    }
+
+    #[test]
+    fn dead_nodes_and_numbering_do_not_change_the_result() {
+        // The commit loop breaks ties in arena order, so the pass must
+        // clean its input first: a network with dead ANDs among the live
+        // ones rewrites exactly as its compact copy does.
+        for seed in (1u64..16).step_by(2) {
+            let aig = random_network(seed, 60, true);
+            assert!(aig.and_count() > aig.cleanup().and_count(), "seed {seed}");
+            for zero_gain in [false, true] {
+                let config = RewriteConfig {
+                    zero_gain,
+                    ..RewriteConfig::default()
+                };
+                assert!(
+                    rewrite_with(&aig, &config)
+                        .same_structure(&rewrite_with(&aig.cleanup(), &config)),
+                    "seed {seed}, zero_gain {zero_gain}"
+                );
+            }
         }
     }
 

@@ -9,8 +9,11 @@
 //! is SAT-proven equivalent to its input
 //! ([`crate::check::check_equivalence`]) and an unsound pass panics with
 //! the counterexample instead of silently corrupting the network.
-//! [`Flow::run_with_report`] additionally returns a [`FlowReport`] with
-//! per-pass node/depth deltas and wall-clock timing.
+//! [`Flow::run_with_choices`] also returns a [`FlowReport`] with per-pass
+//! node/depth deltas and wall-clock timing. Each pass is one public
+//! function ([`balance`], [`rewrite_with`], [`refactor`]) that enumerates
+//! whatever cuts it needs for the network it is handed, so nothing but
+//! the network passes from one step to the next.
 //!
 //! The `dch` step is the choice collector: the flow snapshots every
 //! candidate network (accepted or rejected — each is an equivalent
@@ -21,12 +24,11 @@
 //! SAT sweep: the current network with every proven class collapsed onto
 //! its representative.
 
-use crate::balance::balance_core;
+use crate::balance::balance;
 use crate::choice::ChoiceAig;
-use crate::cuts::{CutConfig, CutDb};
-use crate::graph::{Aig, Lit};
-use crate::refactor::{refactor_core, REFACTOR_CUTS};
-use crate::rewrite::{rewrite_clean, RewriteConfig};
+use crate::graph::Aig;
+use crate::refactor::refactor;
+use crate::rewrite::{rewrite_with, RewriteConfig};
 use std::time::{Duration, Instant};
 
 /// The default synthesis script: balance for depth, rewrite and refactor
@@ -55,67 +57,6 @@ impl Metrics {
     }
 }
 
-/// The old-node → new-literal map a pass reports alongside its candidate
-/// network: `None` entries are nodes the pass dropped.
-pub type NodeMap = Vec<Option<Lit>>;
-
-/// The persistent cut databases one [`Flow`] run owns and threads
-/// through every step. Rewrite and refactor keep *separate* databases:
-/// both enumerate 4-cuts, but with different priority caps (8 vs 6), and
-/// the sets are not interchangeable — a fanin's stored cut-set size
-/// feeds its consumers' merge pools, so truncating an 8-cut database
-/// does not reproduce from-scratch 6-cut enumeration.
-pub struct FlowCuts {
-    /// k=4 / max_cuts=8 database the rewrite passes consume.
-    pub rewrite: CutDb,
-    /// k=4 / max_cuts=6 database the refactor pass consumes.
-    pub refactor: CutDb,
-}
-
-impl FlowCuts {
-    /// Fresh, empty databases.
-    pub fn new() -> Self {
-        Self {
-            rewrite: CutDb::new(CutConfig {
-                k: 4,
-                max_cuts: RewriteConfig::default().max_cuts,
-            }),
-            refactor: CutDb::new(REFACTOR_CUTS),
-        }
-    }
-
-    /// Re-keys both databases after an accepted step: translated through
-    /// the pass's node map when one exists, dropped otherwise. Public so
-    /// callers driving [`Pass::apply`] outside a [`Flow`] can keep the
-    /// databases keyed to the network they accept.
-    pub fn retarget(&mut self, old: &Aig, new: &Aig, map: Option<&NodeMap>) {
-        match map {
-            Some(map) => {
-                self.rewrite.retarget(old, new, map);
-                self.refactor.retarget(old, new, map);
-            }
-            None => {
-                self.rewrite.reset();
-                self.refactor.reset();
-            }
-        }
-    }
-
-    /// Cut reuse/compute totals summed over both databases.
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.rewrite.reused() + self.refactor.reused(),
-            self.rewrite.computed() + self.refactor.computed(),
-        )
-    }
-}
-
-impl Default for FlowCuts {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// One synthesis pass: a transformation plus its accept criterion.
 ///
 /// `apply` must return a functionally equivalent network (the flow
@@ -126,10 +67,9 @@ impl Default for FlowCuts {
 pub trait Pass {
     /// Script token for reports and error messages (`"b"`, `"rw -z"`, …).
     fn name(&self) -> &'static str;
-    /// Proposes a rewritten network against the flow's persistent cut
-    /// databases, together with the old-node → new-literal map the flow
-    /// retargets the databases through on acceptance.
-    fn apply(&self, aig: &Aig, cuts: &mut FlowCuts) -> (Aig, NodeMap);
+    /// Proposes a rewritten network. A pass that works on cuts
+    /// enumerates them itself, for the network it is handed.
+    fn apply(&self, aig: &Aig) -> Aig;
     /// Whether the candidate should replace the current network.
     fn accept(&self, before: Metrics, after: Metrics) -> bool;
 }
@@ -142,8 +82,8 @@ impl Pass for BalancePass {
         "b"
     }
 
-    fn apply(&self, aig: &Aig, _cuts: &mut FlowCuts) -> (Aig, NodeMap) {
-        balance_core(aig)
+    fn apply(&self, aig: &Aig) -> Aig {
+        balance(aig)
     }
 
     /// Accepts when depth improves without an outsized size regression,
@@ -178,13 +118,13 @@ impl Pass for RewritePass {
         }
     }
 
-    fn apply(&self, aig: &Aig, cuts: &mut FlowCuts) -> (Aig, NodeMap) {
+    fn apply(&self, aig: &Aig) -> Aig {
         let config = RewriteConfig {
             zero_gain: self.zero_gain,
             level_aware: self.level_aware,
             ..RewriteConfig::default()
         };
-        rewrite_clean(aig, &config, &mut cuts.rewrite)
+        rewrite_with(aig, &config)
     }
 
     /// `rw` must strictly shrink; `rw -z` may also hold size constant
@@ -218,8 +158,8 @@ impl Pass for RefactorPass {
         "rf"
     }
 
-    fn apply(&self, aig: &Aig, cuts: &mut FlowCuts) -> (Aig, NodeMap) {
-        refactor_core(aig, &mut cuts.refactor)
+    fn apply(&self, aig: &Aig) -> Aig {
+        refactor(aig)
     }
 
     fn accept(&self, before: Metrics, after: Metrics) -> bool {
@@ -457,14 +397,9 @@ impl Flow {
         self.run_with_choices(aig).0
     }
 
-    /// Like [`Flow::run`], also returning the per-step [`FlowReport`].
-    pub fn run_with_report(&self, aig: &Aig) -> (Aig, FlowReport) {
-        let (best, _, report) = self.run_with_choices(aig);
-        (best, report)
-    }
-
     /// Runs the flow and additionally returns the [`ChoiceAig`] built by
-    /// the last `dch` step (`None` when the script has none).
+    /// the last `dch` step (`None` when the script has none) and the
+    /// per-step [`FlowReport`].
     ///
     /// Every candidate network a pass proposes — accepted or rejected —
     /// is snapshotted; a `dch` step fuses the current network plus the
@@ -475,40 +410,23 @@ impl Flow {
     /// constant that was not structurally constant before — the mapper
     /// has no tie cells, so such a network cannot be mapped.
     pub fn run_with_choices(&self, aig: &Aig) -> (Aig, Option<ChoiceAig>, FlowReport) {
-        let (best, choices, report, _) = self.run_full(aig);
-        (best, choices, report)
-    }
-
-    /// Like [`Flow::run_with_report`], additionally returning the run's
-    /// final [`FlowCuts`] databases, keyed to the returned network. This
-    /// is the observability hook for the incremental-maintenance
-    /// contract: `ensure` on the returned network must leave each
-    /// database identical to from-scratch enumeration
-    /// ([`crate::cuts::enumerate_cuts`]) at its configuration.
-    pub fn run_with_cuts(&self, aig: &Aig) -> (Aig, FlowReport, FlowCuts) {
-        let (best, _, report, cuts) = self.run_full(aig);
-        (best, report, cuts)
-    }
-
-    fn run_full(&self, aig: &Aig) -> (Aig, Option<ChoiceAig>, FlowReport, FlowCuts) {
         let started = Instant::now();
         let mut best = aig.cleanup();
         let initial = Metrics::of(&best);
         let mut snapshots: Vec<Aig> = vec![best.clone()];
         let mut choices: Option<ChoiceAig> = None;
-        let mut cuts = FlowCuts::new();
         let mut reports = Vec::with_capacity(self.steps.len());
         for step in &self.steps {
             let mut span = obs::span!("flow/{}", step.name());
             let before = Metrics::of(&best);
             let t0 = Instant::now();
             let is_dch = matches!(step, Step::Dch);
-            let (candidate, node_map, after, accepted) = match step {
+            let (candidate, after, accepted) = match step {
                 Step::Pass(pass) => {
-                    let (candidate, node_map) = pass.apply(&best, &mut cuts);
+                    let candidate = pass.apply(&best);
                     let after = Metrics::of(&candidate);
                     let accepted = pass.accept(before, after);
-                    (candidate, Some(node_map), after, accepted)
+                    (candidate, after, accepted)
                 }
                 Step::Dch => {
                     // Snapshots in reverse-chronological order, current
@@ -524,16 +442,12 @@ impl Flow {
                         && after.depth <= before.depth + before.depth / 8
                         && no_new_constant_outputs(&best, &collapsed);
                     choices = Some(choice);
-                    (collapsed, None, after, accepted)
+                    (collapsed, after, accepted)
                 }
             };
             let elapsed = t0.elapsed();
             if accepted {
                 debug_assert_pass_sound(&best, &candidate, step.name());
-                // The databases follow the accepted candidate: translated
-                // through the pass's node map when it reported one,
-                // dropped otherwise (balance-free steps like dch).
-                cuts.retarget(&best, &candidate, node_map.as_ref());
                 // Rejected pass candidates are still sound alternatives
                 // worth snapshotting; accepted ones replace the network.
                 snapshots.push(candidate.clone());
@@ -552,16 +466,13 @@ impl Flow {
                 elapsed,
             });
         }
-        let (cuts_reused, cuts_computed) = cuts.stats();
         let report = FlowReport {
             initial,
             final_metrics: Metrics::of(&best),
             passes: reports,
             elapsed: started.elapsed(),
-            cuts_reused,
-            cuts_computed,
         };
-        (best, choices, report, cuts)
+        (best, choices, report)
     }
 }
 
@@ -598,10 +509,9 @@ pub struct PassReport {
     pub elapsed: Duration,
 }
 
-/// Per-pass metrics and timing of one [`Flow`] run, plus the run's own
-/// cut statistics. The engine's work counters (SAT merges, simulation
-/// volume) are not copied here: an [`obs::JobScope`] around the run
-/// collects them exactly (see [`crate::profile`]).
+/// Per-pass metrics and timing of one [`Flow`] run. It keeps no work
+/// counts: an [`obs::JobScope`] around the run collects the engine's
+/// counters exactly, cut enumeration included (see [`crate::profile`]).
 #[derive(Clone, Debug)]
 pub struct FlowReport {
     /// Metrics after the initial cleanup.
@@ -612,11 +522,6 @@ pub struct FlowReport {
     pub passes: Vec<PassReport>,
     /// Total wall-clock time including cleanup and metric reads.
     pub elapsed: Duration,
-    /// Cut sets served from this run's databases without recompute —
-    /// exact (read off the run's own [`FlowCuts`], not the globals).
-    pub cuts_reused: u64,
-    /// Cut sets this run's databases enumerated — exact.
-    pub cuts_computed: u64,
 }
 
 impl std::fmt::Display for FlowReport {
@@ -643,11 +548,7 @@ impl std::fmt::Display for FlowReport {
                 if p.accepted { "accepted" } else { "rejected" },
             )?;
         }
-        writeln!(
-            f,
-            "  cuts: {} reused / {} computed",
-            self.cuts_reused, self.cuts_computed
-        )
+        Ok(())
     }
 }
 
@@ -882,7 +783,7 @@ mod tests {
         }
         aig.output(acc);
         let flow = Flow::parse("b; rw").expect("parses");
-        let (opt, report) = flow.run_with_report(&aig);
+        let (opt, _, report) = flow.run_with_choices(&aig);
         assert_eq!(report.passes.len(), 2);
         assert_eq!(report.passes[0].name, "b");
         assert!(
@@ -892,34 +793,8 @@ mod tests {
         assert!(report.passes[0].after.depth < report.passes[0].before.depth);
         assert_eq!(report.final_metrics, Metrics::of(&opt));
         assert_eq!(report.initial.ands, aig.and_count());
-        // The display form renders one line per pass, plus a header and
-        // the trailing cut-statistics line.
+        // The display form renders a header plus one line per pass.
         let text = report.to_string();
-        assert_eq!(text.lines().count(), 1 + report.passes.len() + 1);
-        assert!(text.contains("cuts:"), "{text}");
-    }
-
-    #[test]
-    fn flow_reuses_cuts_across_passes() {
-        // A multi-pass script over a network with stable cones must
-        // serve a nonzero fraction of cut sets from the database.
-        let mut aig = Aig::new();
-        let xs: Vec<Lit> = (0..12).map(|_| aig.input()).collect();
-        let parity = aig.xor_many(&xs[..8]);
-        let conj = aig.and_many(&xs[4..]);
-        let f = aig.mux(parity, conj, xs[0]);
-        aig.output(parity);
-        aig.output(conj);
-        aig.output(f);
-        let flow = Flow::default_flow();
-        let (opt, report) = flow.run_with_report(&aig);
-        assert!(equivalent(&aig, &opt, 0x51, 64));
-        assert!(
-            report.cuts_reused > 0,
-            "the default flow must reuse cuts across passes: {} reused / {} computed",
-            report.cuts_reused,
-            report.cuts_computed
-        );
-        assert!(report.cuts_computed > 0);
+        assert_eq!(text.lines().count(), 1 + report.passes.len());
     }
 }

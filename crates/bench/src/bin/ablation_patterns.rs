@@ -10,7 +10,7 @@ use gate_lib::GateFamily;
 use std::time::Instant;
 
 fn main() {
-    BenchArgs::parse_no_tuning("ablation_patterns");
+    BenchArgs::parse("ablation_patterns");
     let family = GateFamily::CntfetGeneralized;
     let tech = family.tech();
 

@@ -60,8 +60,7 @@ fn measured_sc_fraction(tech: &TechParams, c_load: f64, t_edge: f64) -> f64 {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
-    args.reject_json("ablation_psc");
+    let args = BenchArgs::parse("ablation_psc");
     println!("Measured short-circuit fraction E_SC/E_D (switching inverter, FO3-class load),");
     println!("as a function of the input slew relative to the gate's own edge:");
     println!(
@@ -86,6 +85,7 @@ fn main() {
     );
     let bench = bench_circuits::benchmark_by_name("C3540").expect("C3540 exists");
     let pipeline = args.pipeline_config();
+    let (patterns, seed) = (args.patterns_or(1 << 15), args.seed.unwrap_or(77));
     let flow = args.flow();
     let (synthesized, choices, _) = flow.run_with_choices(&bench.aig);
     println!("P_SC sensitivity on {} ({}):", bench.name, bench.function);
@@ -99,12 +99,7 @@ fn main() {
         let (mapped, _) =
             map_portfolio_with_cut_db(&synthesized, choices.as_ref(), lib, &pipeline, &mut db)
                 .expect("built-in benchmarks map");
-        let act = simulate_activity(
-            &mapped,
-            lib,
-            args.patterns_or(1 << 15),
-            args.seed.unwrap_or(77),
-        );
+        let act = args.with_thread_pool(|| simulate_activity(&mapped, lib, patterns, seed));
         let p = power_est::estimate_power(&mapped, lib, &act, 1.0e9);
         let delay = critical_path(&mapped, lib).critical;
         let base = p.dynamic.value() + p.static_sub.value() + p.gate_leak.value();

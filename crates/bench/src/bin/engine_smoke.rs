@@ -28,8 +28,7 @@ use gate_lib::GateFamily;
 use std::time::Instant;
 
 fn main() {
-    let args = BenchArgs::parse();
-    args.reject_emit_aiger("engine_smoke");
+    let args = BenchArgs::parse("engine_smoke");
     args.with_thread_pool(|| run(&args));
 }
 
@@ -196,7 +195,7 @@ fn run(args: &BenchArgs) {
             ("flow_stages_c1355", format!("[{}]", flow_passes.join(", "))),
             (
                 "flow_profile_c1355",
-                bench::qor::profile_json(&flow_report, &flow_counters),
+                bench::qor::profile_json(&flow_counters),
             ),
         ];
         if let Some(stats) = choice_stats {

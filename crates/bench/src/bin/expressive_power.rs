@@ -12,7 +12,7 @@ use gate_lib::expressive::library_expressive_power;
 use gate_lib::{DynamicGnor, GateFamily};
 
 fn main() {
-    BenchArgs::parse_no_tuning("expressive_power");
+    BenchArgs::parse("expressive_power");
     println!("Expressive power (distinct P-class functions by constant-tying cell pins):\n");
     println!(
         "{:<22} {:>7} {:>7} {:>7} {:>7} {:>7} {:>9} {:>12} {:>14}",

@@ -10,7 +10,7 @@ use device::units::eng;
 use device::TechParams;
 
 fn main() {
-    BenchArgs::parse_no_tuning("fig4_leakage");
+    BenchArgs::parse("fig4_leakage");
     for tech in [TechParams::cmos_32nm(), TechParams::cntfet_32nm()] {
         println!("{}", fig4_study(&tech));
     }

@@ -9,7 +9,7 @@ use bench::BenchArgs;
 use gate_lib::GateFamily;
 
 fn main() {
-    BenchArgs::parse_no_tuning("gate_library");
+    BenchArgs::parse("gate_library");
     for family in GateFamily::ALL {
         let lib = engine::library(family);
         println!(

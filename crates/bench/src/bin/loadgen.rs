@@ -8,18 +8,21 @@
 //! ```text
 //! loadgen [--addr HOST:PORT] [--concurrency C] [--repeat R]
 //!         [--scale N] [--workers N] [--queue N] [--timeout-ms MS]
-//!         [bench flags: --patterns --seed --flow --objective --cut-k
-//!          --verify --choices --json PATH --trace-out PATH] [circuit names...]
+//!         [bench flags: --patterns --seed --paper --flow --objective --cut-k
+//!          --verify --choices --threads N --json PATH --trace-out PATH]
+//!         [circuit names...]
 //! ```
 //!
 //! Without `--addr` an in-process [`serve::Server`] is started (the
-//! self-contained mode the smoke artifact uses); with it, an external
-//! `synthd` is driven over TCP — that is what CI's `serve-smoke` job
-//! does. Each (circuit × family) pair is submitted `--repeat` times in
-//! repeat-major order, so the first wave populates the content-hash
-//! cache and later waves must hit it. Responses to identical specs are
-//! checked for byte-identity on the fly: any divergence counts as an
-//! error in the artifact (and trips `tools/serve_guard.py`).
+//! self-contained mode the smoke artifact uses), and `--threads N` sets
+//! the width its jobs fan out to; with it, an external `synthd` is
+//! driven over TCP — that is what CI's `serve-smoke` job does — and
+//! `--threads` is rejected, since the daemon sets its own width. Each
+//! (circuit × family) pair is submitted `--repeat` times in repeat-major
+//! order, so the first wave populates the content-hash cache and later
+//! waves must hit it. Responses to identical specs are checked for
+//! byte-identity on the fly: any divergence counts as an error in the
+//! artifact (and trips `tools/serve_guard.py`).
 //!
 //! The artifact embeds the server's Prometheus metrics frame (scraped
 //! after the load phase, before the baseline) under `"metrics"`, and
@@ -63,7 +66,7 @@ impl Default for LoadFlags {
 }
 
 /// Splits loadgen's own flags out of the command line before handing
-/// the remainder to [`BenchArgs::parse_from`] (which rejects unknown
+/// the remainder to [`BenchArgs::parse_for`] (which rejects unknown
 /// flags by design).
 fn split_args() -> (LoadFlags, Vec<String>) {
     let mut own = LoadFlags::default();
@@ -119,14 +122,20 @@ enum Kind {
 
 fn main() {
     let (flags, rest) = split_args();
-    let args = match BenchArgs::parse_from(rest) {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    args.reject_emit_aiger("loadgen");
+    let args = BenchArgs::parse_for("loadgen", rest).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
+    if flags.addr.is_some() && args.threads.is_some() {
+        eprintln!(
+            "loadgen does not take --threads with --addr: an external synthd sets its own width"
+        );
+        std::process::exit(2);
+    }
+    args.with_thread_pool(|| run(&flags, &args));
+}
+
+fn run(flags: &LoadFlags, args: &BenchArgs) {
     if args.trace_out.is_some() {
         // In-process mode shares the span ring with the server, so the
         // trace captures every request's root span; against an external

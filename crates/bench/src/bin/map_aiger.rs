@@ -15,8 +15,7 @@ use bench::BenchArgs;
 use gate_lib::GateFamily;
 
 fn main() {
-    let args = BenchArgs::parse();
-    args.reject_json("map_aiger");
+    let args = BenchArgs::parse("map_aiger");
     let Some(path) = args.positional.first() else {
         eprintln!(
             "usage: map_aiger <circuit.aag|circuit.aig> [--patterns N] [--seed S] \

@@ -7,7 +7,7 @@ use ambipolar::experiments::pattern_census;
 use bench::BenchArgs;
 
 fn main() {
-    BenchArgs::parse_no_tuning("patterns");
+    BenchArgs::parse("patterns");
     let census = pattern_census();
     println!("{census}");
     println!(

@@ -13,19 +13,20 @@
 //!
 //! Every phase runs on the calling thread: the engine is serial, and its
 //! parallelism lives at job grain (the Table-1 driver, `synthd`), which
-//! this harness does not exercise — so it takes no `--threads`.
-//! `--verify sat` SAT-proves each synthesized network equivalent to its
-//! generator output (slow at large sizes; CI runs it on the 10k
-//! workloads).
+//! this harness does not exercise — so it takes no `--threads`. The synth
+//! flow is fixed and no power is estimated, so it takes no `--flow`,
+//! `--choices`, `--patterns`, `--seed` or `--paper` either.
+//! `--objective` and `--cut-k` set the map phase. `--verify sat`
+//! SAT-proves each synthesized network equivalent to its generator
+//! output (slow at large sizes; CI runs it on the 10k workloads).
 //!
 //! Each phase is timed as the *minimum* over [`TIMING_RUNS`] identical
 //! runs — the minimum is the standard robust estimator for a
 //! deterministic workload (every run does exactly the same work; any
 //! excess over the fastest run is scheduler or cache noise). Each row
 //! also records the `aig::profile` counters of exactly one run of each
-//! phase (cut reuse, SAT merges, simulation words), which
-//! `tools/scale_guard.py` checks to prove the incremental cut database
-//! is live.
+//! phase (cut sets, SAT merges, simulation words) in its `profile`
+//! object, which `tools/scale_guard.py` requires on every row.
 //!
 //! Span tracing runs for the whole harness (span granularity is one
 //! flow pass / mapper phase, far too coarse to perturb the timings):
@@ -81,11 +82,7 @@ impl Phase {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
-    if args.threads.is_some() {
-        eprintln!("scale runs every phase on one thread; --threads is not supported");
-        std::process::exit(2);
-    }
+    let args = BenchArgs::parse("scale");
     obs::set_enabled(true);
     let sizes: Vec<usize> = if args.positional.is_empty() {
         DEFAULT_SIZES.to_vec()
@@ -119,10 +116,7 @@ fn main() {
             let row_scope = obs::JobScope::begin();
             let spans_before = obs::span_stats();
 
-            // Synth keeps its FlowReport so the row can record the cut
-            // database's reuse statistics.
-            let (t_synth, (synth_aig, synth_report)) =
-                timed_best(|| synth_flow.run_with_report(&aig));
+            let (t_synth, synth_aig) = timed_best(|| synth_flow.run(&aig));
             let synth = Phase {
                 name: "synth",
                 ands,
@@ -189,11 +183,11 @@ fn main() {
                 );
             }
             println!(
-                "  {:<5} {:>8} flow : cuts {} reused / {} computed; sat merges {}; sim words {}",
+                "  {:<5} {:>8} work : cuts {} reused / {} computed; sat merges {}; sim words {}",
                 spec.family,
                 size,
-                synth_report.cuts_reused,
-                synth_report.cuts_computed,
+                row_counters.cuts_reused,
+                row_counters.cuts_computed,
                 row_counters.sat_merge_calls,
                 row_counters.sim_words,
             );
@@ -204,7 +198,6 @@ fn main() {
                 synth_aig.and_count(),
                 mapped.gate_count(),
                 &[synth, dch, map],
-                &synth_report,
                 &row_counters,
                 &spans_top_json(&spans_before),
             ));
@@ -312,7 +305,6 @@ fn result_json(
     synth_ands: usize,
     gates: usize,
     phases: &[Phase; 3],
-    synth_report: &aig::FlowReport,
     counters: &aig::profile::Counters,
     spans_top: &str,
 ) -> String {
@@ -339,7 +331,7 @@ fn result_json(
         synth_ands,
         gates,
         phase_json.join(", "),
-        bench::qor::profile_json(synth_report, counters),
+        bench::qor::profile_json(counters),
         spans_top,
     )
 }

@@ -21,8 +21,7 @@ use ambipolar::experiments::table1_subset;
 use bench::BenchArgs;
 
 fn main() {
-    let args = BenchArgs::parse();
-    args.reject_emit_aiger("table1");
+    let args = BenchArgs::parse("table1");
     let config = args.table1_config();
     let names: Vec<&str> = args.positional.iter().map(String::as_str).collect();
     for name in &names {

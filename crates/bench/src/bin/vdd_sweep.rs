@@ -9,22 +9,16 @@ use charlib::characterize::characterize_library_with;
 use gate_lib::GateFamily;
 
 fn main() {
-    let args = BenchArgs::parse();
-    args.reject_json("vdd_sweep");
+    let args = BenchArgs::parse("vdd_sweep");
     let bench = bench_circuits::benchmark_by_name("C1908").expect("C1908 exists");
     // Off-default technology points (V_DD ≠ 0.9 V) cannot come from the
     // engine cache; each sweep point characterizes its own library below.
     let config = PipelineConfig {
         patterns: args.patterns_or(1 << 14),
-        choices: args.choices,
-        ..PipelineConfig::default()
+        ..args.pipeline_config()
     };
     let flow = args.flow();
     let (synthesized, choices, _) = flow.run_with_choices(&bench.aig);
-    let config = match args.seed {
-        Some(seed) => PipelineConfig { seed, ..config },
-        None => config,
-    };
     let db = &mut mapper_cut_db(&config.map);
     println!("V_DD scaling on {} ({}):", bench.name, bench.function);
     println!(
@@ -37,7 +31,10 @@ fn main() {
         for (fi, family) in GateFamily::ALL.iter().enumerate() {
             let tech = family.tech().with_vdd(vdd);
             let library = characterize_library_with(*family, tech);
-            let r = run_job(&synthesized, choices.as_ref(), &library, &config, db, None)
+            let r = args
+                .with_thread_pool(|| {
+                    run_job(&synthesized, choices.as_ref(), &library, &config, db, None)
+                })
                 .expect("built-in benchmarks map at every sweep point")
                 .result;
             let edp = r.edp().value();

@@ -13,7 +13,8 @@
 //! * `map_aiger` — external AIGER circuits through the pipeline;
 //! * `engine_smoke` — engine cache + parallel-speedup smoke measurement.
 //!
-//! All binaries share one command-line surface, [`BenchArgs`].
+//! All binaries share one command-line surface, [`BenchArgs`]; each takes
+//! the part of it [`BINS`] names.
 
 use ambipolar::experiments::Table1Config;
 use ambipolar::pipeline::PipelineConfig;
@@ -21,7 +22,82 @@ use techmap::{Objective, Verify};
 
 pub mod qor;
 
-/// The flag surface shared by every bench binary.
+/// One flag of the [`BenchArgs`] surface.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flag {
+    /// `--patterns N`.
+    Patterns,
+    /// `--seed S`.
+    Seed,
+    /// `--paper`.
+    Paper,
+    /// `--flow SCRIPT`.
+    Flow,
+    /// `--objective delay|area|energy`.
+    Objective,
+    /// `--cut-k N`.
+    CutK,
+    /// `--choices`.
+    Choices,
+    /// `--verify off|sim|sat`.
+    Verify,
+    /// `--threads N`.
+    Threads,
+    /// `--emit-aiger DIR`.
+    EmitAiger,
+    /// `--json PATH`.
+    Json,
+    /// `--trace-out PATH`.
+    TraceOut,
+    /// Positional arguments.
+    Positional,
+}
+
+/// What each bench binary takes of the [`BenchArgs`] surface, in groups;
+/// the first group of the pipeline binaries is the flags
+/// [`BenchArgs::pipeline_config`] and [`BenchArgs::flow`] read.
+/// [`BenchArgs::parse`] rejects every other flag.
+pub const BINS: &[(&str, &[&[Flag]])] = {
+    use Flag::*;
+    const PIPELINE: &[Flag] = &[Patterns, Seed, Paper, Flow, Objective, CutK, Choices];
+    &[
+        (
+            "table1",
+            &[PIPELINE, &[Verify, Threads, Json, TraceOut, Positional]],
+        ),
+        (
+            "loadgen",
+            &[PIPELINE, &[Verify, Threads, Json, TraceOut, Positional]],
+        ),
+        ("engine_smoke", &[PIPELINE, &[Verify, Threads, Json]]),
+        ("map_aiger", &[PIPELINE, &[Verify, Threads, Positional]]),
+        ("vdd_sweep", &[PIPELINE, &[Verify, Threads]]),
+        ("ablation_psc", &[PIPELINE, &[Threads]]),
+        (
+            "scale",
+            &[&[
+                Objective, CutK, Verify, EmitAiger, Json, TraceOut, Positional,
+            ]],
+        ),
+        ("ablation_patterns", &[]),
+        ("expressive_power", &[]),
+        ("fig4_leakage", &[]),
+        ("gate_library", &[]),
+        ("patterns", &[]),
+    ]
+};
+
+/// Whether the bench binary `bin` takes `flag`; panics on a name
+/// [`BINS`] does not list.
+fn takes(bin: &str, flag: Flag) -> bool {
+    let (_, groups) = BINS
+        .iter()
+        .find(|entry| entry.0 == bin)
+        .unwrap_or_else(|| panic!("{bin} is not listed in BINS"));
+    groups.iter().any(|group| group.contains(&flag))
+}
+
+/// The flag surface shared by the bench binaries.
 ///
 /// * `--patterns N` — random patterns per circuit (rounded up to a
 ///   multiple of 64 by the simulator);
@@ -41,17 +117,19 @@ pub mod qor;
 ///   circuit is mapped over them, keeping the choice netlist whenever it
 ///   uses no more gates;
 /// * `--threads N` — width of the job fan-out: the Table-1 driver's
-///   circuit × family jobs and the activity simulation's chunks
-///   (`N >= 1`). Default: the rayon environment (`RAYON_NUM_THREADS`,
-///   then the machine's parallelism). `scale`, whose phases run on one
-///   thread, rejects it;
-/// * `--json PATH` — write the machine-readable QoR/runtime artifact
-///   (supported by `table1`, `engine_smoke`, and `scale`);
+///   circuit × family jobs, the activity simulation's chunks and the
+///   in-process `synthd` workers (`N >= 1`). Default: the rayon
+///   environment (`RAYON_NUM_THREADS`, then the machine's parallelism).
+///   `scale`, whose phases run on one thread, rejects it;
+/// * `--json PATH` — write the machine-readable artifact (taken by
+///   `table1`, `engine_smoke`, `scale` and `loadgen`);
 /// * `--trace-out PATH` — enable span tracing and write a
-///   Chrome-trace/Perfetto JSON at exit (supported by `table1`, `scale`,
-///   and `loadgen`);
+///   Chrome-trace/Perfetto JSON at exit (taken by `table1`, `scale` and
+///   `loadgen`);
 /// * positional arguments (e.g. the AIGER path for `map_aiger`, circuit
 ///   names for `table1`) are collected in order.
+///
+/// Each binary takes only the flags [`BINS`] lists for it.
 #[derive(Clone, Debug, Default)]
 pub struct BenchArgs {
     /// `--patterns N`, if given.
@@ -83,49 +161,69 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses the process command line, exiting with a usage message on a
-    /// malformed or unknown flag.
-    pub fn parse() -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("{msg}");
-                eprintln!(
-                    "usage: [--patterns N] [--seed S] [--paper] [--flow SCRIPT] \
-                     [--objective delay|area|energy] [--cut-k N] \
-                     [--verify off|sim|sat] [--choices] [--threads N] \
-                     [--emit-aiger DIR] [--json PATH] [--trace-out PATH] \
-                     [positional...]"
-                );
-                std::process::exit(2);
+    /// Parses the process command line for the bench binary `bin`,
+    /// exiting 2 with a message on a malformed flag or one `bin` does not
+    /// take (see [`BenchArgs::parse_for`]).
+    pub fn parse(bin: &str) -> Self {
+        Self::parse_for(bin, std::env::args().skip(1)).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `args` for the bench binary `bin`. A flag `bin` does not
+    /// take is an error that names `bin`, the flag and the binaries that
+    /// do take it.
+    pub fn parse_for<I>(bin: &str, args: I) -> Result<Self, String>
+    where
+        I: IntoIterator,
+        I::Item: Into<String>,
+    {
+        let args = Self::parse_from(args).map_err(|e| format!("{bin}: {e}"))?;
+        match args
+            .given()
+            .into_iter()
+            .find(|&(flag, _)| !takes(bin, flag))
+        {
+            None => Ok(args),
+            Some((flag, name)) => {
+                let takers: Vec<&str> = BINS
+                    .iter()
+                    .map(|entry| entry.0)
+                    .filter(|&other| takes(other, flag))
+                    .collect();
+                Err(format!(
+                    "{bin} does not take {name} (taken by {})",
+                    takers.join(", ")
+                ))
             }
         }
     }
 
-    /// Like [`BenchArgs::parse`] for binaries whose artifact has no
-    /// tunable knobs: any flag or positional argument is rejected, so a
-    /// user passing `--patterns`/`--seed`/`--paper`/`--objective`/
-    /// `--cut-k` learns immediately that this binary would ignore them
-    /// instead of getting a silently unmodified run.
-    pub fn parse_no_tuning(bin: &str) {
-        let args = Self::parse();
-        if args.patterns.is_some()
-            || args.seed.is_some()
-            || args.flow.is_some()
-            || args.objective.is_some()
-            || args.cut_k.is_some()
-            || args.verify.is_some()
-            || args.choices
-            || args.threads.is_some()
-            || args.emit_aiger.is_some()
-            || args.json.is_some()
-            || args.trace_out.is_some()
-            || args.paper
-            || !args.positional.is_empty()
-        {
-            eprintln!("{bin} takes no arguments: its artifact has no tunable parameters");
-            std::process::exit(2);
-        }
+    /// The flags this command line gave, with their names.
+    fn given(&self) -> Vec<(Flag, &'static str)> {
+        [
+            (self.patterns.is_some(), Flag::Patterns, "--patterns"),
+            (self.seed.is_some(), Flag::Seed, "--seed"),
+            (self.paper, Flag::Paper, "--paper"),
+            (self.flow.is_some(), Flag::Flow, "--flow"),
+            (self.objective.is_some(), Flag::Objective, "--objective"),
+            (self.cut_k.is_some(), Flag::CutK, "--cut-k"),
+            (self.choices, Flag::Choices, "--choices"),
+            (self.verify.is_some(), Flag::Verify, "--verify"),
+            (self.threads.is_some(), Flag::Threads, "--threads"),
+            (self.emit_aiger.is_some(), Flag::EmitAiger, "--emit-aiger"),
+            (self.json.is_some(), Flag::Json, "--json"),
+            (self.trace_out.is_some(), Flag::TraceOut, "--trace-out"),
+            (
+                !self.positional.is_empty(),
+                Flag::Positional,
+                "positional arguments",
+            ),
+        ]
+        .into_iter()
+        .filter_map(|(given, flag, name)| given.then_some((flag, name)))
+        .collect()
     }
 
     /// The pattern count these flags select over a binary-specific
@@ -134,29 +232,6 @@ impl BenchArgs {
     pub fn patterns_or(&self, default: usize) -> usize {
         self.patterns
             .unwrap_or(if self.paper { 640 * 1024 } else { default })
-    }
-
-    /// Rejects `--json` for binaries that emit no QoR artifact (only
-    /// `table1`, `engine_smoke`, and `scale` do) — silently ignoring the
-    /// flag in a scripted pipeline would look like lost data.
-    pub fn reject_json(&self, bin: &str) {
-        if self.json.is_some() {
-            eprintln!(
-                "{bin} emits no QoR artifact; --json is only supported by table1, \
-                 engine_smoke, and scale"
-            );
-            std::process::exit(2);
-        }
-        self.reject_emit_aiger(bin);
-    }
-
-    /// Rejects `--emit-aiger` for binaries that generate no circuits
-    /// (only `scale` does), for the same reason as [`Self::reject_json`].
-    pub fn reject_emit_aiger(&self, bin: &str) {
-        if self.emit_aiger.is_some() {
-            eprintln!("{bin} generates no circuits; --emit-aiger is only supported by scale");
-            std::process::exit(2);
-        }
     }
 
     /// The parsed synthesis flow these flags select (the default flow
@@ -168,8 +243,8 @@ impl BenchArgs {
             .expect("--flow validated at parse time")
     }
 
-    /// Parses an explicit argument list (test hook).
-    pub fn parse_from<I>(args: I) -> Result<Self, String>
+    /// Parses an explicit argument list against the whole flag surface.
+    fn parse_from<I>(args: I) -> Result<Self, String>
     where
         I: IntoIterator,
         I::Item: Into<String>,
@@ -444,6 +519,48 @@ mod tests {
         let plain = BenchArgs::parse_from(std::iter::empty::<String>()).unwrap();
         assert_eq!(plain.threads, None);
         assert!(plain.with_thread_pool(rayon::current_num_threads) >= 1);
+    }
+
+    #[test]
+    fn each_bin_takes_its_own_flags_and_names_any_other() {
+        let samples: [(Flag, &[&str]); 13] = [
+            (Flag::Patterns, &["--patterns", "64"]),
+            (Flag::Seed, &["--seed", "7"]),
+            (Flag::Paper, &["--paper"]),
+            (Flag::Flow, &["--flow", "b; rw"]),
+            (Flag::Objective, &["--objective", "area"]),
+            (Flag::CutK, &["--cut-k", "4"]),
+            (Flag::Choices, &["--choices"]),
+            (Flag::Verify, &["--verify", "sat"]),
+            (Flag::Threads, &["--threads", "2"]),
+            (Flag::EmitAiger, &["--emit-aiger", "out"]),
+            (Flag::Json, &["--json", "out.json"]),
+            (Flag::TraceOut, &["--trace-out", "trace.json"]),
+            (Flag::Positional, &["C1355"]),
+        ];
+        for &(bin, _) in BINS {
+            for (flag, args) in samples {
+                match BenchArgs::parse_for(bin, args.iter().copied()) {
+                    Ok(_) => assert!(takes(bin, flag), "{bin} accepted {flag:?}"),
+                    Err(msg) => {
+                        assert!(!takes(bin, flag), "{bin} refused {flag:?}: {msg}");
+                        assert!(msg.starts_with(bin), "{msg}");
+                        let name = if flag == Flag::Positional {
+                            "positional"
+                        } else {
+                            args[0]
+                        };
+                        assert!(msg.contains(name), "{msg}");
+                    }
+                }
+            }
+        }
+        // The rejection names every binary that does take the flag.
+        let msg = BenchArgs::parse_for("vdd_sweep", ["--json", "x"]).unwrap_err();
+        assert!(
+            msg.ends_with("(taken by table1, loadgen, engine_smoke, scale)"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -93,19 +93,15 @@ pub fn table1_json(
     out
 }
 
-/// A `profile` object: a flow's exact cut statistics, then the other
-/// engine counters.
-pub fn profile_json(flow: &aig::FlowReport, counters: &aig::profile::Counters) -> String {
-    let mut out = format!(
-        "{{\"cuts_reused\": {}, \"cuts_computed\": {}",
-        flow.cuts_reused, flow.cuts_computed
-    );
-    for (name, value) in counters.pairs() {
-        if !name.starts_with("cuts_") {
-            let _ = write!(out, ", \"{name}\": {value}");
-        }
-    }
-    out + "}"
+/// A `profile` object: the eight engine counters, as an
+/// [`obs::JobScope`] collected them.
+pub fn profile_json(counters: &aig::profile::Counters) -> String {
+    let fields: Vec<String> = counters
+        .pairs()
+        .iter()
+        .map(|(name, value)| format!("\"{name}\": {value}"))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
 }
 
 // The scalar helpers live in the core crate so the server (`serve`)

@@ -1047,19 +1047,20 @@ mod tests {
         let map_with_db = |db: &mut CutDb| {
             map_subject(Subject::Plain(&aig, db), &lib, &cache, &config).expect("maps")
         };
+        let scope = obs::JobScope::begin();
         let first = map_with_db(&mut db);
         assert_eq!(first.instances, one_shot.instances);
         assert_eq!(first.outputs(), one_shot.outputs());
-        let computed_once = db.computed();
-        assert!(computed_once > 0);
+        let once = aig::profile::scoped(&scope);
+        assert!(once.cuts_computed > 0);
         let second = map_with_db(&mut db);
         assert_eq!(second.instances, one_shot.instances);
+        let warm = aig::profile::scoped(&scope).delta_since(&once);
         assert_eq!(
-            db.computed(),
-            computed_once,
+            warm.cuts_computed, 0,
             "a warm database must serve every cut set"
         );
-        assert!(db.reused() > 0);
+        assert!(warm.cuts_reused > 0);
     }
 
     #[test]

@@ -18,10 +18,9 @@ BENCH_scale.json and exits non-zero when:
     CI runners are noisy and share cores; the guard catches order-of-
     magnitude regressions (an accidentally quadratic loop, a lost
     cache), not few-percent jitter;
-  * the incremental cut database is silently bypassed: on a multi-pass
-    flow (the artifact's flow script has more than one step) every
-    regenerated row must report profile.cuts_reused > 0 — pass 2..n of
-    the script must serve at least some cut sets from the database.
+  * a regenerated row lacks its `profile` object or any of the eight
+    engine counters in it (profile emission is part of the artifact
+    contract).
 
 Rows may carry fields this guard does not know about (`spans_top`, the
 per-row top-self-time span attribution, is informational); only the
@@ -34,6 +33,16 @@ import sys
 
 NOISE_FLOOR = 3.0
 PHASES = ("synth", "dch", "map")
+ENGINE_COUNTERS = (
+    "cuts_reused",
+    "cuts_computed",
+    "sat_merge_calls",
+    "sat_merge_proven",
+    "sat_merge_refuted",
+    "sat_merge_budget_out",
+    "sim_words",
+    "refine_rounds",
+)
 
 
 def key(result):
@@ -83,20 +92,14 @@ def main() -> int:
                     f"{ref_nps:.0f} -> {cur_nps:.0f} nodes/sec (> {NOISE_FLOOR}x slower)"
                 )
 
-    multi_pass = len([s for s in regenerated.get("flow", "").split(";") if s.strip()]) > 1
-    if multi_pass:
-        for (family, size), cur in sorted(regen.items()):
-            reused = cur.get("profile", {}).get("cuts_reused")
-            if reused is None:
-                failures.append(
-                    f"{family}/{size}: regenerated row carries no profile.cuts_reused "
-                    "(profile emission is part of the artifact contract)"
-                )
-            elif reused <= 0:
-                failures.append(
-                    f"{family}/{size}: cuts_reused = {reused} on a multi-pass flow — "
-                    "the incremental cut database is being bypassed"
-                )
+    for (family, size), cur in sorted(regen.items()):
+        profile = cur.get("profile", {})
+        missing = [name for name in ENGINE_COUNTERS if name not in profile]
+        if missing:
+            failures.append(
+                f"{family}/{size}: regenerated row's profile lacks {', '.join(missing)} "
+                "(profile emission is part of the artifact contract)"
+            )
 
     if failures:
         print("\nTHROUGHPUT GUARD FAILURES:", file=sys.stderr)
