@@ -427,7 +427,7 @@ pub fn from_aiger_auto(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::equivalent;
+    use crate::check::{check_equivalence, Equivalence};
 
     fn sample_aig() -> Aig {
         let mut aig = Aig::new();
@@ -448,7 +448,7 @@ mod tests {
         let parsed = from_aiger_ascii(&text).expect("own output parses");
         assert_eq!(parsed.input_count(), aig.input_count());
         assert_eq!(parsed.output_count(), aig.output_count());
-        assert!(equivalent(&aig, &parsed, 0xA1A2, 32));
+        assert_eq!(check_equivalence(&aig, &parsed), Ok(Equivalence::Equal));
     }
 
     #[test]
@@ -508,7 +508,7 @@ mod tests {
         let parsed = from_aiger_binary(&bytes).expect("own output parses");
         assert_eq!(parsed.input_count(), aig.input_count());
         assert_eq!(parsed.output_count(), aig.output_count());
-        assert!(equivalent(&aig, &parsed, 0xB1B2, 8));
+        assert_eq!(check_equivalence(&aig, &parsed), Ok(Equivalence::Equal));
     }
 
     #[test]
@@ -518,7 +518,10 @@ mod tests {
         let binary = to_aiger_binary(&aig);
         let from_ascii = from_aiger_auto(ascii.as_bytes()).expect("ascii parses");
         let from_binary = from_aiger_auto(&binary).expect("binary parses");
-        assert!(equivalent(&from_ascii, &from_binary, 7, 8));
+        assert_eq!(
+            check_equivalence(&from_ascii, &from_binary),
+            Ok(Equivalence::Equal)
+        );
     }
 
     #[test]
@@ -558,7 +561,7 @@ mod tests {
         aig.output(acc);
         let bytes = to_aiger_binary(&aig);
         let parsed = from_aiger_binary(&bytes).expect("parses");
-        assert!(equivalent(&aig, &parsed, 3, 8));
+        assert_eq!(check_equivalence(&aig, &parsed), Ok(Equivalence::Equal));
     }
 
     #[test]
@@ -572,6 +575,6 @@ mod tests {
         aig.output(f);
         let text = to_aiger_ascii(&aig);
         let parsed = from_aiger_ascii(&text).expect("parses");
-        assert!(equivalent(&aig, &parsed, 99, 16));
+        assert_eq!(check_equivalence(&aig, &parsed), Ok(Equivalence::Equal));
     }
 }

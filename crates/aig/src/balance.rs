@@ -145,7 +145,7 @@ impl Ctx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::equivalent;
+    use crate::check::{check_equivalence, Equivalence};
 
     #[test]
     fn chain_becomes_tree() {
@@ -160,7 +160,7 @@ mod tests {
         assert_eq!(aig.depth(), 7);
         let bal = balance(&aig);
         assert_eq!(bal.depth(), 3, "8-way AND balances to depth 3");
-        assert!(equivalent(&aig, &bal, 0x1234, 64));
+        assert_eq!(check_equivalence(&aig, &bal), Ok(Equivalence::Equal));
     }
 
     #[test]
@@ -177,7 +177,7 @@ mod tests {
         aig.output(x);
         aig.output(y);
         let bal = balance(&aig);
-        assert!(equivalent(&aig, &bal, 0xBEEF, 64));
+        assert_eq!(check_equivalence(&aig, &bal), Ok(Equivalence::Equal));
     }
 
     #[test]
@@ -191,7 +191,7 @@ mod tests {
         let g = aig.xor(f, a);
         aig.output(g);
         let bal = balance(&aig);
-        assert!(equivalent(&aig, &bal, 0xCAFE, 128));
+        assert_eq!(check_equivalence(&aig, &bal), Ok(Equivalence::Equal));
     }
 
     #[test]
@@ -206,7 +206,7 @@ mod tests {
         aig.output(o);
         let bal = balance(&aig);
         assert!(bal.depth() <= aig.depth());
-        assert!(equivalent(&aig, &bal, 7, 64));
+        assert_eq!(check_equivalence(&aig, &bal), Ok(Equivalence::Equal));
     }
 
     #[test]

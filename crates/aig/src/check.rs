@@ -3,14 +3,19 @@
 //!
 //! The checker is a SAT sweeper in the spirit of ABC's `cec`/fraiging:
 //! both networks are imported into one structurally hashed graph over
-//! shared inputs, nodes are partitioned into candidate-equivalence
-//! classes by 64-bit random simulation, and each candidate is either
-//! *proven* equal to its class representative (a budgeted incremental SAT
-//! query over the Tseitin encoding) and merged, or *refuted* by a model
-//! that becomes a new distinguishing simulation pattern. The primary
-//! outputs are then proven pairwise equal with unbounded queries, so
-//! [`Equivalence::Equal`] is a theorem, not a sample — and a failed proof
-//! yields a concrete [`Equivalence::Counterexample`] input pattern.
+//! shared inputs, each new node is Tseitin-encoded into one incremental
+//! solver as it is created, nodes are partitioned into
+//! candidate-equivalence classes by 64-bit random simulation, and each
+//! candidate is either *proven* equal to its class representative (a
+//! budgeted SAT query) and merged, or *refuted* by a model that becomes
+//! bit 0 of one new simulation word. The primary outputs are then proven
+//! pairwise equal with unbounded queries, so [`Equivalence::Equal`] is a
+//! theorem, not a sample — and a failed proof yields a concrete
+//! [`Equivalence::Counterexample`] input pattern.
+//!
+//! [`check_equivalence`] is the crate's one equivalence decision: the
+//! `dch` flow step ([`crate::choice`]) and the flow's debug soundness
+//! gate run the same sweeper.
 
 use crate::graph::{Aig, Lit, Node};
 use crate::profile::{self, Work};
@@ -25,13 +30,6 @@ pub enum Equivalence {
     /// A concrete input assignment (one bool per primary input, in input
     /// order) on which the networks disagree.
     Counterexample(Vec<bool>),
-}
-
-impl Equivalence {
-    /// Whether the check proved equality.
-    pub fn is_equal(&self) -> bool {
-        matches!(self, Equivalence::Equal)
-    }
 }
 
 /// The two networks cannot be compared: their interface widths differ.
@@ -55,7 +53,8 @@ impl std::fmt::Display for ShapeMismatch {
 
 impl std::error::Error for ShapeMismatch {}
 
-fn check_shapes(a: &Aig, b: &Aig) -> Result<(), ShapeMismatch> {
+/// `Err` unless `a` and `b` have the same input and output counts.
+pub(crate) fn check_shapes(a: &Aig, b: &Aig) -> Result<(), ShapeMismatch> {
     if a.input_count() != b.input_count() || a.output_count() != b.output_count() {
         return Err(ShapeMismatch {
             inputs: (a.input_count(), b.input_count()),
@@ -63,68 +62,6 @@ fn check_shapes(a: &Aig, b: &Aig) -> Result<(), ShapeMismatch> {
         });
     }
     Ok(())
-}
-
-/// Builds the miter of two same-shape networks: one structurally hashed
-/// graph over shared inputs whose single output is 1 iff the networks
-/// disagree on some output (OR over per-output XORs) — the classic CEC
-/// construction. `miter(a, b)` is satisfiable iff `a` and `b` differ.
-///
-/// # Errors
-///
-/// [`ShapeMismatch`] when input or output counts differ.
-///
-/// # Example
-///
-/// ```
-/// use aig::{Aig, check::miter};
-///
-/// let mut x = Aig::new();
-/// let (a, b) = (x.input(), x.input());
-/// let f = x.and(a, b);
-/// x.output(f);
-/// let m = miter(&x, &x).expect("same shape");
-/// assert_eq!(m.input_count(), 2);
-/// assert_eq!(m.output_count(), 1);
-/// // Identical structure cancels outright: the miter output is constant
-/// // false, so no SAT call is even needed here.
-/// assert_eq!(m.output_lits()[0], aig::Lit::FALSE);
-/// ```
-pub fn miter(a: &Aig, b: &Aig) -> Result<Aig, ShapeMismatch> {
-    check_shapes(a, b)?;
-    let mut m = Aig::new();
-    let inputs: Vec<Lit> = (0..a.input_count()).map(|_| m.input()).collect();
-    let oa = copy_into(&mut m, a, &inputs);
-    let ob = copy_into(&mut m, b, &inputs);
-    let diffs: Vec<Lit> = oa
-        .iter()
-        .zip(ob.iter())
-        .map(|(&x, &y)| m.xor(x, y))
-        .collect();
-    let out = m.or_many(&diffs);
-    m.output(out);
-    Ok(m)
-}
-
-/// Structurally copies `src` into `dst` with `src`'s primary inputs bound
-/// to `inputs`; returns the copied output literals.
-fn copy_into(dst: &mut Aig, src: &Aig, inputs: &[Lit]) -> Vec<Lit> {
-    let mut map: Vec<Lit> = vec![Lit::FALSE; src.len()];
-    for (i, node) in src.nodes().enumerate() {
-        map[i] = match node {
-            Node::Const => Lit::FALSE,
-            Node::Input(k) => inputs[k as usize],
-            Node::And(a, b) => {
-                let fa = resolve(&map, a);
-                let fb = resolve(&map, b);
-                dst.and(fa, fb)
-            }
-        };
-    }
-    src.output_lits()
-        .iter()
-        .map(|&l| resolve(&map, l))
-        .collect()
 }
 
 fn resolve(map: &[Lit], l: Lit) -> Lit {
@@ -166,22 +103,12 @@ fn resolve(map: &[Lit], l: Lit) -> Lit {
 /// assert_eq!(check_equivalence(&lhs, &rhs), Ok(Equivalence::Equal));
 /// ```
 pub fn check_equivalence(a: &Aig, b: &Aig) -> Result<Equivalence, ShapeMismatch> {
-    check_equivalence_seeded(a, b, 0x5EED_CEC1, 8)
-}
-
-/// [`check_equivalence`] with an explicit simulation seed and initial
-/// random-word count (64 patterns per word). More words refine candidate
-/// classes harder before SAT gets involved; the result is identical.
-pub fn check_equivalence_seeded(
-    a: &Aig,
-    b: &Aig,
-    seed: u64,
-    words: usize,
-) -> Result<Equivalence, ShapeMismatch> {
     check_shapes(a, b)?;
     let a = a.cleanup();
     let b = b.cleanup();
-    let mut sweeper = Sweeper::new(a.input_count(), seed, words.clamp(1, 64));
+    // A fixed simulation seed and 8 initial words (512 patterns): they
+    // steer how much work SAT does, never the verdict.
+    let mut sweeper = Sweeper::new(a.input_count(), 0x5EED_CEC1, 8);
     let oa = sweeper.import(&a);
     let ob = sweeper.import(&b);
     for (&la, &lb) in oa.iter().zip(ob.iter()) {
@@ -199,21 +126,6 @@ pub fn check_equivalence_seeded(
         }
     }
     Ok(Equivalence::Equal)
-}
-
-/// Compatibility wrapper: `true` iff the networks are provably
-/// equivalent.
-///
-/// Unlike the pre-SAT version this is **sound and complete at any input
-/// count** — `seed` and `rounds` only steer the simulation prefilter
-/// (`rounds` random 64-pattern words), never the verdict. Networks of
-/// mismatched shape compare unequal instead of panicking; use
-/// [`check_equivalence`] to observe the mismatch or the counterexample.
-pub fn equivalent(a: &Aig, b: &Aig, seed: u64, rounds: usize) -> bool {
-    matches!(
-        check_equivalence_seeded(a, b, seed, rounds.clamp(1, 64)),
-        Ok(Equivalence::Equal)
-    )
 }
 
 /// Conflict budget for speculative class-merge queries; unproven
@@ -468,26 +380,19 @@ impl Sweeper {
     }
 
     /// Attempts to merge `node` into an existing class representative.
-    /// A refuted candidate is skipped for the rest of the attempt and its
-    /// distinguishing pattern banked; up to 64 counterexamples from one
-    /// bucket scan are packed into a *single* refinement word, so a node
-    /// that separates itself from many bucket-mates pays one fraig
-    /// resimulation per round instead of one per counterexample.
+    /// A refuted candidate's distinguishing pattern becomes a new
+    /// simulation word at once ([`Sweeper::refine`]), which splits the
+    /// pair, and the bucket is scanned again under the refined
+    /// signatures.
     fn try_merge(&mut self, node: u32) {
-        let mut refuted: Vec<u32> = Vec::new();
-        loop {
+        'scan: loop {
             let key = self.class_key(node);
             let bucket: Vec<u32> = self.classes.get(&key).cloned().unwrap_or_default();
-            let mut batch: Vec<Vec<bool>> = Vec::new();
             for cand in bucket {
-                // Skip self, already-refuted candidates, and stale
-                // entries (a candidate that itself merged after
-                // registration — its representative is in this bucket
-                // too, so nothing is lost).
-                if cand == node
-                    || self.repr[cand as usize] != Lit::new(cand, false)
-                    || refuted.contains(&cand)
-                {
+                // Skip self and stale entries (a candidate that itself
+                // merged after registration — its representative is in
+                // this bucket too, so nothing is lost).
+                if cand == node || self.repr[cand as usize] != Lit::new(cand, false) {
                     continue;
                 }
                 // Keys are fingerprints, so confirm the signatures are
@@ -517,20 +422,12 @@ impl Sweeper {
                         let lc = sat::Lit::new(self.enc[cand as usize], phase);
                         self.solver.add_clause(&[!ln, lc]);
                         self.solver.add_clause(&[ln, !lc]);
-                        // The banked counterexamples still split other
-                        // class pairs — spend them before returning.
-                        if !batch.is_empty() {
-                            self.refine(&batch);
-                        }
                         return;
                     }
                     Prove::Diff(pattern) => {
                         profile::add(Work::SatMergeRefuted, 1);
-                        refuted.push(cand);
-                        batch.push(pattern);
-                        if batch.len() == 64 {
-                            break; // the word is full; refine, then rescan
-                        }
+                        self.refine(&pattern);
+                        continue 'scan;
                     }
                     Prove::Unknown => {
                         // Budget out: try the next candidate.
@@ -538,16 +435,13 @@ impl Sweeper {
                     }
                 }
             }
-            if batch.is_empty() {
-                // A refine round rebuilds `classes` with `node` already
-                // in it; guard against registering it twice.
-                let bucket = self.classes.entry(key).or_default();
-                if !bucket.contains(&node) {
-                    bucket.push(node);
-                }
-                return;
+            // A refine round rebuilds `classes` with `node` already in
+            // it; guard against registering it twice.
+            let bucket = self.classes.entry(key).or_default();
+            if !bucket.contains(&node) {
+                bucket.push(node);
             }
-            self.refine(&batch);
+            return;
         }
     }
 
@@ -599,40 +493,28 @@ impl Sweeper {
             .collect()
     }
 
-    /// Appends one simulation word carrying the batched counterexamples
-    /// (`patterns[j]` at bit `j`) topped up with fresh random patterns,
-    /// resimulates the whole fraig, and rebuilds the candidate classes.
+    /// Appends one simulation word carrying the counterexample `pattern`
+    /// (one bool per primary input) in bit 0 and fresh random patterns
+    /// in the other 63, resimulates the whole fraig, and rebuilds the
+    /// candidate classes.
     ///
     /// The word lands in a pre-allocated slack lane of the signature
     /// block when one is free (the block re-strides only every
     /// [`SIG_WORD_BLOCK`]th round), then propagates in one walk over the
     /// fraig in index order, which is topological: a node's word depends
     /// only on its fanins' words, and fanins precede their consumers.
-    fn refine(&mut self, patterns: &[Vec<bool>]) {
-        debug_assert!(!patterns.is_empty() && patterns.len() <= 64);
-        let mut span = obs::span!("verify/refine");
-        span.record("patterns", patterns.len() as u64);
+    fn refine(&mut self, pattern: &[bool]) {
+        let _span = obs::span!("verify/refine");
         profile::add(Work::RefineRounds, 1);
         if self.sigs.words == self.sigs.stride {
             self.sigs.widen();
         }
         let words = self.sigs.words;
         let stride = self.sigs.stride;
-        // Forced counterexample bits occupy the low lanes of the new
-        // word; the rest stay random. Input words draw from the rng
-        // serially, in input order — the stream is part of the
-        // determinism contract (with a single pattern this reproduces
-        // the unbatched stream exactly).
-        let forced = if patterns.len() >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << patterns.len()) - 1
-        };
-        for (k, &n) in self.input_nodes.iter().enumerate() {
-            let mut w = self.rng.next_word() & !forced;
-            for (j, p) in patterns.iter().enumerate() {
-                w |= u64::from(p[k]) << j;
-            }
+        // Input words draw from the rng serially, in input order — the
+        // stream is part of the determinism contract.
+        for (&n, &bit) in self.input_nodes.iter().zip(pattern) {
+            let w = (self.rng.next_word() & !1) | u64::from(bit);
             self.sigs.data[n as usize * stride + words] = w;
         }
         profile::add(Work::SimWords, self.f.len() as u64);
@@ -691,7 +573,6 @@ mod tests {
     fn equivalent_to_itself() {
         let a = xor_aig();
         assert_eq!(check_equivalence(&a, &a), Ok(Equivalence::Equal));
-        assert!(equivalent(&a, &a, 1, 4));
     }
 
     #[test]
@@ -706,7 +587,6 @@ mod tests {
             panic!("must find a counterexample");
         };
         assert_ne!(evaluate(&a, &cex), evaluate(&b, &cex), "cex must be real");
-        assert!(!equivalent(&a, &b, 1, 4));
     }
 
     #[test]
@@ -719,8 +599,6 @@ mod tests {
         assert_eq!(err.inputs, (2, 1));
         assert_eq!(err.outputs, (1, 1));
         assert!(err.to_string().contains("2 vs 1 inputs"));
-        // The bool wrapper reports inequivalence instead of panicking.
-        assert!(!equivalent(&a, &b, 1, 4));
     }
 
     #[test]
@@ -792,57 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn miter_of_equal_circuits_is_unsat() {
-        let a = xor_aig();
-        let mut b = Aig::new();
-        let x = b.input();
-        let y = b.input();
-        let t1 = b.and(x, y.not());
-        let t2 = b.and(x.not(), y);
-        let f = b.or(t1, t2);
-        b.output(f);
-        let m = miter(&a, &b).expect("same shape");
-        assert_eq!(m.input_count(), 2);
-        assert_eq!(m.output_count(), 1);
-        let mut solver = Solver::new();
-        let enc = crate::cnf::encode(&m, &mut solver);
-        solver.add_clause(&[enc.outputs[0]]);
-        assert_eq!(solver.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn miter_of_different_circuits_is_sat() {
-        let a = xor_aig();
-        let mut b = Aig::new();
-        let x = b.input();
-        let y = b.input();
-        let f = b.or(x, y);
-        b.output(f);
-        let m = miter(&a, &b).expect("same shape");
-        let mut solver = Solver::new();
-        let enc = crate::cnf::encode(&m, &mut solver);
-        solver.add_clause(&[enc.outputs[0]]);
-        assert_eq!(solver.solve(), SolveResult::Sat);
-        // The model is a real disagreement.
-        let cex: Vec<bool> = enc
-            .inputs
-            .iter()
-            .map(|&v| solver.model_value(v).unwrap_or(false))
-            .collect();
-        assert_ne!(evaluate(&a, &cex), evaluate(&b, &cex));
-    }
-
-    #[test]
-    fn miter_shape_mismatch() {
-        let a = xor_aig();
-        let mut b = Aig::new();
-        let x = b.input();
-        b.output(x);
-        b.output(x.not());
-        assert!(miter(&a, &b).is_err());
-    }
-
-    #[test]
     fn sweeper_merges_shared_structure() {
         // A moderately wide adder checked against itself restructured:
         // the sweep must prove it without the exhaustive 2^n walk.
@@ -898,13 +725,17 @@ mod tests {
         aig
     }
 
-    /// Sweeps `src` at the given signature width and reads back the
-    /// semantic partition of its nodes: for each source node, the id of
-    /// its equivalence class (classes numbered in first-appearance
-    /// order) and its phase relative to the class leader.
+    /// Sweeps `src` at the given initial signature width and reads back
+    /// the semantic partition of its nodes: for each source node, the id
+    /// of its equivalence class (classes numbered in first-appearance
+    /// order) and its phase relative to the class leader. Asserts that
+    /// the sweep spent exactly one refinement round per refutation.
     fn sweep_partition(src: &Aig, words: usize) -> Vec<(usize, bool)> {
+        let scope = obs::JobScope::begin();
         let mut sweeper = Sweeper::new(src.input_count(), 0xD5, words);
         let (_, map) = sweeper.import_with_map(src);
+        let counters = crate::profile::scoped(&scope);
+        assert_eq!(counters.refine_rounds, counters.sat_merge_refuted);
         let mut ids: HashMap<u32, (usize, bool)> = HashMap::new();
         map.iter()
             .map(|&l| {
@@ -919,10 +750,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        // Batched refinement at the widened 4-word signature width must
-        // discover exactly the merges of the 1-word path: with the SAT
-        // budget never exhausted on networks this size, both converge to
-        // the true semantic equivalence classes, so the source-node
+        // A sweep that starts from 4 random signature words must
+        // discover exactly the merges of one that starts from 1: with the
+        // SAT budget never exhausted on networks this size, both converge
+        // to the true semantic equivalence classes, so the source-node
         // partitions agree even though the signature streams (and hence
         // bucket scan orders) differ.
         #[test]

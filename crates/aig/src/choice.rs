@@ -33,27 +33,8 @@
 //!   SAT sweep / fraig of the primary snapshot), which is what the `dch`
 //!   flow step hands to non-choice consumers.
 
-use crate::check::{ShapeMismatch, Sweeper};
+use crate::check::{check_shapes, ShapeMismatch, Sweeper};
 use crate::graph::{Aig, Lit, Node};
-
-/// Tunables for the choice sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct ChoiceConfig {
-    /// Initial random-simulation words seeding the candidate classes
-    /// (64 patterns per word; refined by SAT counterexamples).
-    pub sim_words: usize,
-    /// Simulation seed.
-    pub seed: u64,
-}
-
-impl Default for ChoiceConfig {
-    fn default() -> Self {
-        Self {
-            sim_words: 8,
-            seed: 0x5EED_DC11,
-        }
-    }
-}
 
 /// What one choice build did (per-class/ring statistics).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -107,10 +88,10 @@ pub struct ChoiceAig {
 }
 
 impl ChoiceAig {
-    /// Builds the choice network from equivalent snapshots with default
-    /// sweep settings. `snapshots[0]` is the primary network (defines
-    /// the outputs and is imported first, so its nodes become the class
-    /// representatives); order the rest however diversity dictates.
+    /// Builds the choice network from equivalent snapshots.
+    /// `snapshots[0]` is the primary network (defines the outputs and is
+    /// imported first, so its nodes become the class representatives);
+    /// order the rest however diversity dictates.
     ///
     /// Merges are SAT-proven, so an accidentally *in*equivalent snapshot
     /// cannot corrupt the function — its nodes simply never merge.
@@ -124,31 +105,13 @@ impl ChoiceAig {
     ///
     /// When `snapshots` is empty.
     pub fn build(snapshots: &[Aig]) -> Result<Self, ShapeMismatch> {
-        Self::build_with(snapshots, &ChoiceConfig::default())
-    }
-
-    /// [`ChoiceAig::build`] with explicit sweep settings.
-    ///
-    /// # Errors
-    ///
-    /// As [`ChoiceAig::build`].
-    pub fn build_with(snapshots: &[Aig], config: &ChoiceConfig) -> Result<Self, ShapeMismatch> {
         let primary = snapshots.first().expect("at least one snapshot");
         for other in &snapshots[1..] {
-            if other.input_count() != primary.input_count()
-                || other.output_count() != primary.output_count()
-            {
-                return Err(ShapeMismatch {
-                    inputs: (primary.input_count(), other.input_count()),
-                    outputs: (primary.output_count(), other.output_count()),
-                });
-            }
+            check_shapes(primary, other)?;
         }
-        let mut sweeper = Sweeper::new(
-            primary.input_count(),
-            config.seed,
-            config.sim_words.clamp(1, 64),
-        );
+        // A fixed simulation seed and 8 initial words (512 patterns),
+        // refined by SAT counterexamples as the sweep goes.
+        let mut sweeper = Sweeper::new(primary.input_count(), 0x5EED_DC11, 8);
         let primary = primary.cleanup();
         let outputs = sweeper.import(&primary);
         for snapshot in &snapshots[1..] {

@@ -288,12 +288,6 @@ impl Aig {
         self.len() <= 1
     }
 
-    /// Logic level (depth in AND nodes) of every node, as an owned
-    /// vector (compatibility accessor; prefer [`Aig::node_levels`]).
-    pub fn levels(&self) -> Vec<u32> {
-        self.level.clone()
-    }
-
     /// Logic level of every node, borrowed from the arena — maintained
     /// incrementally on insert, so this is free.
     pub fn node_levels(&self) -> &[u32] {
@@ -312,13 +306,6 @@ impl Aig {
             .map(|l| self.level[l.node() as usize])
             .max()
             .unwrap_or(0)
-    }
-
-    /// Fanout count per node (edges from AND fanins and outputs), as an
-    /// owned vector (compatibility accessor; prefer
-    /// [`Aig::fanout_counts`]).
-    pub fn fanouts(&self) -> Vec<u32> {
-        self.refs.clone()
     }
 
     /// Fanout reference count per node, borrowed from the arena —
@@ -447,11 +434,9 @@ mod tests {
         let abc = aig.and(ab, c);
         aig.output(abc);
         assert_eq!(aig.depth(), 2);
-        let levels = aig.levels();
+        let levels = aig.node_levels();
         assert_eq!(levels[ab.node() as usize], 1);
         assert_eq!(levels[abc.node() as usize], 2);
-        // The borrowed view agrees with the owned copy.
-        assert_eq!(aig.node_levels(), levels.as_slice());
         assert_eq!(aig.level(abc.node()), 2);
     }
 
@@ -496,10 +481,9 @@ mod tests {
         let y = aig.and(x, a.not());
         aig.output(x);
         aig.output(y);
-        let fan = aig.fanouts();
+        let fan = aig.fanout_counts();
         assert_eq!(fan[a.node() as usize], 2);
         assert_eq!(fan[x.node() as usize], 2); // y + output
-        assert_eq!(aig.fanout_counts(), fan.as_slice());
     }
 
     #[test]

@@ -27,9 +27,11 @@
 //! * [`synthesize()`](crate::synth::synthesize) — the default flow
 //!   ([`synth::DEFAULT_FLOW`]);
 //! * [`sim`] — 64-way bit-parallel simulation;
-//! * [`check`] — SAT-based combinational equivalence checking
-//!   (simulation-filtered, closed by a CDCL proof over the Tseitin
-//!   encoding from [`cnf`]) with concrete counterexamples;
+//! * [`check`] — SAT-based combinational equivalence checking with
+//!   concrete counterexamples: one sweeper, which simulation-filters
+//!   candidate merges and closes each with an incremental CDCL proof,
+//!   decides every equivalence in the crate (`check_equivalence`, the
+//!   `dch` step, the flow's debug soundness gate);
 //! * [`profile`] — the engine's work counters, a view over eight `obs`
 //!   counters that an `obs::JobScope` attributes per job.
 //!
@@ -53,7 +55,6 @@ pub mod aiger;
 pub mod balance;
 pub mod check;
 pub mod choice;
-pub mod cnf;
 pub mod cuts;
 pub mod graph;
 pub mod profile;
@@ -66,8 +67,8 @@ pub use aiger::{
     from_aiger_ascii, from_aiger_auto, from_aiger_binary, to_aiger_ascii, to_aiger_binary,
 };
 pub use balance::balance;
-pub use check::{check_equivalence, equivalent, miter, Equivalence, ShapeMismatch};
-pub use choice::{ChoiceAig, ChoiceConfig, ChoiceStats};
+pub use check::{check_equivalence, Equivalence, ShapeMismatch};
+pub use choice::{ChoiceAig, ChoiceStats};
 pub use cuts::{enumerate_cuts, enumerate_cuts_choice, Cut, CutConfig, CutDb, CutSource};
 pub use graph::{Aig, Lit};
 pub use refactor::refactor;

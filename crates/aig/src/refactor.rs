@@ -111,7 +111,7 @@ fn sop_to_aig(out: &mut Aig, cover: &[logic::Cube], leaves: &[Lit], n_vars: usiz
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::equivalent;
+    use crate::check::{check_equivalence, Equivalence};
 
     #[test]
     fn preserves_function_on_random_networks() {
@@ -140,7 +140,7 @@ mod tests {
             aig.output(n);
         }
         let refactored = refactor(&aig);
-        assert!(equivalent(&aig, &refactored, 42, 64));
+        assert_eq!(check_equivalence(&aig, &refactored), Ok(Equivalence::Equal));
     }
 
     #[test]
@@ -160,7 +160,7 @@ mod tests {
         aig.output(f);
         let before = aig.and_count();
         let refactored = refactor(&aig);
-        assert!(equivalent(&aig, &refactored, 5, 16));
+        assert_eq!(check_equivalence(&aig, &refactored), Ok(Equivalence::Equal));
         assert!(
             refactored.and_count() <= before,
             "refactor must not grow a cleanly coverable cone: {} vs {before}",
@@ -176,6 +176,6 @@ mod tests {
         aig.output(a.not());
         aig.output(Lit::TRUE);
         let r = refactor(&aig);
-        assert!(equivalent(&aig, &r, 8, 8));
+        assert_eq!(check_equivalence(&aig, &r), Ok(Equivalence::Equal));
     }
 }

@@ -562,7 +562,7 @@ impl std::fmt::Display for FlowReport {
 /// # Example
 ///
 /// ```
-/// use aig::{Aig, synthesize, equivalent};
+/// use aig::{check_equivalence, synthesize, Aig, Equivalence};
 ///
 /// let mut aig = Aig::new();
 /// let xs: Vec<_> = (0..6).map(|_| aig.input()).collect();
@@ -573,7 +573,7 @@ impl std::fmt::Display for FlowReport {
 /// aig.output(acc);
 /// let opt = synthesize(&aig);
 /// assert!(opt.depth() < aig.depth());
-/// assert!(equivalent(&aig, &opt, 7, 32));
+/// assert_eq!(check_equivalence(&aig, &opt), Ok(Equivalence::Equal));
 /// ```
 pub fn synthesize(aig: &Aig) -> Aig {
     Flow::default_flow().run(aig)
@@ -596,7 +596,7 @@ fn debug_assert_pass_sound(before: &Aig, after: &Aig, pass: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::equivalent;
+    use crate::check::{check_equivalence, Equivalence};
     use crate::graph::Lit;
 
     #[test]
@@ -615,7 +615,7 @@ mod tests {
         aig.output(chain);
         aig.output(mixed);
         let opt = synthesize(&aig);
-        assert!(equivalent(&aig, &opt, 0xA5, 64));
+        assert_eq!(check_equivalence(&aig, &opt), Ok(Equivalence::Equal));
         assert!(opt.and_count() <= aig.and_count());
         assert!(opt.depth() <= aig.depth());
     }
@@ -633,7 +633,7 @@ mod tests {
         let g = aig.and(f, c);
         aig.output(g);
         let opt = synthesize(&aig);
-        assert!(equivalent(&aig, &opt, 77, 16));
+        assert_eq!(check_equivalence(&aig, &opt), Ok(Equivalence::Equal));
         assert!(
             opt.and_count() < aig.and_count(),
             "redundancy should be removed: {} vs {}",
@@ -761,7 +761,7 @@ mod tests {
         let flow = Flow::parse("b; rw; dch").expect("parses");
         let (optimized, choices, report) = flow.run_with_choices(&aig);
         let choices = choices.expect("dch scripts return choices");
-        assert!(equivalent(&aig, &optimized, 0x7C, 32));
+        assert_eq!(check_equivalence(&aig, &optimized), Ok(Equivalence::Equal));
         assert_eq!(
             crate::check::check_equivalence(&aig, &choices.collapsed()),
             Ok(crate::check::Equivalence::Equal)

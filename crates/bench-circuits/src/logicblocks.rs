@@ -210,8 +210,9 @@ mod tests {
         let a = logic_block(spec);
         let b = logic_block(spec);
         assert_eq!(a.and_count(), b.and_count());
-        assert!(
-            aig::check::equivalent(&a, &b, 5, 8),
+        assert_eq!(
+            aig::check_equivalence(&a, &b),
+            Ok(aig::Equivalence::Equal),
             "same seed ⇒ same function"
         );
     }
@@ -229,7 +230,7 @@ mod tests {
         };
         let a = mk(1);
         let b = mk(2);
-        assert!(!aig::check::equivalent(&a, &b, 5, 8));
+        assert_ne!(aig::check_equivalence(&a, &b), Ok(aig::Equivalence::Equal));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! `--choices`, `--patterns`, `--seed` or `--paper` either.
 //! `--objective` and `--cut-k` set the map phase. `--verify sat`
 //! SAT-proves each synthesized network equivalent to its generator
-//! output (slow at large sizes; CI runs it on the 10k workloads).
+//! output (slow at large sizes; CI runs it on the 10k workloads);
+//! `--verify sim` exits 2, since this harness has no simulation check.
 //!
 //! Each phase is timed as the *minimum* over [`TIMING_RUNS`] identical
 //! runs — the minimum is the standard robust estimator for a
@@ -83,6 +84,14 @@ impl Phase {
 
 fn main() {
     let args = BenchArgs::parse("scale");
+    let prove = match args.verify {
+        None | Some(Verify::Off) => false,
+        Some(Verify::Sat) => true,
+        Some(Verify::Sim) => {
+            eprintln!("scale does not take --verify sim (it takes off or sat)");
+            std::process::exit(2);
+        }
+    };
     obs::set_enabled(true);
     let sizes: Vec<usize> = if args.positional.is_empty() {
         DEFAULT_SIZES.to_vec()
@@ -97,7 +106,6 @@ fn main() {
             })
             .collect()
     };
-    let verify = args.verify.unwrap_or(Verify::Off);
     let synth_flow = Flow::parse(SYNTH_FLOW).expect("the synth flow parses");
     let dch_flow = Flow::parse("dch").expect("the dch flow parses");
     let library = engine::library(GateFamily::ALL[0]);
@@ -153,7 +161,7 @@ fn main() {
                 seconds: t_map,
             };
 
-            if verify == Verify::Sat {
+            if prove {
                 let t = Instant::now();
                 let proof = check_equivalence(&aig, &synth_aig).unwrap_or_else(|e| {
                     eprintln!("{} {size}: verify shape mismatch: {e}", spec.family);

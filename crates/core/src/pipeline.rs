@@ -388,7 +388,10 @@ mod tests {
             .expect("C1355")
             .aig;
         let synthesized = aig::synthesize(&aig);
-        assert!(aig::equivalent(&aig, &synthesized, 3, 32));
+        assert_eq!(
+            aig::check_equivalence(&aig, &synthesized),
+            Ok(aig::Equivalence::Equal)
+        );
         let config = PipelineConfig {
             patterns: 4096,
             ..PipelineConfig::default()

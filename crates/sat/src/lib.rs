@@ -1,13 +1,13 @@
 //! A self-contained CDCL SAT solver.
 //!
 //! Built for the combinational-equivalence-checking subsystem: the `aig`
-//! crate Tseitin-encodes miters into a [`Solver`] and closes every
-//! synthesis/mapping check with an UNSAT proof (or a concrete
-//! counterexample model). The solver is deliberately classical —
-//! MiniSat-style two-watched-literal propagation, first-UIP clause
-//! learning, VSIDS branching with phase saving, Luby restarts, and
-//! activity-based learnt-clause reduction — with two additions the CEC
-//! workload needs:
+//! crate's SAT sweeper Tseitin-encodes each fraig node into one
+//! [`Solver`] as it creates the node, and closes every synthesis/mapping
+//! check with an UNSAT proof (or a concrete counterexample model). The
+//! solver is deliberately classical — MiniSat-style two-watched-literal
+//! propagation, first-UIP clause learning, VSIDS branching with phase
+//! saving, Luby restarts, and activity-based learnt-clause reduction —
+//! with two additions the CEC workload needs:
 //!
 //! * **incremental solving under assumptions**
 //!   ([`Solver::solve_assuming`]) so one solver instance can answer many

@@ -194,9 +194,9 @@ struct Network<'a> {
 
 /// Fanout estimate for the flow discount of choice-network selection:
 /// reference counts over the collapsed (representative) structure plus
-/// the primary outputs — mirroring [`Aig::fanouts`] on the network the
-/// cover will actually be extracted from. Classes referenced only inside
-/// ring alternatives count zero and fall back to the DP's `max(1)`.
+/// the primary outputs — mirroring [`Aig::fanout_counts`] on the network
+/// the cover will actually be extracted from. Classes referenced only
+/// inside ring alternatives count zero and fall back to the DP's `max(1)`.
 fn choice_fanouts(choice: &ChoiceAig) -> Vec<u32> {
     let arena = choice.arena();
     let mut fan = vec![0u32; arena.len()];

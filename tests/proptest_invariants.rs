@@ -222,9 +222,8 @@ proptest! {
 
     #[test]
     fn synthesis_is_sat_proven_sound(ops in prop::collection::vec(op_strategy(), 1..40)) {
-        // Every synthesis pass is *proven* equivalent (miter UNSAT), not
-        // sampled — the probabilistic `equivalent(seed, rounds)` check
-        // this replaces could in principle miss a divergence.
+        // Every synthesis pass is *proven* equivalent by the SAT sweeper,
+        // not sampled: random simulation alone could miss a divergence.
         let aig = random_aig(ops, 6, 3);
         let opt = aig::synthesize(&aig);
         prop_assert_eq!(
