@@ -20,7 +20,7 @@
 use crate::graph::{Aig, Lit, Node};
 use crate::profile::{self, Work};
 use sat::{SolveResult, Solver};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Outcome of an equivalence check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -146,77 +146,158 @@ enum Prove {
     Unknown,
 }
 
-/// Signature words are allocated in cache-line blocks of this many
-/// `u64`s. The slack between the logical width and the allocated stride
-/// lets refinement append a word in place; the block re-strides (one
-/// full copy) only once every `SIG_WORD_BLOCK` refinement rounds instead
-/// of on every counterexample.
-const SIG_WORD_BLOCK: usize = 4;
+/// FNV-1a offset basis: the class key of a signature with no words.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// All simulation signatures in one flat node-major block: node `i`'s
-/// `words` live 64-pattern words sit at `data[i*stride..i*stride+words]`,
-/// with `stride - words` zeroed slack lanes behind them. One bump-grown
-/// allocation for the whole fraig instead of a heap `Vec<u64>` per node —
-/// signature reads during fraiging become offset arithmetic into one
-/// contiguous region.
-struct SigBlock {
-    /// Logical signature width, in 64-pattern words (uniform across
-    /// nodes).
-    words: usize,
-    /// Allocated words per node (`words.next_multiple_of(SIG_WORD_BLOCK)`).
-    stride: usize,
-    data: Vec<u64>,
+/// One FNV-1a step: folds one phase-normalized signature word into a
+/// class key.
+fn fnv_step(key: u64, word: u64) -> u64 {
+    (key ^ word).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
-impl SigBlock {
+/// The phase mask of a signature whose word 0 is `word0`: all ones when
+/// pattern 0 reads 1. XOR-ing every word with it normalizes a signature
+/// and its complement to the same words.
+fn phase_mask(word0: u64) -> u64 {
+    (word0 & 1).wrapping_neg()
+}
+
+/// A literal's value in one signature column (complement applied).
+fn lit_value(col: &[u64], l: Lit) -> u64 {
+    let v = col[l.node() as usize];
+    if l.is_complement() {
+        !v
+    } else {
+        v
+    }
+}
+
+/// All simulation signatures, word-major: `cols[w][node]` is 64-pattern
+/// word `w` of `node`, and `keys[node]` is the FNV-1a hash of its
+/// phase-normalized signature (complemented when pattern 0 reads 1),
+/// the node's class key.
+///
+/// Every word and every key step is computed once. A new node pushes
+/// one word onto each column and hashes them as it goes; a refinement
+/// pushes one new column and extends each key by one FNV step. FNV-1a
+/// runs over the words in order, so an extended key equals a fresh hash
+/// of the longer signature. Word 0, which fixes the phase, never
+/// changes. Columns grow by plain `Vec` doubling.
+struct Signatures {
+    cols: Vec<Vec<u64>>,
+    keys: Vec<u64>,
+}
+
+impl Signatures {
     fn new(words: usize) -> Self {
         Self {
-            words,
-            stride: words.next_multiple_of(SIG_WORD_BLOCK).max(SIG_WORD_BLOCK),
-            data: Vec::new(),
+            cols: vec![Vec::new(); words],
+            keys: Vec::new(),
         }
     }
 
-    /// Borrowed signature of one node — no allocation.
-    fn sig(&self, node: u32) -> &[u64] {
-        let start = node as usize * self.stride;
-        &self.data[start..start + self.words]
+    /// Signature width in 64-pattern words (uniform across nodes).
+    fn words(&self) -> usize {
+        self.cols.len()
     }
 
     /// Word `w` of a literal's signature (complement applied).
     fn lit_word(&self, l: Lit, w: usize) -> u64 {
-        let v = self.data[l.node() as usize * self.stride + w];
-        if l.is_complement() {
-            !v
-        } else {
-            v
+        lit_value(&self.cols[w], l)
+    }
+
+    /// Appends one node whose word `w` is `word(self, w)`, and returns its
+    /// class key.
+    fn push(&mut self, mut word: impl FnMut(&Self, usize) -> u64) -> u64 {
+        let (mut key, mut mask) = (FNV_OFFSET, 0);
+        for w in 0..self.words() {
+            let v = word(self, w);
+            if w == 0 {
+                mask = phase_mask(v);
+            }
+            key = fnv_step(key, v ^ mask);
+            self.cols[w].push(v);
+        }
+        self.keys.push(key);
+        key
+    }
+
+    /// Extends `node`'s class key by its word in the column being built,
+    /// returning the new key.
+    fn extend_key(&mut self, node: usize, word: u64) -> u64 {
+        let key = fnv_step(self.keys[node], word ^ phase_mask(self.cols[0][node]));
+        self.keys[node] = key;
+        key
+    }
+
+    /// `Some(phase)` when `x`'s signature equals `y`'s, complemented iff
+    /// `phase` (pattern 0 tells which), and `None` otherwise.
+    fn compare(&self, x: u32, y: u32) -> Option<bool> {
+        let (x, y) = (x as usize, y as usize);
+        let mask = phase_mask(self.cols[0][x] ^ self.cols[0][y]);
+        let matches = self.cols.iter().all(|col| col[x] ^ mask == col[y]);
+        matches.then_some(mask != 0)
+    }
+}
+
+/// End of a class chain.
+const NIL: u32 = u32::MAX;
+
+/// Candidate classes as intrusive chains: each class key maps to the
+/// first and last node of a chain threaded through `next` (one slot per
+/// node). Members are linked in index order, and linking allocates
+/// nothing per class. The map keeps std's keyed hasher: the keys follow
+/// from the circuit, which may come from outside the program, and a
+/// fixed mix would let a crafted one pile its keys into one probe run.
+#[derive(Default)]
+struct Classes {
+    ends: HashMap<u64, (u32, u32)>,
+    next: Vec<u32>,
+}
+
+impl Classes {
+    /// The first member of `key`'s class, or [`NIL`].
+    fn first(&self, key: u64) -> u32 {
+        self.ends.get(&key).map_or(NIL, |&(head, _)| head)
+    }
+
+    /// The member after `node` in its class, or [`NIL`].
+    fn next(&self, node: u32) -> u32 {
+        self.next[node as usize]
+    }
+
+    /// Appends `node` as the last member of `key`'s class.
+    fn link(&mut self, key: u64, node: u32) {
+        let slot = node as usize;
+        if self.next.len() <= slot {
+            self.next.resize(slot + 1, NIL);
+        }
+        self.next[slot] = NIL;
+        match self.ends.entry(key) {
+            Entry::Occupied(mut ends) => {
+                let tail = &mut ends.get_mut().1;
+                self.next[*tail as usize] = node;
+                *tail = node;
+            }
+            Entry::Vacant(ends) => {
+                ends.insert((node, node));
+            }
         }
     }
 
-    /// Opens one fresh node slot (all lanes zero), returning its offset.
-    fn grow(&mut self) -> usize {
-        let base = self.data.len();
-        self.data.resize(base + self.stride, 0);
-        base
-    }
-
-    /// Re-strides the block with one more slack block per node; live
-    /// words are copied, new lanes are zero.
-    fn widen(&mut self) {
-        let nodes = self.data.len() / self.stride;
-        let stride = self.stride + SIG_WORD_BLOCK;
-        let mut data = vec![0u64; nodes * stride];
-        for i in 0..nodes {
-            data[i * stride..i * stride + self.words]
-                .copy_from_slice(&self.data[i * self.stride..i * self.stride + self.words]);
-        }
-        self.stride = stride;
-        self.data = data;
+    /// Empties every class; the map keeps its capacity.
+    fn clear(&mut self) {
+        self.ends.clear();
     }
 }
 
 /// The SAT sweeper: a growing fraig with per-node simulation signatures,
 /// candidate classes, and an incremental Tseitin encoding.
+///
+/// Refinement costs one walk over the fraig: it computes every node's
+/// new word, extends every class key by one step, and re-links the live
+/// representatives into their classes. No word already written is
+/// hashed again.
 ///
 /// Crate-visible so the choice subsystem ([`crate::choice`]) can run the
 /// same sim-signature + budgeted-incremental-SAT sweep over a set of
@@ -227,30 +308,32 @@ pub(crate) struct Sweeper {
     solver: Solver,
     /// Solver variable per fraig node (encoded at creation).
     enc: Vec<sat::Var>,
-    /// Flat node-major simulation signatures.
-    sigs: SigBlock,
+    /// Word-major simulation signatures and their class keys.
+    sigs: Signatures,
     /// Representative literal per fraig node (identity unless merged).
     repr: Vec<Lit>,
-    /// Fingerprint of the normalized signature → class-representative
-    /// nodes. Keys are 64-bit FNV hashes of the signature slice, so a
-    /// lookup allocates nothing; [`Sweeper::try_merge`] re-checks the
-    /// actual signatures before trusting a bucket hit, so a fingerprint
-    /// collision costs one slice compare, never a wrong merge.
-    classes: HashMap<u64, Vec<u32>>,
+    /// The live representatives, chained by class key in index order.
+    /// Keys are fingerprints, so [`Sweeper::try_merge`] re-checks the
+    /// actual signatures before trusting a class member: a collision
+    /// costs one signature compare, never a wrong merge.
+    classes: Classes,
     /// Fraig node index of each primary input.
     input_nodes: Vec<u32>,
     rng: crate::sim::PatternRng,
 }
 
 impl Sweeper {
+    /// A sweeper over `n_inputs` shared inputs whose signatures start
+    /// with `words` (at least 1) random 64-pattern words.
     pub(crate) fn new(n_inputs: usize, seed: u64, words: usize) -> Self {
+        debug_assert!(words > 0, "a signature needs word 0 for its phase");
         let mut s = Self {
             f: Aig::new(),
             solver: Solver::new(),
             enc: Vec::new(),
-            sigs: SigBlock::new(words),
+            sigs: Signatures::new(words),
             repr: Vec::new(),
-            classes: HashMap::new(),
+            classes: Classes::default(),
             input_nodes: Vec::new(),
             rng: crate::sim::PatternRng::new(seed),
         };
@@ -258,41 +341,19 @@ impl Sweeper {
         let v0 = s.solver.new_var();
         s.solver.add_clause(&[sat::Lit::negative(v0)]);
         s.enc.push(v0);
-        s.sigs.grow();
+        let key = s.sigs.push(|_, _| 0);
         s.repr.push(Lit::FALSE);
-        s.register_class(0);
+        s.classes.link(key, 0);
         for _ in 0..n_inputs {
             let lit = s.f.input();
             let node = lit.node();
             s.input_nodes.push(node);
             s.enc.push(s.solver.new_var());
-            let base = s.sigs.grow();
-            for w in 0..words {
-                s.sigs.data[base + w] = s.rng.next_word();
-            }
+            let key = s.sigs.push(|_, _| s.rng.next_word());
             s.repr.push(lit);
-            s.register_class(node);
+            s.classes.link(key, node);
         }
         s
-    }
-
-    /// FNV-1a fingerprint of the phase-normalized signature (complemented
-    /// if pattern 0 reads 1), as the class key — hashes the slice in
-    /// place instead of allocating a normalized `Vec<u64>` per lookup.
-    fn class_key(&self, node: u32) -> u64 {
-        let sig = self.sigs.sig(node);
-        let flip = if sig[0] & 1 == 1 { u64::MAX } else { 0 };
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &w in sig {
-            h ^= w ^ flip;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
-    fn register_class(&mut self, node: u32) {
-        let key = self.class_key(node);
-        self.classes.entry(key).or_default().push(node);
     }
 
     fn resolve(&self, l: Lit) -> Lit {
@@ -366,83 +427,66 @@ impl Sweeper {
         self.solver.add_clause(&[!lv, lb]);
         self.solver.add_clause(&[lv, !la, !lb]);
         self.enc.push(v);
-        // Signature from the fanin signatures, bumped onto the block
-        // (slack lanes stay zero until a refinement claims them).
-        let base = self.sigs.grow();
-        for w in 0..self.sigs.words {
-            self.sigs.data[base + w] = self.sigs.lit_word(a, w) & self.sigs.lit_word(b, w);
-        }
-        profile::add(Work::SimWords, self.sigs.words as u64);
+        // Signature from the fanin signatures, one word per column.
+        self.sigs
+            .push(|sigs, w| sigs.lit_word(a, w) & sigs.lit_word(b, w));
+        profile::add(Work::SimWords, self.sigs.words() as u64);
         self.repr.push(raw);
         debug_assert_eq!(self.enc.len(), self.f.len());
         self.try_merge(node);
         self.resolve(raw)
     }
 
-    /// Attempts to merge `node` into an existing class representative.
-    /// A refuted candidate's distinguishing pattern becomes a new
-    /// simulation word at once ([`Sweeper::refine`]), which splits the
-    /// pair, and the bucket is scanned again under the refined
-    /// signatures.
+    /// Attempts to merge `node`, the newest fraig node and not yet a
+    /// class member, into a member of its class. A refuted candidate's
+    /// distinguishing pattern becomes a new simulation word at once
+    /// ([`Sweeper::refine`]), which splits the pair, and the class is
+    /// scanned again under the refined signatures. A node no candidate
+    /// is proven equal to joins its class last: it has the highest
+    /// index, so every chain stays in index order.
     fn try_merge(&mut self, node: u32) {
-        'scan: loop {
-            let key = self.class_key(node);
-            let bucket: Vec<u32> = self.classes.get(&key).cloned().unwrap_or_default();
-            for cand in bucket {
-                // Skip self and stale entries (a candidate that itself
-                // merged after registration — its representative is in
-                // this bucket too, so nothing is lost).
-                if cand == node || self.repr[cand as usize] != Lit::new(cand, false) {
-                    continue;
+        let mut cand = self.classes.first(self.sigs.keys[node as usize]);
+        while cand != NIL {
+            debug_assert_eq!(
+                self.repr[cand as usize],
+                Lit::new(cand, false),
+                "classes hold live representatives only"
+            );
+            // Keys are fingerprints, so confirm the signatures are
+            // actually equal or complementary; a collision just means
+            // the candidate is not comparable.
+            let Some(phase) = self.sigs.compare(node, cand) else {
+                cand = self.classes.next(cand);
+                continue;
+            };
+            let target = Lit::new(cand, phase);
+            profile::add(Work::SatMergeCalls, 1);
+            match self.prove_lits_equal(Lit::new(node, false), target, Some(MERGE_CONFLICT_BUDGET))
+            {
+                Prove::Equal => {
+                    profile::add(Work::SatMergeProven, 1);
+                    self.repr[node as usize] = target;
+                    // Record the proven equivalence as clauses; they
+                    // are implied, and they help later queries.
+                    let ln = sat::Lit::positive(self.enc[node as usize]);
+                    let lc = sat::Lit::new(self.enc[cand as usize], phase);
+                    self.solver.add_clause(&[!ln, lc]);
+                    self.solver.add_clause(&[ln, !lc]);
+                    return;
                 }
-                // Keys are fingerprints, so confirm the signatures are
-                // actually equal or complementary; a collision just
-                // means the candidate is not comparable.
-                let ns = self.sigs.sig(node);
-                let cs = self.sigs.sig(cand);
-                let equal = ns == cs;
-                let compl = !equal && ns.iter().zip(cs).all(|(&x, &y)| x == !y);
-                if !equal && !compl {
-                    continue;
+                Prove::Diff(pattern) => {
+                    profile::add(Work::SatMergeRefuted, 1);
+                    self.refine(&pattern, node);
+                    cand = self.classes.first(self.sigs.keys[node as usize]);
                 }
-                let phase = compl;
-                let target = Lit::new(cand, phase);
-                profile::add(Work::SatMergeCalls, 1);
-                match self.prove_lits_equal(
-                    Lit::new(node, false),
-                    target,
-                    Some(MERGE_CONFLICT_BUDGET),
-                ) {
-                    Prove::Equal => {
-                        profile::add(Work::SatMergeProven, 1);
-                        self.repr[node as usize] = target;
-                        // Record the proven equivalence as clauses; they
-                        // are implied, and they help later queries.
-                        let ln = sat::Lit::positive(self.enc[node as usize]);
-                        let lc = sat::Lit::new(self.enc[cand as usize], phase);
-                        self.solver.add_clause(&[!ln, lc]);
-                        self.solver.add_clause(&[ln, !lc]);
-                        return;
-                    }
-                    Prove::Diff(pattern) => {
-                        profile::add(Work::SatMergeRefuted, 1);
-                        self.refine(&pattern);
-                        continue 'scan;
-                    }
-                    Prove::Unknown => {
-                        // Budget out: try the next candidate.
-                        profile::add(Work::SatMergeBudgetOut, 1);
-                    }
+                Prove::Unknown => {
+                    // Budget out: try the next candidate.
+                    profile::add(Work::SatMergeBudgetOut, 1);
+                    cand = self.classes.next(cand);
                 }
             }
-            // A refine round rebuilds `classes` with `node` already in
-            // it; guard against registering it twice.
-            let bucket = self.classes.entry(key).or_default();
-            if !bucket.contains(&node) {
-                bucket.push(node);
-            }
-            return;
         }
+        self.classes.link(self.sigs.keys[node as usize], node);
     }
 
     /// Proves two fraig literals equal (both implications UNSAT), or
@@ -495,58 +539,50 @@ impl Sweeper {
 
     /// Appends one simulation word carrying the counterexample `pattern`
     /// (one bool per primary input) in bit 0 and fresh random patterns
-    /// in the other 63, resimulates the whole fraig, and rebuilds the
-    /// candidate classes.
+    /// in the other 63, and rebuilds the candidate classes.
     ///
-    /// The word lands in a pre-allocated slack lane of the signature
-    /// block when one is free (the block re-strides only every
-    /// [`SIG_WORD_BLOCK`]th round), then propagates in one walk over the
-    /// fraig in index order, which is topological: a node's word depends
-    /// only on its fanins' words, and fanins precede their consumers.
-    fn refine(&mut self, pattern: &[bool]) {
+    /// One walk over the fraig in index order, which is topological (a
+    /// node's word depends only on its fanins' words, and fanins precede
+    /// their consumers), computes each node's word into the new column,
+    /// extends its class key, and re-links it into its class if it is a
+    /// live representative. `pending`, the node [`Sweeper::try_merge`]
+    /// is deciding, stays out: that scan links it once it stays unmerged.
+    fn refine(&mut self, pattern: &[bool], pending: u32) {
         let _span = obs::span!("verify/refine");
         profile::add(Work::RefineRounds, 1);
-        if self.sigs.words == self.sigs.stride {
-            self.sigs.widen();
-        }
-        let words = self.sigs.words;
-        let stride = self.sigs.stride;
         // Input words draw from the rng serially, in input order — the
-        // stream is part of the determinism contract.
+        // stream is part of the determinism contract. The constant's
+        // word stays 0.
+        let mut col = vec![0u64; self.f.len()];
         for (&n, &bit) in self.input_nodes.iter().zip(pattern) {
-            let w = (self.rng.next_word() & !1) | u64::from(bit);
-            self.sigs.data[n as usize * stride + words] = w;
+            col[n as usize] = (self.rng.next_word() & !1) | u64::from(bit);
         }
         profile::add(Work::SimWords, self.f.len() as u64);
-        // The constant keeps its zeroed lane.
+        self.classes.clear();
         for (i, node) in self.f.nodes().enumerate() {
             if let Node::And(a, b) = node {
-                self.sigs.data[i * stride + words] =
-                    self.sigs.lit_word(a, words) & self.sigs.lit_word(b, words);
+                col[i] = lit_value(&col, a) & lit_value(&col, b);
+            }
+            let key = self.sigs.extend_key(i, col[i]);
+            let n = i as u32;
+            if n != pending && self.repr[i] == Lit::new(n, false) {
+                self.classes.link(key, n);
             }
         }
-        self.sigs.words = words + 1;
-        // Rebuild classes from the (still live) representatives.
-        let live: Vec<u32> = (0..self.f.len() as u32)
-            .filter(|&n| self.repr[n as usize] == Lit::new(n, false))
-            .collect();
-        self.classes.clear();
-        for n in live {
-            self.register_class(n);
-        }
+        self.sigs.cols.push(col);
     }
 
     /// A counterexample straight from the simulation signatures, if the
     /// two literals already differ on a simulated pattern.
     fn sim_difference(&self, x: Lit, y: Lit) -> Option<Vec<bool>> {
-        for w in 0..self.sigs.words {
+        for w in 0..self.sigs.words() {
             let diff = self.sigs.lit_word(x, w) ^ self.sigs.lit_word(y, w);
             if diff != 0 {
                 let bit = diff.trailing_zeros();
                 return Some(
                     self.input_nodes
                         .iter()
-                        .map(|&n| (self.sigs.sig(n)[w] >> bit) & 1 == 1)
+                        .map(|&n| (self.sigs.cols[w][n as usize] >> bit) & 1 == 1)
                         .collect(),
                 );
             }
@@ -559,6 +595,7 @@ impl Sweeper {
 mod tests {
     use super::*;
     use crate::sim::evaluate;
+    use std::collections::BTreeMap;
 
     fn xor_aig() -> Aig {
         let mut aig = Aig::new();
@@ -567,6 +604,49 @@ mod tests {
         let x = aig.xor(a, b);
         aig.output(x);
         aig
+    }
+
+    impl Sweeper {
+        /// Asserts that the incremental bookkeeping equals a fresh
+        /// computation: every column holds one word per node, every
+        /// node's stored key is a one-shot FNV-1a over its full
+        /// signature, and the class map is the one a from-scratch
+        /// rebuild over the live nodes in index order gives — the same
+        /// keys, and the same chain members in the same order.
+        fn assert_bookkeeping_is_fresh(&self) {
+            let n = self.f.len();
+            assert!(self.sigs.cols.iter().all(|col| col.len() == n));
+            let mut fresh = Classes::default();
+            for node in 0..n {
+                let sig: Vec<u64> = self.sigs.cols.iter().map(|col| col[node]).collect();
+                let mask = phase_mask(sig[0]);
+                let key = sig.iter().fold(FNV_OFFSET, |k, &w| fnv_step(k, w ^ mask));
+                assert_eq!(self.sigs.keys[node], key, "node {node}: stale class key");
+                if self.repr[node] == Lit::new(node as u32, false) {
+                    fresh.link(key, node as u32);
+                }
+            }
+            assert_eq!(self.classes.chains(), fresh.chains());
+        }
+    }
+
+    impl Classes {
+        /// Every class's members in chain order, by key.
+        fn chains(&self) -> BTreeMap<u64, Vec<u32>> {
+            self.ends
+                .iter()
+                .map(|(&key, &(head, tail))| {
+                    let (mut members, mut node) = (vec![head], head);
+                    while self.next(node) != NIL {
+                        assert!(members.len() < self.next.len(), "class {key:#x}: cycle");
+                        node = self.next(node);
+                        members.push(node);
+                    }
+                    assert_eq!(node, tail, "class {key:#x}: stale tail");
+                    (key, members)
+                })
+                .collect()
+        }
     }
 
     #[test]
@@ -729,13 +809,15 @@ mod tests {
     /// the semantic partition of its nodes: for each source node, the id
     /// of its equivalence class (classes numbered in first-appearance
     /// order) and its phase relative to the class leader. Asserts that
-    /// the sweep spent exactly one refinement round per refutation.
+    /// the sweep spent exactly one refinement round per refutation and
+    /// that its bookkeeping equals a fresh rebuild.
     fn sweep_partition(src: &Aig, words: usize) -> Vec<(usize, bool)> {
         let scope = obs::JobScope::begin();
         let mut sweeper = Sweeper::new(src.input_count(), 0xD5, words);
         let (_, map) = sweeper.import_with_map(src);
         let counters = crate::profile::scoped(&scope);
         assert_eq!(counters.refine_rounds, counters.sat_merge_refuted);
+        sweeper.assert_bookkeeping_is_fresh();
         let mut ids: HashMap<u32, (usize, bool)> = HashMap::new();
         map.iter()
             .map(|&l| {
@@ -745,6 +827,19 @@ mod tests {
                 (id, r.is_complement() != leader_phase)
             })
             .collect()
+    }
+
+    #[test]
+    fn incremental_bookkeeping_equals_a_fresh_rebuild_after_many_refinements() {
+        // Not cleaned up: the dangling operations stay in the sweep, and
+        // with them enough near-equal pairs to refute 36 times.
+        let src = messy_aig(3, 16, 6000);
+        let scope = obs::JobScope::begin();
+        let mut sweeper = Sweeper::new(src.input_count(), 0xD5, 1);
+        sweeper.import(&src);
+        let rounds = crate::profile::scoped(&scope).refine_rounds;
+        assert!(rounds >= 20, "only {rounds} refinement rounds");
+        sweeper.assert_bookkeeping_is_fresh();
     }
 
     proptest::proptest! {

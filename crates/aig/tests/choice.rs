@@ -1,6 +1,6 @@
 //! Integration tests of the choice subsystem: choice-augmented mapping
-//! is SAT-proven (miter-UNSAT) equivalent to the reference netlist on
-//! random AIGs, and choice rings never form cycles.
+//! is SAT-proven by `check_equivalence` equivalent to the reference
+//! netlist on random AIGs, and choice rings never form cycles.
 //!
 //! `techmap`/`charlib` appear as dev-dependencies only (a dev-only
 //! cycle, which cargo permits): proving the *mapping* over choices
@@ -54,9 +54,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     // The acceptance-criterion property: mapping over the choices a
-    // flow accumulated is miter-UNSAT equivalent to the reference
-    // netlist — `verify_mapping` *is* the `--verify sat` proof, run
-    // against the ORIGINAL network, not the synthesized one.
+    // flow accumulated is SAT-proven by `check_equivalence` equivalent
+    // to the reference netlist — `verify_mapping` *is* the `--verify
+    // sat` proof, run against the ORIGINAL network, not the synthesized
+    // one.
     #[test]
     fn choice_augmented_mapping_is_sat_equivalent_to_the_reference(
         ops in prop::collection::vec(op_strategy(), 1..35),

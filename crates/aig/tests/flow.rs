@@ -1,8 +1,8 @@
 //! Integration tests of the scripted flow engine: grammar round trips,
 //! fixpoint and no-growth guarantees, and — the load-bearing property —
 //! that *arbitrary* generated flow scripts applied to random AIGs are
-//! miter-UNSAT equivalent to their inputs (a SAT proof per case, not a
-//! sample).
+//! SAT-proven by `check_equivalence` equivalent to their inputs (a SAT
+//! proof per case, not a sample).
 
 use aig::{check_equivalence, Aig, Equivalence, Flow, Lit, Metrics};
 use proptest::prelude::*;
@@ -204,7 +204,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..40),
     ) {
         // Any grammatical flow script applied to any network must be
-        // miter-UNSAT equivalent to its input.
+        // SAT-proven by `check_equivalence` equivalent to its input.
         let network = random_aig(&ops, 6, 3);
         let flow = Flow::parse(&script).expect("generated scripts are grammatical");
         let optimized = flow.run(&network);

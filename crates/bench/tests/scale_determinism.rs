@@ -61,6 +61,56 @@ fn dch_sweep_is_bit_identical_across_thread_counts() {
     }
 }
 
+/// The `dch` sweep's work on each 2k workload, pinned counter for
+/// counter: SAT merge calls, proofs, refutations and budget-outs,
+/// simulation words, refinement rounds. The sweep is serial and seeded,
+/// so these repeat exactly, and a faster sweeper must still issue the
+/// same queries. Debug builds count a second sweep too: the flow's
+/// soundness gate proves the `dch` result against its input. A change
+/// to the simulation stream (counterexample neighbours in place of
+/// random patterns, a fixed signature window) changes these values on
+/// purpose: such a change re-blesses them once, with the reason in
+/// CHANGES.md.
+#[test]
+fn dch_sweep_work_is_pinned() {
+    let dch = Flow::parse("dch").expect("dch parses");
+    let expected = if cfg!(debug_assertions) {
+        [
+            ("mult", [29, 24, 5, 0, 47_216, 5]),
+            ("tree", [0, 0, 0, 0, 25_472, 0]),
+            ("rand", [670, 330, 340, 0, 848_832, 340]),
+        ]
+    } else {
+        [
+            ("mult", [15, 12, 3, 0, 24_744, 3]),
+            ("tree", [0, 0, 0, 0, 12_736, 0]),
+            ("rand", [329, 165, 164, 0, 410_088, 164]),
+        ]
+    };
+    for (spec, aig) in workloads(2_000) {
+        let scope = obs::JobScope::begin();
+        dch.run(&aig);
+        let c = aig::profile::scoped(&scope);
+        let work = [
+            c.sat_merge_calls,
+            c.sat_merge_proven,
+            c.sat_merge_refuted,
+            c.sat_merge_budget_out,
+            c.sim_words,
+            c.refine_rounds,
+        ];
+        let (_, pinned) = expected
+            .iter()
+            .find(|(family, _)| *family == spec.family)
+            .expect("every workload family is pinned");
+        assert_eq!(
+            &work, pinned,
+            "dch on {}: [calls, proven, refuted, budget-out, sim words, refine rounds]",
+            spec.family
+        );
+    }
+}
+
 #[test]
 fn mapping_is_identical_across_thread_counts() {
     let library = engine::library(GateFamily::ALL[0]);

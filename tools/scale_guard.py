@@ -20,7 +20,11 @@ BENCH_scale.json and exits non-zero when:
     cache), not few-percent jitter;
   * a regenerated row lacks its `profile` object or any of the eight
     engine counters in it (profile emission is part of the artifact
-    contract).
+    contract);
+  * an engine counter differs from the committed row's: the engine is
+    serial and seeded, so each row's counters repeat exactly, and a
+    changed count is changed work (a sweep that refutes, refines or
+    simulates differently), even where the QoR anchors hold.
 
 Rows may carry fields this guard does not know about (`spans_top`, the
 per-row top-self-time span attribution, is informational); only the
@@ -80,6 +84,14 @@ def main() -> int:
                 failures.append(
                     f"{family}/{size}: {anchor} drifted {ref[anchor]} -> {cur[anchor]} "
                     "(the engine is deterministic; this is a functional change)"
+                )
+        ref_profile, cur_profile = ref.get("profile", {}), cur.get("profile", {})
+        for name in ENGINE_COUNTERS:
+            if name in cur_profile and cur_profile[name] != ref_profile.get(name):
+                failures.append(
+                    f"{family}/{size}: profile counter {name} drifted "
+                    f"{ref_profile.get(name)} -> {cur_profile[name]} "
+                    "(the engine is serial and seeded; this is changed work)"
                 )
         for phase in PHASES:
             ref_nps = ref[phase]["serial_nodes_per_sec"]
