@@ -170,7 +170,7 @@ impl ChoiceAig {
 
     /// Whether ring member `m`'s positive output is the *complement* of
     /// its representative's positive output.
-    pub fn member_phase(&self, m: u32) -> bool {
+    fn member_phase(&self, m: u32) -> bool {
         self.repr[m as usize].is_complement()
     }
 

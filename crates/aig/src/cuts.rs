@@ -31,7 +31,7 @@ pub struct Cut {
 
 impl Cut {
     /// The trivial cut of a node: the node itself.
-    pub fn trivial(node: u32) -> Self {
+    fn trivial(node: u32) -> Self {
         Cut {
             leaves: vec![node],
             tt: TruthTable::var(1, 0),
@@ -86,7 +86,7 @@ impl Default for CutConfig {
 }
 
 /// Read access to per-node cut sets. Implemented by the plain
-/// `Vec<Vec<Cut>>` layout [`enumerate_cuts`] returns and by [`CutDb`],
+/// `Vec<Vec<Cut>>` layout [`enumerate_cuts_choice`] returns and by [`CutDb`],
 /// so downstream consumers (the technology mapper's selection phase)
 /// accept either source.
 pub trait CutSource {
@@ -113,23 +113,11 @@ impl CutSource for CutDb {
     }
 }
 
-/// Enumerates cuts for every node. Index = node index; constant and input
-/// nodes get only their trivial cut (inputs) or nothing (constant).
-///
-/// This is the one-shot convenience wrapper around [`CutDb`]: it fills a
-/// fresh database and unpacks it into the per-node vector layout.
-pub fn enumerate_cuts(aig: &Aig, config: CutConfig) -> Vec<Vec<Cut>> {
-    let mut db = CutDb::new(config);
-    db.ensure(aig);
-    (0..aig.len() as u32).map(|i| db.cuts(i).to_vec()).collect()
-}
-
 /// A cut database keyed to one network.
 ///
 /// The cuts live in one flat arena (`store`) with a `(start, end)` span
 /// per node — the fill appends pruned cuts straight into the arena, so
-/// no per-node `Vec` allocation survives ([`enumerate_cuts`] only pays
-/// for the per-node layout when explicitly unpacking).
+/// no per-node `Vec` allocation survives.
 ///
 /// Lifecycle: [`CutDb::ensure`] computes the cut sets of every node that
 /// has none, in one walk over the arena in index order, which is
@@ -408,6 +396,14 @@ fn prune(cuts: &mut Vec<Cut>, max: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Enumerates cuts for every node (index = node index) by filling a
+    /// fresh [`CutDb`] and unpacking it into the per-node vector layout.
+    fn enumerate_cuts(aig: &Aig, config: CutConfig) -> Vec<Vec<Cut>> {
+        let mut db = CutDb::new(config);
+        db.ensure(aig);
+        (0..aig.len() as u32).map(|i| db.cuts(i).to_vec()).collect()
+    }
 
     #[test]
     fn cut_functions_match_simulation() {

@@ -42,11 +42,6 @@ impl Lit {
     pub fn not(self) -> Self {
         Lit(self.0 ^ 1)
     }
-
-    /// This literal with its complement bit forced off.
-    pub fn regular(self) -> Self {
-        Lit(self.0 & !1)
-    }
 }
 
 impl std::ops::Not for Lit {
@@ -371,7 +366,6 @@ mod tests {
         assert!(l.is_complement());
         assert_eq!((!l).node(), 5);
         assert!(!(!l).is_complement());
-        assert_eq!(l.regular(), Lit::new(5, false));
     }
 
     #[test]

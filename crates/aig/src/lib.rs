@@ -69,7 +69,7 @@ pub use aiger::{
 pub use balance::balance;
 pub use check::{check_equivalence, Equivalence, ShapeMismatch};
 pub use choice::{ChoiceAig, ChoiceStats};
-pub use cuts::{enumerate_cuts, enumerate_cuts_choice, Cut, CutConfig, CutDb, CutSource};
+pub use cuts::{enumerate_cuts_choice, Cut, CutConfig, CutDb, CutSource};
 pub use graph::{Aig, Lit};
 pub use refactor::refactor;
 pub use rewrite::{rewrite, rewrite_with, RewriteConfig, RewriteLibrary};

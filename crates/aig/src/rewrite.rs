@@ -28,8 +28,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
+/// The rewriter's cut shape: width 4, because the library covers exactly
+/// the 4-variable NPN classes, and 8 priority cuts per node.
+const CUTS: CutConfig = CutConfig { k: 4, max_cuts: 8 };
+
 /// Rewriting knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RewriteConfig {
     /// Accept zero-gain replacements (`rw -z`): the node count stays the
     /// same but the structure changes, enabling later passes to improve.
@@ -38,19 +42,6 @@ pub struct RewriteConfig {
     /// root level exceeds the level the root would get from the plain
     /// structural copy, so a size gain can never buy local depth growth.
     pub level_aware: bool,
-    /// Priority-cut cap per node (cut width is fixed at 4 — the library
-    /// covers exactly the 4-variable NPN classes).
-    pub max_cuts: usize,
-}
-
-impl Default for RewriteConfig {
-    fn default() -> Self {
-        Self {
-            zero_gain: false,
-            level_aware: false,
-            max_cuts: 8,
-        }
-    }
 }
 
 /// The precomputed optimal-subgraph library: one compact AIG structure
@@ -202,7 +193,8 @@ impl RewriteLibrary {
 
     /// The canonical functions and their subgraph roots, for exhaustive
     /// verification (iteration order is unspecified).
-    pub fn class_roots(&self) -> impl Iterator<Item = (TruthTable, Lit)> + '_ {
+    #[cfg(test)]
+    fn class_roots(&self) -> impl Iterator<Item = (TruthTable, Lit)> + '_ {
         self.classes
             .iter()
             .map(|(&bits, &root)| (TruthTable::from_bits(4, bits), root))
@@ -211,7 +203,8 @@ impl RewriteLibrary {
     /// The function a subgraph root computes over the arena leaves —
     /// evaluated by simulation, independent of how the structure was
     /// built (verification hook).
-    pub fn realized_function(&self, root: Lit) -> TruthTable {
+    #[cfg(test)]
+    fn realized_function(&self, root: Lit) -> TruthTable {
         let mut tts: Vec<TruthTable> = Vec::with_capacity(self.arena.len());
         for node in self.arena.nodes() {
             let tt = match node {
@@ -235,7 +228,7 @@ impl RewriteLibrary {
     /// representative back onto the original function). `leaf_lits[i]`
     /// carries variable `i` of the canonized function; missing trailing
     /// variables are irrelevant and bind to constant false.
-    pub fn plan(&self, canon: &NpnCanon, leaf_lits: &[Lit]) -> Plan {
+    fn plan(&self, canon: &NpnCanon, leaf_lits: &[Lit]) -> Plan {
         let root = *self
             .classes
             .get(&canon.canonical.bits())
@@ -264,10 +257,10 @@ impl RewriteLibrary {
 
     /// Canonizes `f` (up to four variables) and builds its class subgraph
     /// into `out` over the given leaf literals (`leaf_lits[i]` = variable
-    /// `i` of `f`). Convenience entry for tests and one-off callers; the
-    /// rewriting pass prices plans with [`RewriteLibrary::count_new`]
-    /// first.
-    pub fn realize(&self, out: &mut Aig, f: TruthTable, leaf_lits: &[Lit]) -> Lit {
+    /// `i` of `f`). The rewriting pass instead prices each plan with
+    /// [`RewriteLibrary::count_new_with_level`] before committing it.
+    #[cfg(test)]
+    fn realize(&self, out: &mut Aig, f: TruthTable, leaf_lits: &[Lit]) -> Lit {
         assert!(f.n_vars() <= 4, "the rewrite library covers 4-input cuts");
         let f4 = f.extend_to(4);
         let plan = self.plan(&npn_canon(f4), leaf_lits);
@@ -282,6 +275,12 @@ impl RewriteLibrary {
             .unwrap_or(&[])
     }
 
+    /// The node count of [`RewriteLibrary::count_new_with_level`].
+    #[cfg(test)]
+    fn count_new(&self, out: &Aig, plan: &Plan) -> usize {
+        self.count_new_with_level(out, out.node_levels(), plan).0
+    }
+
     /// Exactly how many AND nodes [`RewriteLibrary::instantiate`] would
     /// allocate in `out` for this plan, without committing anything: cone
     /// nodes whose fanins all resolve to existing literals are folded or
@@ -292,19 +291,15 @@ impl RewriteLibrary {
     /// node when pin substitution makes their fanin pairs coincide, e.g.
     /// when two cut leaves map to the same literal; counting per arena
     /// node would over-price such plans.)
-    pub fn count_new(&self, out: &Aig, plan: &Plan) -> usize {
-        self.count_new_with_level(out, out.node_levels(), plan).0
-    }
-
-    /// Like [`RewriteLibrary::count_new`], additionally returning the
-    /// logic level the plan's root would have in `out` (`out_levels` is
-    /// the per-node level array of `out`, maintained incrementally by
-    /// the rewriting pass). Virtual nodes get
+    ///
+    /// Also returns the logic level the plan's root would have in `out`
+    /// (`out_levels` is the per-node level array of `out`, maintained
+    /// incrementally by the rewriting pass). Virtual nodes get
     /// `1 + max(level(fanin_a), level(fanin_b))` exactly as the
     /// committed instantiation would; folds and strash hits take the
     /// level of the literal they resolve to. The depth-aware `rw -l`
     /// mode prices candidates with this before committing anything.
-    pub fn count_new_with_level(&self, out: &Aig, out_levels: &[u32], plan: &Plan) -> (usize, u32) {
+    fn count_new_with_level(&self, out: &Aig, out_levels: &[u32], plan: &Plan) -> (usize, u32) {
         let mut count = 0usize;
         let mut resolved: HashMap<u32, DryLit> = HashMap::new();
         // Level of each virtual literal, keyed by its `DryLit::New`
@@ -357,7 +352,7 @@ impl RewriteLibrary {
     /// Builds the plan's subgraph into `out`, returning the literal that
     /// computes the planned function. Structural hashing in `out` reuses
     /// every node that already exists.
-    pub fn instantiate(&self, out: &mut Aig, plan: &Plan) -> Lit {
+    fn instantiate(&self, out: &mut Aig, plan: &Plan) -> Lit {
         let mut built: HashMap<u32, Lit> = HashMap::new();
         for &n in self.cone(plan.root) {
             let Node::And(a, b) = self.arena.node(n) else {
@@ -411,6 +406,7 @@ impl Default for RewriteLibrary {
     }
 }
 
+#[cfg(test)]
 fn edge_tt(tt: TruthTable, e: Lit) -> TruthTable {
     if e.is_complement() {
         !tt
@@ -661,10 +657,7 @@ pub fn rewrite(aig: &Aig) -> Aig {
 pub fn rewrite_with(aig: &Aig, config: &RewriteConfig) -> Aig {
     let lib = library();
     let input = aig.cleanup();
-    let mut cuts = CutDb::new(CutConfig {
-        k: 4,
-        max_cuts: config.max_cuts,
-    });
+    let mut cuts = CutDb::new(CUTS);
     cuts.ensure(&input);
     let refs = input.fanout_counts();
     // Per-pass canonization memo: the same cut function recurs across

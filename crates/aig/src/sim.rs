@@ -24,7 +24,7 @@ pub fn simulate64(aig: &Aig, inputs: &[u64]) -> Vec<u64> {
 /// # Panics
 ///
 /// Panics if `inputs.len()` differs from the AIG's input count.
-pub fn node_values64(aig: &Aig, inputs: &[u64]) -> Vec<u64> {
+fn node_values64(aig: &Aig, inputs: &[u64]) -> Vec<u64> {
     assert_eq!(inputs.len(), aig.input_count(), "input word count mismatch");
     let mut values = vec![0u64; aig.len()];
     for (i, node) in aig.nodes().enumerate() {

@@ -122,7 +122,6 @@ impl Pass for RewritePass {
         let config = RewriteConfig {
             zero_gain: self.zero_gain,
             level_aware: self.level_aware,
-            ..RewriteConfig::default()
         };
         rewrite_with(aig, &config)
     }
@@ -368,7 +367,7 @@ impl Flow {
 
     /// Whether the script contains a `dch` step, i.e. whether
     /// [`Flow::run_with_choices`] will return a [`ChoiceAig`].
-    pub fn uses_choices(&self) -> bool {
+    fn uses_choices(&self) -> bool {
         self.steps.iter().any(|s| matches!(s, Step::Dch))
     }
 

@@ -11,7 +11,7 @@ use aig::{Aig, Lit};
 ///
 /// Operations: ADD, SUB, AND, OR, XOR, NOR, shift-left-1, pass-B-muxed.
 /// Returns the result word plus (zero, carry, parity) flags.
-pub fn alu_core(aig: &mut Aig, a: &Word, b: &Word, op: &Word, cin: Lit) -> (Word, Vec<Lit>) {
+fn alu_core(aig: &mut Aig, a: &Word, b: &Word, op: &Word, cin: Lit) -> (Word, Vec<Lit>) {
     assert_eq!(op.len(), 3, "opcode is three bits");
     let (add, carry_add) = ripple_add(aig, a, b, cin);
     let (sub, carry_sub) = ripple_sub(aig, a, b);

@@ -18,7 +18,7 @@ pub const SBOX_COUNT: usize = 8;
 
 /// Deterministic S-box tables: `tables[s][i]` is the 4-bit output of
 /// S-box `s` for 6-bit input `i`.
-pub fn sbox_tables(seed: u64) -> Vec<[u8; 64]> {
+fn sbox_tables(seed: u64) -> Vec<[u8; 64]> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..SBOX_COUNT)
         .map(|_| {
@@ -49,7 +49,7 @@ fn expand(half: &Word) -> Vec<Lit> {
 }
 
 /// One Feistel round: returns the new (left, right) halves.
-pub fn feistel_round(
+fn feistel_round(
     aig: &mut Aig,
     left: &Word,
     right: &Word,

@@ -41,7 +41,7 @@ fn layout(data_bits: usize) -> (usize, Vec<Option<usize>>) {
 /// syndrome and outputs the corrected data word — the C1355-class
 /// circuit.
 #[allow(clippy::needless_range_loop)] // `pos` is a 1-based codeword position
-pub fn sec_decoder(aig: &mut Aig, codeword: &Word, data_bits: usize) -> Word {
+fn sec_decoder(aig: &mut Aig, codeword: &Word, data_bits: usize) -> Word {
     let (r, map) = layout(data_bits);
     let n = data_bits + r;
     assert_eq!(codeword.len(), n, "codeword width mismatch");

@@ -5,7 +5,7 @@
 //! *functional class* — XOR-rich multipliers and error-correcting codes
 //! benefit most from generalized ambipolar gates, control-dominated ALUs
 //! less so. Every generator here produces a functional stand-in of the
-//! same class and comparable scale (see `DESIGN.md` for the mapping):
+//! same class and comparable scale:
 //!
 //! | row | paper circuit | stand-in |
 //! |---|---|---|

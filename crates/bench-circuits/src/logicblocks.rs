@@ -2,85 +2,18 @@
 //! ("logic" rows of Table 1).
 //!
 //! These MCNC circuits are unstructured multi-level logic. The stand-ins
-//! are deterministic (seeded) DAGs mixing AND/OR/XOR/MUX operators in the
-//! proportions typical of control logic, plus decoders and comparators,
-//! so the mapper sees realistic mixed-polarity cones.
+//! are deterministic (seeded) DAGs mixing AND/OR/XOR operators in the
+//! proportions typical of control logic, over comparator and parity
+//! scaffolds, so the mapper sees realistic mixed-polarity cones.
 
 use crate::words::{equal, less_than, parity, Word};
 use aig::{Aig, Lit};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Parameters of a mixed-logic block.
-#[derive(Clone, Copy, Debug)]
-pub struct LogicBlockSpec {
-    /// Primary inputs.
-    pub inputs: usize,
-    /// Primary outputs.
-    pub outputs: usize,
-    /// Internal operator count before synthesis.
-    pub operators: usize,
-    /// RNG seed (fixes the circuit).
-    pub seed: u64,
-    /// XOR share in percent (the "binate-ness" of the block).
-    pub xor_percent: u32,
-}
-
-/// Generates a deterministic mixed-logic DAG.
-pub fn logic_block(spec: LogicBlockSpec) -> Aig {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let mut aig = Aig::new();
-    let inputs: Vec<Lit> = (0..spec.inputs).map(|_| aig.input()).collect();
-    let mut nets: Vec<Lit> = inputs.clone();
-    for _ in 0..spec.operators {
-        let pick = |rng: &mut StdRng, nets: &[Lit]| {
-            let l = nets[rng.gen_range(0..nets.len())];
-            if rng.gen_bool(0.3) {
-                l.not()
-            } else {
-                l
-            }
-        };
-        let a = pick(&mut rng, &nets);
-        let b = pick(&mut rng, &nets);
-        let roll = rng.gen_range(0..100u32);
-        let f = if roll < spec.xor_percent {
-            aig.xor(a, b)
-        } else if roll < spec.xor_percent + 35 {
-            aig.and(a, b)
-        } else if roll < spec.xor_percent + 70 {
-            aig.or(a, b)
-        } else {
-            let s = pick(&mut rng, &nets);
-            aig.mux(s, a, b)
-        };
-        nets.push(f);
-    }
-    // Outputs: XOR-combine several late nets so every output cone is wide
-    // and live (a single random tap can collapse under strashing); retry
-    // picks that fold to a constant.
-    let half = nets.len() / 2;
-    for _ in 0..spec.outputs {
-        let mut o = Lit::FALSE;
-        for _ in 0..16 {
-            let a = nets[rng.gen_range(half..nets.len())];
-            let b = nets[rng.gen_range(half..nets.len())];
-            let c = nets[rng.gen_range(0..nets.len())];
-            let t = aig.xor(a, b);
-            o = aig.xor(t, c);
-            if o.node() != 0 {
-                break;
-            }
-        }
-        assert!(o.node() != 0, "could not build a non-constant output");
-        aig.output(o);
-    }
-    aig.cleanup()
-}
-
 /// The `i10`-class block: large mixed logic with comparators and parity.
 pub fn i10_circuit() -> Aig {
-    let mut aig = base_with_datapath(48, 0x1010, 30);
+    let mut aig = base_with_datapath(48);
     let extra = logic_glue(&mut aig, 2800, 0x0010_1055, 25);
     for l in extra {
         aig.output(l);
@@ -90,7 +23,7 @@ pub fn i10_circuit() -> Aig {
 
 /// The `i8`-class block: medium mixed logic with decoders.
 pub fn i8_circuit() -> Aig {
-    let mut aig = base_with_datapath(32, 0x0808, 20);
+    let mut aig = base_with_datapath(32);
     let extra = logic_glue(&mut aig, 1700, 0x0008_0855, 20);
     for l in extra {
         aig.output(l);
@@ -138,7 +71,7 @@ pub fn t481_circuit() -> Aig {
 }
 
 /// Shared scaffold: datapath-flavoured comparisons over the inputs.
-fn base_with_datapath(inputs: usize, seed: u64, xor_percent: u32) -> Aig {
+fn base_with_datapath(inputs: usize) -> Aig {
     let mut aig = Aig::new();
     let ins: Vec<Lit> = (0..inputs).map(|_| aig.input()).collect();
     let half = inputs / 2;
@@ -152,7 +85,6 @@ fn base_with_datapath(inputs: usize, seed: u64, xor_percent: u32) -> Aig {
     aig.output(eq);
     aig.output(lt);
     aig.output(px);
-    let _ = (seed, xor_percent);
     aig
 }
 
@@ -197,41 +129,6 @@ fn logic_glue(aig: &mut Aig, operators: usize, seed: u64, xor_percent: u32) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn blocks_are_deterministic() {
-        let spec = LogicBlockSpec {
-            inputs: 12,
-            outputs: 6,
-            operators: 100,
-            seed: 42,
-            xor_percent: 25,
-        };
-        let a = logic_block(spec);
-        let b = logic_block(spec);
-        assert_eq!(a.and_count(), b.and_count());
-        assert_eq!(
-            aig::check_equivalence(&a, &b),
-            Ok(aig::Equivalence::Equal),
-            "same seed ⇒ same function"
-        );
-    }
-
-    #[test]
-    fn different_seeds_differ() {
-        let mk = |seed| {
-            logic_block(LogicBlockSpec {
-                inputs: 12,
-                outputs: 6,
-                operators: 100,
-                seed,
-                xor_percent: 25,
-            })
-        };
-        let a = mk(1);
-        let b = mk(2);
-        assert_ne!(aig::check_equivalence(&a, &b), Ok(aig::Equivalence::Equal));
-    }
 
     #[test]
     fn named_blocks_have_expected_interfaces() {

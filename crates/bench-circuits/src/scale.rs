@@ -55,7 +55,7 @@ pub fn workloads(target_ands: usize) -> Vec<(ScaleSpec, Aig)> {
 /// `target_ands` AND nodes (the XOR-rich datapath workload; C6288 scaled
 /// up). The array costs ≈ 10.2·n² ANDs, so `n` is derived by inverting
 /// that and nudged up until the target is met.
-pub fn wide_multiplier(target_ands: usize) -> Aig {
+fn wide_multiplier(target_ands: usize) -> Aig {
     let mut n = (((target_ands as f64) / 10.2).sqrt().round() as usize).max(2);
     loop {
         let aig = multiplier_circuit(n);
@@ -71,7 +71,7 @@ pub fn wide_multiplier(target_ands: usize) -> Aig {
 /// alternate ripple-carry addition and bitwise XOR. The ripple chains
 /// make it deep (long level frontiers), the XOR levels keep it
 /// XOR-dense — the shape that stresses level-staged parallel loops.
-pub fn adder_xor_tree(target_ands: usize) -> Aig {
+fn adder_xor_tree(target_ands: usize) -> Aig {
     const WIDTH: usize = 32;
     // A tree of L leaves has L-1 combining steps averaging ≈ 7·WIDTH
     // ANDs each (ripple-add levels at 9w, XOR levels at 3w, add levels

@@ -175,22 +175,25 @@ fn run(args: &BenchArgs) {
                 format!(
                     "{{\"pass\": {}, \"accepted\": {}, \"ands_before\": {}, \"ands_after\": {}, \
                      \"depth_before\": {}, \"depth_after\": {}, \"seconds\": {}}}",
-                    bench::qor::json_string(&p.name),
+                    ambipolar::json::json_string(&p.name),
                     p.accepted,
                     p.before.ands,
                     p.after.ands,
                     p.before.depth,
                     p.after.depth,
-                    bench::qor::json_seconds(p.elapsed),
+                    ambipolar::json::json_seconds(p.elapsed),
                 )
             })
             .collect();
         let mut extra = vec![
-            ("serial_seconds", bench::qor::json_seconds(serial_time)),
-            ("parallel_seconds", bench::qor::json_seconds(parallel_time)),
+            ("serial_seconds", ambipolar::json::json_seconds(serial_time)),
+            (
+                "parallel_seconds",
+                ambipolar::json::json_seconds(parallel_time),
+            ),
             (
                 "rewrite_library_build_seconds",
-                bench::qor::json_seconds(rewrite_build),
+                ambipolar::json::json_seconds(rewrite_build),
             ),
             ("flow_stages_c1355", format!("[{}]", flow_passes.join(", "))),
             (
@@ -216,6 +219,6 @@ fn run(args: &BenchArgs) {
         }
         let doc =
             bench::qor::table1_json("engine_smoke", &parallel, &config, parallel_time, &extra);
-        bench::qor::write_or_exit(path, &doc);
+        ambipolar::json::write_or_exit(path, &doc);
     }
 }

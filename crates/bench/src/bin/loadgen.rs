@@ -30,7 +30,7 @@
 //! ring at exit — in in-process mode that trace contains every served
 //! request's span tree, which is what `tools/obs_guard.py` validates.
 
-use bench::qor::{json_f64, json_seconds, json_string, write_or_exit};
+use ambipolar::json::{json_f64, json_seconds, json_string, write_or_exit};
 use bench::BenchArgs;
 use gate_lib::GateFamily;
 use serve::{Client, JobSpec, Response, Server, ServerConfig};

@@ -217,7 +217,7 @@ fn main() {
         let doc = format!(
             "{{\n  \"artifact\": \"scale\",\n  \"flow\": {},\n  \
              \"sizes\": [{}],\n  \"results\": [\n    {}\n  ]\n}}\n",
-            bench::qor::json_string(SYNTH_FLOW),
+            ambipolar::json::json_string(SYNTH_FLOW),
             sizes
                 .iter()
                 .map(ToString::to_string)
@@ -225,7 +225,7 @@ fn main() {
                 .join(", "),
             rows.join(",\n    "),
         );
-        bench::qor::write_or_exit(path, &doc);
+        ambipolar::json::write_or_exit(path, &doc);
     }
     if let Some(path) = &args.trace_out {
         match obs::write_trace(path) {
@@ -261,7 +261,7 @@ fn spans_top_json(before: &[obs::SpanStat]) -> String {
         .map(|s| {
             format!(
                 "{{\"name\": {}, \"count\": {}, \"total_us\": {}, \"self_us\": {}}}",
-                bench::qor::json_string(&s.name),
+                ambipolar::json::json_string(&s.name),
                 s.count,
                 s.total_us,
                 s.self_us,
@@ -325,15 +325,15 @@ fn result_json(
                 "\"{}\": {{\"ands\": {}, \"serial_seconds\": {}, \"serial_nodes_per_sec\": {}}}",
                 p.name,
                 p.ands,
-                bench::qor::json_f64(p.seconds),
-                bench::qor::json_f64(p.nps()),
+                ambipolar::json::json_f64(p.seconds),
+                ambipolar::json::json_f64(p.nps()),
             )
         })
         .collect();
     format!(
         "{{\"family\": {}, \"target\": {}, \"ands\": {}, \"synth_ands\": {}, \"gates\": {}, {}, \
          \"profile\": {}, \"spans_top\": {}}}",
-        bench::qor::json_string(family),
+        ambipolar::json::json_string(family),
         size,
         ands,
         synth_ands,

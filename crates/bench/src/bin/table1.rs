@@ -63,7 +63,7 @@ fn main() {
     println!("                            conventional 3.2% gates, 5.1x delay, 30.9% PD, 92.7% PS, 36.7% PT, 8.1x EDP");
     if let Some(path) = &args.json {
         let doc = bench::qor::table1_json("table1", &table, &config, wall, &[]);
-        bench::qor::write_or_exit(path, &doc);
+        ambipolar::json::write_or_exit(path, &doc);
     }
     eprintln!("total runtime: {wall:?}");
 }

@@ -1,6 +1,8 @@
 //! Shared helpers for the benchmark harness binaries.
 //!
-//! Each binary regenerates one artifact of the paper (see `DESIGN.md` §4):
+//! Each binary regenerates one artifact of the paper or drives one
+//! harness (the README's "Regenerating the paper's artifacts" table lists
+//! the commands):
 //!
 //! * `table1` — Table 1 (12 benchmarks × 3 libraries);
 //! * `gate_library` — the §4 gate-level library comparison;
@@ -11,7 +13,12 @@
 //! * `expressive_power` — expressive-power accounting (§1/§2.2);
 //! * `vdd_sweep` — supply-scaling extension study;
 //! * `map_aiger` — external AIGER circuits through the pipeline;
-//! * `engine_smoke` — engine cache + parallel-speedup smoke measurement.
+//! * `cec` — SAT-based equivalence checking of two AIGER files, or of a
+//!   catalog circuit against its synthesized form;
+//! * `engine_smoke` — engine cache + parallel-speedup smoke measurement;
+//! * `scale` — synthesis, `dch` and mapping throughput on generated
+//!   10k–1M-node workloads;
+//! * `loadgen` — closed-loop load generator for `synthd`.
 //!
 //! All binaries share one command-line surface, [`BenchArgs`]; each takes
 //! the part of it [`BINS`] names.

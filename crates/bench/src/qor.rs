@@ -11,14 +11,15 @@
 //! accepts exponent notation); strings are plain ASCII labels.
 
 use ambipolar::experiments::{Table1, Table1Config};
-use ambipolar::json::json_circuit_result;
+use ambipolar::json::{json_circuit_result, json_f64, json_string};
 use gate_lib::GateFamily;
 use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Renders the Table-1 QoR artifact. `extra` entries are appended as
 /// additional top-level fields; each value must already be valid JSON
-/// (use [`json_string`] / [`json_seconds`] to build them).
+/// (use [`json_string`] / [`ambipolar::json::json_seconds`] to build
+/// them).
 pub fn table1_json(
     artifact: &str,
     table: &Table1,
@@ -103,8 +104,3 @@ pub fn profile_json(counters: &aig::profile::Counters) -> String {
         .collect();
     format!("{{{}}}", fields.join(", "))
 }
-
-// The scalar helpers live in the core crate so the server (`serve`)
-// and the bench binaries render numbers identically; re-exported here
-// to keep every existing `bench::qor::json_*` call site compiling.
-pub use ambipolar::json::{json_f64, json_seconds, json_string, write_or_exit};

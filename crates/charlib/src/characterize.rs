@@ -79,7 +79,7 @@ impl CharacterizedGate {
     }
 
     /// Power breakdown at an explicit frequency and fanout.
-    pub fn power_at(&self, frequency_hz: f64, fanout: f64) -> PowerSummary {
+    fn power_at(&self, frequency_hz: f64, fanout: f64) -> PowerSummary {
         let c_load = self.c_out + fanout * self.avg_input_cap().value();
         let dynamic = self.alpha * c_load * frequency_hz * self.vdd * self.vdd;
         PowerSummary {

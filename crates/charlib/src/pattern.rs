@@ -15,7 +15,8 @@ use std::fmt;
 
 /// A canonical series/parallel pattern of off transistors.
 ///
-/// Invariants (maintained by [`OffPattern::normalize`]): children of
+/// Invariants (maintained by [`OffPattern::series`] and
+/// [`OffPattern::parallel`]): children of
 /// `Series`/`Parallel` are sorted, contain at least two entries, and never
 /// repeat the parent combinator.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -41,7 +42,7 @@ impl OffPattern {
 
     /// Canonicalizes: flattens nested same-kind combinators, unwraps
     /// single children, sorts commutative children.
-    pub fn normalize(self) -> Self {
+    fn normalize(self) -> Self {
         match self {
             OffPattern::Device => OffPattern::Device,
             OffPattern::Series(children) => {

@@ -6,8 +6,8 @@ use charlib::CharacterizedLibrary;
 use device::{EnergyDelay, Power, Time};
 use power_est::{estimate_power, simulate_activity, PowerBreakdown};
 use techmap::{
-    critical_path_with_load, map_subject, verify_mapping_with, MapConfig, MapError, MappedNetlist,
-    Objective, Subject, Verify, VerifyError,
+    critical_path, map_subject, verify_mapping_with, MapConfig, MapError, MappedNetlist, Objective,
+    Subject, Verify, VerifyError,
 };
 
 /// Pipeline knobs.
@@ -236,7 +236,7 @@ pub fn run_job(
     }
     check()?;
     let _s = obs::span!("estimate");
-    let sta = critical_path_with_load(&mapped, library, config.map.output_load_farads(library));
+    let sta = critical_path(&mapped, library);
     let activity = simulate_activity(&mapped, library, config.patterns, config.seed);
     let power = estimate_power(&mapped, library, &activity, config.frequency_hz);
     let result = CircuitResult {
@@ -263,8 +263,7 @@ pub fn run_job(
 pub struct NoChoiceBaseline {
     /// Gate count of the baseline mapping.
     pub gates: usize,
-    /// STA critical path of the baseline mapping (timed under the
-    /// configured [`MapConfig::output_load`]).
+    /// STA critical path of the baseline mapping.
     pub delay: Time,
 }
 
@@ -330,9 +329,7 @@ pub fn map_portfolio_with_cut_db(
             &mut mapper_cut_db(&config.map),
         )?)
     };
-    let output_load = config.map.output_load_farads(library);
-    let sta_delay =
-        |netlist: &MappedNetlist| critical_path_with_load(netlist, library, output_load).critical;
+    let sta_delay = |netlist: &MappedNetlist| critical_path(netlist, library).critical;
     let baseline_ref = baseline.as_ref().unwrap_or(&plain);
     let no_choice = Some(NoChoiceBaseline {
         gates: baseline_ref.gate_count(),

@@ -35,7 +35,8 @@ impl PolarityConfig {
     }
 
     /// The polarity-gate voltage (volts) realizing this configuration.
-    pub fn polarity_gate_voltage(self, vdd: f64) -> f64 {
+    #[cfg(test)]
+    fn polarity_gate_voltage(self, vdd: f64) -> f64 {
         match self {
             PolarityConfig::NType => 0.0,
             PolarityConfig::PType => vdd,

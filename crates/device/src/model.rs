@@ -18,7 +18,9 @@
 //! F(x) = ln²(1 + e^{x/2})                     (weak↔strong inversion blend)
 //! ```
 //!
-//! Gate leakage is a calibrated exponential in the gate-to-channel bias.
+//! Gate leakage is not part of the transistor model: characterization
+//! charges [`TechParams::ig_unit`](crate::tech::TechParams::ig_unit) per
+//! conducting device.
 
 /// Thermal voltage kT/q at 300 K, in volts.
 pub const THERMAL_VOLTAGE: f64 = 0.025852;
@@ -67,11 +69,8 @@ pub struct CompactModel {
     pub i_spec: f64,
     /// DIBL coefficient η (threshold shift per volt of V_DS).
     pub dibl: f64,
-    /// Gate-tunnelling current at |V_G − V_channel| = `vdd_ref`, amperes.
-    pub ig_unit: f64,
-    /// Exponential slope of gate tunnelling, volts per e-fold.
-    pub ig_slope: f64,
-    /// Reference supply for gate-leakage calibration, volts.
+    /// The supply a p-device is mirrored about (its bulk sits at V_DD in
+    /// a static gate), volts.
     pub vdd_ref: f64,
 }
 
@@ -149,13 +148,6 @@ impl CompactModel {
         sign * self.i_spec * (forward - reverse)
     }
 
-    /// Gate-tunnelling current (amperes, magnitude) for a gate-to-channel
-    /// bias of `v_gate - v_channel` volts.
-    pub fn gate_leakage(&self, v_gate: f64, v_channel: f64) -> f64 {
-        let bias = (v_gate - v_channel).abs();
-        self.ig_unit * ((bias - self.vdd_ref) / self.ig_slope).exp()
-    }
-
     /// The off-state leakage at V_GS = 0 and V_DS = `vds` (amperes).
     pub fn ioff(&self, vds: f64) -> f64 {
         match self.polarity {
@@ -173,7 +165,8 @@ impl CompactModel {
     }
 
     /// Sub-threshold swing in millivolts per decade.
-    pub fn subthreshold_swing_mv(&self) -> f64 {
+    #[cfg(test)]
+    fn subthreshold_swing_mv(&self) -> f64 {
         self.n_factor * THERMAL_VOLTAGE * std::f64::consts::LN_10 * 1e3
     }
 }
@@ -189,8 +182,6 @@ mod tests {
             n_factor: 1.68,
             i_spec: 2e-6,
             dibl: 0.15,
-            ig_unit: 2e-10,
-            ig_slope: 0.12,
             vdd_ref: 0.9,
         }
     }
@@ -290,16 +281,6 @@ mod tests {
     fn on_off_ratio_is_large() {
         let m = n_model();
         assert!(m.ion(0.9) / m.ioff(0.9) > 1e3);
-    }
-
-    #[test]
-    fn gate_leakage_decays_with_bias() {
-        let m = n_model();
-        let full = m.gate_leakage(0.9, 0.0);
-        let half = m.gate_leakage(0.45, 0.0);
-        assert!((full - m.ig_unit).abs() / m.ig_unit < 1e-12);
-        assert!(half < full);
-        assert_eq!(m.gate_leakage(0.0, 0.9), full, "magnitude symmetric");
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! | unit R_on | 9 kΩ | 31 kΩ | Deng'07: intrinsic CNTFET delay ≈ 5× below MOSFET at matched load |
 
 use crate::model::{CompactModel, Polarity};
-use crate::units::{Capacitance, Voltage};
 
 /// Which semiconductor technology a parameter set describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -136,16 +135,9 @@ impl TechParams {
             n_factor: self.n_factor,
             i_spec: 1.0, // replaced by the calibration below
             dibl: self.dibl,
-            ig_unit: self.ig_unit,
-            ig_slope: self.ig_slope,
             vdd_ref: self.vdd,
         }
         .calibrate_ioff(self.ioff_unit, self.vdd)
-    }
-
-    /// Supply voltage as a typed quantity.
-    pub fn vdd_volts(&self) -> Voltage {
-        Voltage::new(self.vdd)
     }
 
     /// Derives a voltage-scaled technology point for supply-scaling
@@ -181,14 +173,16 @@ impl TechParams {
     }
 
     /// Input capacitance of a minimum inverter (one n + one p gate).
-    pub fn inverter_input_cap(&self) -> Capacitance {
-        Capacitance::new(2.0 * self.c_gate)
+    #[cfg(test)]
+    fn inverter_input_cap(&self) -> crate::units::Capacitance {
+        crate::units::Capacitance::new(2.0 * self.c_gate)
     }
 
     /// First-order intrinsic gate delay: R_on × (self-loading + one
     /// inverter load). Used only for sanity checks; real delays come from
     /// gate characterization.
-    pub fn intrinsic_delay_estimate(&self) -> f64 {
+    #[cfg(test)]
+    fn intrinsic_delay_estimate(&self) -> f64 {
         self.r_on * (self.c_drain * 2.0 + 2.0 * self.c_gate)
     }
 }

@@ -197,13 +197,6 @@ impl Div<Frequency> for Power {
     }
 }
 
-impl Frequency {
-    /// The period `1/f`.
-    pub fn period(self) -> Time {
-        Time::new(1.0 / self.value())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,11 +236,5 @@ mod tests {
         assert_eq!(ratio, 2.0);
         assert_eq!(-Voltage::new(1.0), Voltage::new(-1.0));
         assert_eq!(Voltage::new(2.0) - Voltage::new(0.5), Voltage::new(1.5));
-    }
-
-    #[test]
-    fn period_inverts_frequency() {
-        let f = Frequency::new(1e9);
-        assert!((f.period().value() - 1e-9).abs() < 1e-18);
     }
 }

@@ -8,7 +8,6 @@
 //! after evaluation is `!( OR_i (a_i ⊕ c_i) )` — a NOR whose every input
 //! can be polarity-flipped without rewiring.
 
-use crate::network::{Literal, SpNetwork};
 use logic::TruthTable;
 
 /// Clock phase of a dynamic gate.
@@ -62,18 +61,6 @@ impl DynamicGnor {
         self.width + 2
     }
 
-    /// The pull-down network during evaluation: parallel ambipolar
-    /// devices; an input with polarity bit `c` conducts on `a ⊕ c`.
-    /// Variables `0..width` are data inputs, `width..2·width` polarity
-    /// programming inputs.
-    pub fn pull_down_network(&self) -> SpNetwork {
-        SpNetwork::Parallel(
-            (0..self.width)
-                .map(|i| SpNetwork::tg(Literal::pos((self.width + i) as u8), Literal::pos(i as u8)))
-                .collect(),
-        )
-    }
-
     /// The evaluated output for data `inputs` and programming bits
     /// `polarity`: `!( OR_i (inputs[i] ⊕ polarity[i]) )`.
     ///
@@ -96,7 +83,7 @@ impl DynamicGnor {
 
     /// The programmed logic function over the data inputs for a fixed
     /// polarity configuration.
-    pub fn programmed_function(&self, polarity: &[bool]) -> TruthTable {
+    fn programmed_function(&self, polarity: &[bool]) -> TruthTable {
         assert_eq!(polarity.len(), self.width, "programming arity mismatch");
         TruthTable::from_fn(self.width, |inputs| self.evaluate(inputs, polarity))
     }
@@ -116,6 +103,19 @@ impl DynamicGnor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::{Literal, SpNetwork};
+
+    /// The pull-down network during evaluation: parallel ambipolar
+    /// devices; an input with polarity bit `c` conducts on `a ⊕ c`.
+    /// Variables `0..width` are data inputs, `width..2·width` polarity
+    /// programming inputs.
+    fn pull_down_network(g: &DynamicGnor) -> SpNetwork {
+        SpNetwork::Parallel(
+            (0..g.width)
+                .map(|i| SpNetwork::tg(Literal::pos((g.width + i) as u8), Literal::pos(i as u8)))
+                .collect(),
+        )
+    }
 
     #[test]
     fn plain_nor_configuration() {
@@ -156,7 +156,7 @@ mod tests {
         // The structural network over (data ++ polarity) variables must
         // conduct exactly when the output evaluates low.
         let g = DynamicGnor::new(2);
-        let net = g.pull_down_network();
+        let net = pull_down_network(&g);
         for m in 0..16usize {
             let all: Vec<bool> = (0..4).map(|i| (m >> i) & 1 == 1).collect();
             let (inputs, polarity) = all.split_at(2);

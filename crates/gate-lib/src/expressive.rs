@@ -81,7 +81,7 @@ fn permute_all(items: &mut [usize], at: usize, visit: &mut impl FnMut(&[usize]))
 /// All functions a single cell can implement by tying subsets of its pins
 /// to constants (the remaining pins stay distinct variables), keyed by
 /// support size.
-pub fn cell_functions(gate: &Gate) -> BTreeMap<usize, BTreeSet<u64>> {
+fn cell_functions(gate: &Gate) -> BTreeMap<usize, BTreeSet<u64>> {
     let n = gate.n_inputs;
     let mut out: BTreeMap<usize, BTreeSet<u64>> = BTreeMap::new();
     // Ternary assignment per pin: 0 = const0, 1 = const1, 2 = variable.

@@ -1,6 +1,6 @@
 //! The three gate families the paper compares (Table 1 columns).
 
-use device::{TechKind, TechParams};
+use device::TechParams;
 
 /// A gate family: library content plus the technology implementing it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -33,11 +33,6 @@ impl GateFamily {
         }
     }
 
-    /// The underlying technology kind.
-    pub fn tech_kind(self) -> TechKind {
-        self.tech().kind
-    }
-
     /// Whether complemented input literals are free (dual-rail convention of
     /// the ambipolar library) or must be realized with inverters.
     pub fn free_input_negation(self) -> bool {
@@ -63,12 +58,13 @@ impl std::fmt::Display for GateFamily {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use device::TechKind;
 
     #[test]
     fn tech_assignment() {
-        assert_eq!(GateFamily::CntfetGeneralized.tech_kind(), TechKind::Cntfet);
-        assert_eq!(GateFamily::CntfetConventional.tech_kind(), TechKind::Cntfet);
-        assert_eq!(GateFamily::Cmos.tech_kind(), TechKind::Cmos);
+        assert_eq!(GateFamily::CntfetGeneralized.tech().kind, TechKind::Cntfet);
+        assert_eq!(GateFamily::CntfetConventional.tech().kind, TechKind::Cntfet);
+        assert_eq!(GateFamily::Cmos.tech().kind, TechKind::Cmos);
     }
 
     #[test]

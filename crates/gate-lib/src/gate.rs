@@ -233,11 +233,6 @@ impl Gate {
         let zeros = self.function.count_zeros() as f64;
         ones.min(zeros) / (1u64 << self.n_inputs) as f64
     }
-
-    /// Whether the cell embeds at least one XOR (i.e. uses a TG).
-    pub fn is_generalized(&self) -> bool {
-        self.pull_up.contains_tg() || self.pull_down.contains_tg()
-    }
 }
 
 /// Checks the ≤2-elements-per-group rule recursively.
@@ -290,7 +285,7 @@ mod tests {
         assert_eq!(g.drive_depth(), 2);
         assert_eq!(g.output_branches(), 3); // 2 parallel PU + 1 series PD
         assert!((g.activity_factor() - 0.25).abs() < 1e-12);
-        assert!(!g.is_generalized());
+        assert!(!g.pull_up.contains_tg() && !g.pull_down.contains_tg());
     }
 
     #[test]
@@ -326,7 +321,7 @@ mod tests {
         assert_eq!(g.function, !((a ^ c) & (b ^ d)));
         assert_eq!(g.transistor_count(), 8);
         assert_eq!(g.input_loads(), vec![4, 4, 4, 4]);
-        assert!(g.is_generalized());
+        assert!(g.pull_up.contains_tg() || g.pull_down.contains_tg());
         // The paper's observation: embedding XOR in a complex gate does not
         // push the activity factor to the stand-alone XOR's 50 %.
         assert!((g.activity_factor() - 0.25).abs() < 1e-12);

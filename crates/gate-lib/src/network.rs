@@ -59,7 +59,7 @@ impl Literal {
     }
 
     /// Truth table of the literal over `n_vars` variables.
-    pub fn truth_table(self, n_vars: usize) -> TruthTable {
+    fn truth_table(self, n_vars: usize) -> TruthTable {
         let v = TruthTable::var(n_vars, self.var as usize);
         if self.positive {
             v

@@ -19,7 +19,7 @@ pub struct Cube {
 
 impl Cube {
     /// The universal cube (empty product, constant one).
-    pub fn universe() -> Self {
+    fn universe() -> Self {
         Self {
             care: 0,
             polarity: 0,
@@ -35,7 +35,7 @@ impl Cube {
     }
 
     /// Adds a literal to the cube, returning the extended cube.
-    pub fn with_literal(mut self, var: usize, positive: bool) -> Self {
+    fn with_literal(mut self, var: usize, positive: bool) -> Self {
         self.care |= 1 << var;
         if positive {
             self.polarity |= 1 << var;
@@ -48,11 +48,6 @@ impl Cube {
     /// Number of literals in the cube.
     pub fn literal_count(&self) -> usize {
         self.care.count_ones() as usize
-    }
-
-    /// Evaluates the cube on an assignment given as a bit mask.
-    pub fn eval_mask(&self, assignment: u8) -> bool {
-        (assignment ^ self.polarity) & self.care == 0
     }
 
     /// The truth table of this cube over `n_vars` variables.
@@ -257,14 +252,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn cube_eval_mask() {
-        let cube = Cube::literal(0, true).with_literal(2, false);
-        assert!(cube.eval_mask(0b001));
-        assert!(!cube.eval_mask(0b101));
-        assert!(!cube.eval_mask(0b000));
     }
 
     #[test]

@@ -173,11 +173,6 @@ impl TruthTable {
         self.bits == mask(self.n_vars())
     }
 
-    /// Whether this is either constant.
-    pub fn is_constant(&self) -> bool {
-        self.is_zero() || self.is_one()
-    }
-
     /// The positive cofactor with respect to `var` (as a function of the same
     /// variable set; `var` becomes irrelevant).
     pub fn cofactor1(&self, var: usize) -> Self {
@@ -205,7 +200,7 @@ impl TruthTable {
     }
 
     /// The set of variables the function depends on, as a bit mask.
-    pub fn support_mask(&self) -> u8 {
+    fn support_mask(&self) -> u8 {
         let mut m = 0u8;
         for v in 0..self.n_vars() {
             if self.depends_on(v) {
@@ -229,30 +224,6 @@ impl TruthTable {
         Self {
             n_vars: self.n_vars,
             bits: ((hi >> shift) | (lo << shift)) & mask(self.n_vars()),
-        }
-    }
-
-    /// Returns the same function with adjacent variables `var` and `var + 1`
-    /// swapped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var + 1 >= n_vars`.
-    pub fn swap_adjacent(&self, var: usize) -> Self {
-        assert!(
-            var + 1 < self.n_vars(),
-            "cannot swap variable {var} with {}",
-            var + 1
-        );
-        // Classic bit-trick: move the blocks where bit(var) != bit(var+1).
-        let shift = 1u32 << var;
-        let keep = !(VAR_MASK[var] ^ VAR_MASK[var + 1]);
-        let up = VAR_MASK[var + 1] & !VAR_MASK[var];
-        let down = VAR_MASK[var] & !VAR_MASK[var + 1];
-        let bits = (self.bits & keep) | ((self.bits & up) >> shift) | ((self.bits & down) << shift);
-        Self {
-            n_vars: self.n_vars,
-            bits: bits & mask(self.n_vars()),
         }
     }
 
@@ -508,14 +479,6 @@ mod tests {
             assert_eq!(f.flip_var(v).flip_var(v), f);
         }
         assert_eq!(TruthTable::var(3, 1).flip_var(1), !TruthTable::var(3, 1));
-    }
-
-    #[test]
-    fn swap_adjacent_swaps() {
-        let f = TruthTable::var(3, 0) & !TruthTable::var(3, 1);
-        let g = f.swap_adjacent(0);
-        assert_eq!(g, TruthTable::var(3, 1) & !TruthTable::var(3, 0));
-        assert_eq!(g.swap_adjacent(0), f);
     }
 
     #[test]

@@ -27,7 +27,7 @@ impl PowerBreakdown {
     }
 
     /// Energy per cycle E = P_T / f.
-    pub fn energy_per_cycle(&self) -> Energy {
+    fn energy_per_cycle(&self) -> Energy {
         self.total() / self.frequency
     }
 

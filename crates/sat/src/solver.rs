@@ -30,7 +30,7 @@ impl Lit {
     }
 
     /// Whether the literal is negated.
-    pub fn is_negated(self) -> bool {
+    fn is_negated(self) -> bool {
         self.0 & 1 == 1
     }
 
@@ -234,7 +234,7 @@ impl Solver {
     }
 
     /// Number of original (problem) clauses, counting level-0 units.
-    pub fn num_clauses(&self) -> usize {
+    fn num_clauses(&self) -> usize {
         self.clauses
             .iter()
             .filter(|c| !c.learnt && !c.deleted)

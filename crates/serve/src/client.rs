@@ -8,7 +8,6 @@ use crate::protocol::{JobSpec, Request, Response};
 use crate::wire::{read_frame, write_frame};
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
 
 /// A connected `synthd` client.
 pub struct Client {
@@ -48,29 +47,6 @@ impl Client {
     /// As [`Client::request`].
     pub fn submit(&mut self, spec: &JobSpec) -> io::Result<Response> {
         self.request(&Request::Job(spec.clone()))
-    }
-
-    /// Submits one job, retrying [`Response::Busy`] with a linear
-    /// backoff (`attempt × backoff`) up to `max_retries` times. Any
-    /// non-`Busy` response is returned as-is; exhausting the retries
-    /// returns the final `Busy`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::request`].
-    pub fn submit_with_retry(
-        &mut self,
-        spec: &JobSpec,
-        max_retries: usize,
-        backoff: Duration,
-    ) -> io::Result<Response> {
-        for attempt in 1..=max_retries {
-            match self.submit(spec)? {
-                Response::Busy => std::thread::sleep(backoff * attempt as u32),
-                other => return Ok(other),
-            }
-        }
-        self.submit(spec)
     }
 
     /// Fetches the server's lifetime statistics JSON.

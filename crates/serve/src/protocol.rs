@@ -37,7 +37,8 @@ pub struct JobSpec {
     pub verify: Verify,
     /// Choice-aware mapping (synthesis collects structural choices).
     pub choices: bool,
-    /// Random patterns for power estimation.
+    /// Random patterns for power estimation; at most 655,360 (the
+    /// paper's 640 K), above which the job answers `Error`.
     pub patterns: u64,
     /// Simulation seed.
     pub seed: u64,

@@ -171,12 +171,6 @@ impl Server {
         self.shared.instance_id
     }
 
-    /// The lifetime statistics document (same JSON a
-    /// [`Request::Stats`] frame returns).
-    pub fn stats_json(&self) -> String {
-        stats_json(&self.shared)
-    }
-
     /// Blocks until a shutdown request arrives over the wire, then
     /// joins all threads (the `synthd` binary's main loop).
     pub fn wait(mut self) {
@@ -531,10 +525,20 @@ fn execute_job_inner(
 }
 
 /// Maps the wire spec onto the pipeline configuration, validating the
-/// knobs the mapper would otherwise only reject mid-job.
+/// knobs the mapper would otherwise only reject mid-job, and bounding
+/// `patterns` by the paper's 640 K: the simulator allocates per pattern
+/// word, and an allocation failure aborts the process rather than
+/// panicking the job.
 fn pipeline_config(spec: &JobSpec) -> Result<PipelineConfig, String> {
     if !(2..=6).contains(&spec.cut_k) {
         return Err(format!("cut_k {} out of range 2..=6", spec.cut_k));
+    }
+    let max_patterns = PipelineConfig::paper().patterns as u64;
+    if spec.patterns > max_patterns {
+        return Err(format!(
+            "patterns {} above the bound {max_patterns}",
+            spec.patterns
+        ));
     }
     let defaults = MapConfig::default();
     Ok(PipelineConfig {

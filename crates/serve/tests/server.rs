@@ -275,6 +275,13 @@ fn bad_inputs_are_typed_errors() {
         "a malformed flow script must be a typed error"
     );
 
+    let mut huge_patterns = spec("t481", GateFamily::Cmos, 256, Verify::Off);
+    huge_patterns.patterns = u64::MAX;
+    assert!(
+        matches!(client.submit(&huge_patterns).expect("submit"), Response::Error { msg, .. } if msg.contains("patterns") && msg.contains("655360")),
+        "patterns above the paper's 640 K must be a typed error, not an abort"
+    );
+
     // The same connection still serves good jobs.
     assert!(
         matches!(

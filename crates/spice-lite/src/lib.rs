@@ -32,10 +32,8 @@
 pub mod lu;
 pub mod netlist;
 pub mod solver;
-pub mod sweep;
 pub mod transient;
 
 pub use netlist::{Circuit, Element, NodeId, GROUND};
-pub use solver::{OperatingPoint, SolveError, SolverOptions};
-pub use sweep::{dc_sweep, SweepPoint};
+pub use solver::{OperatingPoint, SolveError};
 pub use transient::{ramp, transient, TransientResult};

@@ -112,18 +112,13 @@ impl Circuit {
         self.node_names.len()
     }
 
-    /// Diagnostic name of a node.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.node_names[node.0]
-    }
-
     /// All elements added so far.
     pub fn elements(&self) -> &[Element] {
         &self.elements
     }
 
     /// Mutable access to the elements, for in-place parameter updates such
-    /// as DC sweeps.
+    /// as transient waveforms.
     pub fn elements_mut(&mut self) -> &mut [Element] {
         &mut self.elements
     }
@@ -226,8 +221,6 @@ mod tests {
         let b = c.node("b");
         assert_eq!(a.index(), 1);
         assert_eq!(b.index(), 2);
-        assert_eq!(c.node_name(a), "a");
-        assert_eq!(c.node_name(GROUND), "0");
     }
 
     #[test]

@@ -9,26 +9,12 @@
 use crate::lu::Matrix;
 use crate::netlist::{Circuit, Element, NodeId};
 
-/// Options controlling the Newton iteration.
-#[derive(Clone, Copy, Debug)]
-pub struct SolverOptions {
-    /// Maximum Newton iterations per continuation step.
-    pub max_iterations: usize,
-    /// Convergence threshold on the node-voltage update, volts.
-    pub v_tolerance: f64,
-    /// Maximum per-iteration voltage step, volts (damping).
-    pub max_step: f64,
-}
-
-impl Default for SolverOptions {
-    fn default() -> Self {
-        Self {
-            max_iterations: 300,
-            v_tolerance: 1e-10,
-            max_step: 0.25,
-        }
-    }
-}
+/// Maximum Newton iterations per continuation step.
+const MAX_ITERATIONS: usize = 300;
+/// Convergence threshold on the node-voltage update, volts.
+const V_TOLERANCE: f64 = 1e-10;
+/// Maximum per-iteration voltage step, volts (damping).
+const MAX_STEP: f64 = 0.25;
 
 /// Error returned when the DC solve fails.
 #[derive(Clone, Debug, PartialEq)]
@@ -68,7 +54,6 @@ impl std::error::Error for SolveError {}
 pub struct OperatingPoint {
     voltages: Vec<f64>,
     vsource_currents: Vec<f64>,
-    element_currents: Vec<f64>,
     vsource_names: Vec<String>,
 }
 
@@ -92,16 +77,6 @@ impl OperatingPoint {
         let idx = self.vsource_names.iter().position(|n| n == name)?;
         Some(-self.vsource_currents[idx])
     }
-
-    /// Current through element `index` (by insertion order), amperes.
-    ///
-    /// Convention: resistors and transistors report the current flowing
-    /// from their first terminal (a / drain) to their second (b / source);
-    /// voltage sources report branch current into the positive terminal;
-    /// current sources report their set point.
-    pub fn element_current(&self, index: usize) -> f64 {
-        self.element_currents[index]
-    }
 }
 
 /// Relative finite-difference step for device linearization, volts.
@@ -111,22 +86,13 @@ const FD_STEP: f64 = 1e-6;
 pub(crate) const GMIN_CONTINUATION: [f64; 5] = [1e-3, 1e-6, 1e-9, 1e-12, 1e-15];
 
 impl Circuit {
-    /// Solves the DC operating point with default [`SolverOptions`].
+    /// Solves the DC operating point.
     ///
     /// # Errors
     ///
     /// Returns [`SolveError`] if Newton fails to converge or the system is
     /// singular (e.g. a node with no DC path).
     pub fn solve_dc(&self) -> Result<OperatingPoint, SolveError> {
-        self.solve_dc_with(SolverOptions::default())
-    }
-
-    /// Solves the DC operating point with explicit options.
-    ///
-    /// # Errors
-    ///
-    /// See [`Circuit::solve_dc`].
-    pub fn solve_dc_with(&self, options: SolverOptions) -> Result<OperatingPoint, SolveError> {
         let n_nodes = self.node_count();
         let n_vsrc = self
             .elements()
@@ -138,14 +104,7 @@ impl Circuit {
         let mut matrix = Matrix::zeros(dim);
         let mut rhs = vec![0.0; dim];
 
-        self.newton(
-            &mut x,
-            &mut matrix,
-            &mut rhs,
-            options,
-            &GMIN_CONTINUATION,
-            None,
-        )?;
+        self.newton(&mut x, &mut matrix, &mut rhs, &GMIN_CONTINUATION, None)?;
         Ok(self.operating_point(&x, n_nodes, n_vsrc))
     }
 
@@ -155,7 +114,6 @@ impl Circuit {
         x: &mut [f64],
         matrix: &mut Matrix,
         rhs: &mut [f64],
-        options: SolverOptions,
         gmin_steps: &[f64],
         transient: Option<(&[f64], f64)>,
     ) -> Result<(), SolveError> {
@@ -163,7 +121,7 @@ impl Circuit {
         let mut last_delta = f64::INFINITY;
         for (step_idx, &gmin) in gmin_steps.iter().enumerate() {
             let mut converged = false;
-            for _ in 0..options.max_iterations {
+            for _ in 0..MAX_ITERATIONS {
                 self.assemble(x, gmin, matrix, rhs, transient);
                 let mut x_new = rhs.to_vec();
                 matrix
@@ -175,8 +133,8 @@ impl Circuit {
                 for (new, old) in x_new.iter().zip(x.iter()).take(n_nodes - 1) {
                     max_dv = max_dv.max((new - old).abs());
                 }
-                let scale = if max_dv > options.max_step {
-                    options.max_step / max_dv
+                let scale = if max_dv > MAX_STEP {
+                    MAX_STEP / max_dv
                 } else {
                     1.0
                 };
@@ -187,7 +145,7 @@ impl Circuit {
                     *xi = *xn;
                 }
                 last_delta = max_dv * scale;
-                if max_dv < options.v_tolerance {
+                if max_dv < V_TOLERANCE {
                     converged = true;
                     break;
                 }
@@ -197,39 +155,6 @@ impl Circuit {
             }
         }
         Ok(())
-    }
-
-    /// Kirchhoff current-law residual of a solved operating point: the
-    /// worst absolute current imbalance over all non-ground nodes, in
-    /// amperes. A healthy solution sits many orders below the circuit's
-    /// smallest current of interest — exposed so callers can audit
-    /// convergence instead of trusting the Newton tolerance blindly.
-    pub fn kcl_residual(&self, op: &OperatingPoint) -> f64 {
-        let mut net = vec![0.0f64; self.node_count()];
-        for (idx, element) in self.elements().iter().enumerate() {
-            let i = op.element_current(idx);
-            match element {
-                Element::Resistor { a, b, .. } => {
-                    net[a.index()] -= i;
-                    net[b.index()] += i;
-                }
-                Element::Capacitor { .. } => {}
-                Element::ISource { from, to, amps, .. } => {
-                    net[from.index()] -= amps;
-                    net[to.index()] += amps;
-                }
-                Element::VSource { pos, neg, .. } => {
-                    // Branch current flows into the positive terminal.
-                    net[pos.index()] -= i;
-                    net[neg.index()] += i;
-                }
-                Element::Transistor { drain, source, .. } => {
-                    net[drain.index()] -= i;
-                    net[source.index()] += i;
-                }
-            }
-        }
-        net.iter().skip(1).fold(0.0f64, |acc, &x| acc.max(x.abs()))
     }
 
     /// Assembles the linearized MNA system at the current iterate.
@@ -364,42 +289,17 @@ impl Circuit {
         let mut voltages = vec![0.0; n_nodes];
         voltages[1..n_nodes].copy_from_slice(&x[..n_nodes - 1]);
         let vsource_currents: Vec<f64> = (0..n_vsrc).map(|k| x[n_nodes - 1 + k]).collect();
-        let mut vsource_names = Vec::with_capacity(n_vsrc);
-        let mut element_currents = Vec::with_capacity(self.elements().len());
-        let mut vsrc_seen = 0usize;
-        for element in self.elements() {
-            let current = match element {
-                Element::Resistor { a, b, ohms, .. } => {
-                    (voltages[a.index()] - voltages[b.index()]) / ohms
-                }
-                Element::ISource { amps, .. } => *amps,
-                // DC: a capacitor carries no current (transient analysis
-                // computes displacement currents separately).
-                Element::Capacitor { .. } => 0.0,
-                Element::VSource { name, .. } => {
-                    vsource_names.push(name.clone());
-                    let i = vsource_currents[vsrc_seen];
-                    vsrc_seen += 1;
-                    i
-                }
-                Element::Transistor {
-                    model,
-                    drain,
-                    gate,
-                    source,
-                    ..
-                } => model.ids(
-                    voltages[gate.index()],
-                    voltages[drain.index()],
-                    voltages[source.index()],
-                ),
-            };
-            element_currents.push(current);
-        }
+        let vsource_names = self
+            .elements()
+            .iter()
+            .filter_map(|e| match e {
+                Element::VSource { name, .. } => Some(name.clone()),
+                _ => None,
+            })
+            .collect();
         OperatingPoint {
             voltages,
             vsource_currents,
-            element_currents,
             vsource_names,
         }
     }
@@ -424,6 +324,47 @@ mod tests {
     use super::*;
     use crate::netlist::GROUND;
     use device::{Polarity, TechParams};
+
+    /// Kirchhoff current-law residual of a solved operating point: the
+    /// worst absolute current imbalance over all non-ground nodes, in
+    /// amperes. A healthy solution sits many orders below the circuit's
+    /// smallest current of interest, so this audits convergence instead
+    /// of trusting the Newton tolerance.
+    fn kcl_residual(ckt: &Circuit, op: &OperatingPoint) -> f64 {
+        let v = op.voltages();
+        let mut net = vec![0.0f64; ckt.node_count()];
+        let mut vsrc_seen = 0usize;
+        for element in ckt.elements() {
+            // Current leaving the first node and entering the second.
+            let (from, to, i) = match element {
+                Element::Resistor { a, b, ohms, .. } => {
+                    (a, b, (v[a.index()] - v[b.index()]) / ohms)
+                }
+                // DC: a capacitor carries no current.
+                Element::Capacitor { .. } => continue,
+                Element::ISource { from, to, amps, .. } => (from, to, *amps),
+                // Branch current flows into the positive terminal.
+                Element::VSource { pos, neg, .. } => {
+                    vsrc_seen += 1;
+                    (pos, neg, op.vsource_currents[vsrc_seen - 1])
+                }
+                Element::Transistor {
+                    model,
+                    drain,
+                    gate,
+                    source,
+                    ..
+                } => (
+                    drain,
+                    source,
+                    model.ids(v[gate.index()], v[drain.index()], v[source.index()]),
+                ),
+            };
+            net[from.index()] -= i;
+            net[to.index()] += i;
+        }
+        net.iter().skip(1).fold(0.0f64, |acc, &x| acc.max(x.abs()))
+    }
 
     #[test]
     fn resistor_divider() {
@@ -570,6 +511,30 @@ mod tests {
     }
 
     #[test]
+    fn inverter_vtc_is_monotone_decreasing() {
+        let tech = TechParams::cmos_32nm();
+        let outs: Vec<f64> = (0..19)
+            .map(|i| {
+                let vin = tech.vdd * i as f64 / 18.0;
+                let mut ckt = Circuit::new();
+                let vdd = ckt.node("vdd");
+                let input = ckt.node("in");
+                let out = ckt.node("out");
+                ckt.add_vsource("VDD", vdd, GROUND, tech.vdd);
+                ckt.add_vsource("VIN", input, GROUND, vin);
+                ckt.add_transistor("MP", tech.model(Polarity::P), out, input, vdd);
+                ckt.add_transistor("MN", tech.model(Polarity::N), out, input, GROUND);
+                ckt.solve_dc().expect("converges").voltage(out)
+            })
+            .collect();
+        for w in outs.windows(2) {
+            assert!(w[1] <= w[0] + 1e-6, "VTC must be non-increasing: {outs:?}");
+        }
+        assert!(outs[0] > 0.85 * tech.vdd);
+        assert!(*outs.last().expect("nonempty") < 0.15 * tech.vdd);
+    }
+
+    #[test]
     fn kcl_residual_is_tiny_on_solved_circuits() {
         let tech = TechParams::cmos_32nm();
         // Linear circuit.
@@ -581,9 +546,9 @@ mod tests {
         ckt.add_resistor("R2", mid, GROUND, 1e3);
         let op = ckt.solve_dc().expect("converges");
         assert!(
-            ckt.kcl_residual(&op) < 1e-12,
+            kcl_residual(&ckt, &op) < 1e-12,
             "linear residual {}",
-            ckt.kcl_residual(&op)
+            kcl_residual(&ckt, &op)
         );
 
         // Nonlinear stack: residual must stay far below the nA leakage.
@@ -594,7 +559,7 @@ mod tests {
         ckt.add_transistor("M1", tech.model(Polarity::N), vdd, GROUND, mid);
         ckt.add_transistor("M2", tech.model(Polarity::N), mid, GROUND, GROUND);
         let op = ckt.solve_dc().expect("converges");
-        let residual = ckt.kcl_residual(&op);
+        let residual = kcl_residual(&ckt, &op);
         assert!(
             residual < 1e-3 * tech.ioff_unit,
             "stack residual {residual:e} vs I_off {:e}",

@@ -7,7 +7,7 @@
 
 use crate::lu::Matrix;
 use crate::netlist::{Circuit, Element};
-use crate::solver::{OperatingPoint, SolveError, SolverOptions};
+use crate::solver::{OperatingPoint, SolveError};
 use std::collections::HashMap;
 
 /// A time-varying override for a named voltage source.
@@ -23,20 +23,8 @@ pub struct TransientResult {
 }
 
 impl TransientResult {
-    /// Integrates the current delivered by a named source over the run
-    /// (trapezoidal), returning charge in coulombs.
-    pub fn integrate_source_charge(&self, source: &str) -> f64 {
-        let mut q = 0.0;
-        for k in 1..self.times.len() {
-            let dt = self.times[k] - self.times[k - 1];
-            let i0 = self.points[k - 1].source_current(source).unwrap_or(0.0);
-            let i1 = self.points[k].source_current(source).unwrap_or(0.0);
-            q += 0.5 * (i0 + i1) * dt;
-        }
-        q
-    }
-
-    /// Integrates source charge over a sub-interval `[t0, t1]`.
+    /// Integrates the current delivered by a named source over the steps
+    /// that overlap `[t0, t1]` (trapezoidal), returning charge in coulombs.
     pub fn integrate_source_charge_between(&self, source: &str, t0: f64, t1: f64) -> f64 {
         let mut q = 0.0;
         for k in 1..self.times.len() {
@@ -108,11 +96,10 @@ pub fn transient(
         .filter(|e| matches!(e, Element::VSource { .. }))
         .count();
     let dim = (n_nodes - 1) + n_vsrc;
-    let options = SolverOptions::default();
 
     // t = 0 initial condition: DC with waveforms at 0.
     apply_waveforms(&mut ckt, &wf, 0.0);
-    let op0 = ckt.solve_dc_with(options)?;
+    let op0 = ckt.solve_dc()?;
     let mut x: Vec<f64> = op0.voltages()[1..]
         .iter()
         .copied()
@@ -129,14 +116,7 @@ pub fn transient(
         let t = k as f64 * dt;
         apply_waveforms(&mut ckt, &wf, t);
         // Warm-started Newton at a single small g_min.
-        ckt.newton(
-            &mut x,
-            &mut matrix,
-            &mut rhs,
-            options,
-            &[1e-15],
-            Some((&prev_v, dt)),
-        )?;
+        ckt.newton(&mut x, &mut matrix, &mut rhs, &[1e-15], Some((&prev_v, dt)))?;
         let op = ckt.operating_point(&x, n_nodes, n_vsrc);
         prev_v = op.voltages().to_vec();
         times.push(t);
@@ -205,7 +185,7 @@ mod tests {
         ckt.add_capacitor("C", out, GROUND, 2e-15);
         let wave = ramp(0.0, 0.9, 1e-12, 10e-12);
         let result = transient(&ckt, 2e-9, 1e-12, &[("VIN", &wave)]).expect("converges");
-        let q = result.integrate_source_charge("VIN");
+        let q = result.integrate_source_charge_between("VIN", 0.0, f64::INFINITY);
         let expected = 2e-15 * 0.9;
         assert!(
             (q / expected - 1.0).abs() < 0.05,

@@ -1,8 +1,7 @@
-//! Mapper configuration (objective, cut shape, load model) and the
-//! fallible-mapping error type.
+//! Mapper configuration (objective, cut shape, recovery schedule) and
+//! the fallible-mapping error type.
 
 use charlib::CharacterizedLibrary;
-use device::Capacitance;
 
 /// What the match-selection phase optimizes.
 ///
@@ -57,36 +56,6 @@ impl std::str::FromStr for Objective {
     }
 }
 
-/// How the mapper estimates the capacitive load a cell drives while
-/// selecting matches (the real per-net loads are only known after cover
-/// extraction; static timing re-derives them exactly).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum LoadModel {
-    /// A multiple of the library's average input-pin capacitance
-    /// (`AveragePins(2.0)` is the historical default: two average pins).
-    AveragePins(f64),
-    /// A fixed load in farads.
-    Fixed(f64),
-}
-
-impl Default for LoadModel {
-    fn default() -> Self {
-        LoadModel::AveragePins(2.0)
-    }
-}
-
-impl LoadModel {
-    /// Resolves the model against a characterized library.
-    pub fn estimate(&self, library: &CharacterizedLibrary) -> Capacitance {
-        match *self {
-            LoadModel::AveragePins(pins) => {
-                Capacitance::new(pins * library.average(|g| g.avg_input_cap().value()))
-            }
-            LoadModel::Fixed(farads) => Capacitance::new(farads),
-        }
-    }
-}
-
 /// The default capacitive load of a primary-output net: one inverter
 /// input capacitance of the target library — the smallest plausible
 /// downstream consumer. Primary-output nets have no consumer pins inside
@@ -106,7 +75,7 @@ pub fn default_output_load(library: &CharacterizedLibrary) -> f64 {
 ///
 /// The default reproduces the historical mapper exactly: delay objective
 /// with area-flow tie-breaking, 6-feasible cuts, 8 priority cuts per node,
-/// and a two-average-pins load estimate.
+/// and three area-recovery rounds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MapConfig {
     /// Cost the selection phase minimizes.
@@ -115,14 +84,6 @@ pub struct MapConfig {
     pub cut_k: usize,
     /// Maximum priority cuts stored per node.
     pub max_cuts: usize,
-    /// Mapping-time load estimate.
-    pub load: LoadModel,
-    /// Capacitive load on primary-output nets, farads. `None` (the
-    /// default) resolves to [`default_output_load`] — one inverter input
-    /// capacitance of the target library — so PO driver delays are never
-    /// computed into zero farads. The resolved value is charged both by
-    /// the selection DP's arrival estimates and by static timing.
-    pub output_load: Option<f64>,
     /// Area-recovery rounds the delay objective runs after its
     /// arrival-time DP: required times are propagated backward from the
     /// primary outputs and nodes with positive slack are re-selected —
@@ -138,8 +99,6 @@ impl Default for MapConfig {
             objective: Objective::Delay,
             cut_k: Self::DEFAULT_CUT_K,
             max_cuts: Self::DEFAULT_MAX_CUTS,
-            load: LoadModel::default(),
-            output_load: None,
             recovery_rounds: Self::DEFAULT_RECOVERY_ROUNDS,
         }
     }
@@ -162,11 +121,10 @@ impl MapConfig {
         }
     }
 
-    /// The primary-output load in farads, resolving the `None` default
-    /// against the library ([`default_output_load`]).
+    /// The primary-output load in farads that both the selection DP and
+    /// static timing charge: [`default_output_load`].
     pub fn output_load_farads(&self, library: &CharacterizedLibrary) -> f64 {
-        self.output_load
-            .unwrap_or_else(|| default_output_load(library))
+        default_output_load(library)
     }
 }
 
@@ -237,7 +195,6 @@ mod tests {
         assert_eq!(config.objective, Objective::Delay);
         assert_eq!(config.cut_k, MapConfig::DEFAULT_CUT_K);
         assert_eq!(config.max_cuts, MapConfig::DEFAULT_MAX_CUTS);
-        assert_eq!(config.load, LoadModel::AveragePins(2.0));
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!    inverters for the conventional families — the structural mechanism
 //!    behind the paper's expressive-power advantage;
 //! 3. **objective-driven selection** — a dynamic program minimizing the
-//!    configured [`Objective`] (`Delay`, `Area`, or `Energy`) under a
-//!    configurable [`LoadModel`] (primary-output drivers additionally
-//!    charged [`MapConfig::output_load`]); the delay objective then runs
+//!    configured [`Objective`] (`Delay`, `Area`, or `Energy`), pricing
+//!    each net at the library's mean input-pin capacitance per estimated
+//!    consumer (primary-output drivers additionally charged
+//!    [`default_output_load`]); the delay objective then runs
 //!    the classical two-phase refinement — required times propagated
 //!    backward from the outputs, followed by
 //!    [`MapConfig::recovery_rounds`] rounds of area-flow and
@@ -79,7 +80,7 @@ pub mod netlist;
 pub mod sta;
 pub mod verify;
 
-pub use config::{default_output_load, LoadModel, MapConfig, MapError, Objective};
+pub use config::{default_output_load, MapConfig, MapError, Objective};
 pub use export::{cell_histogram, to_structural_verilog};
 pub use mapper::{map_aig, map_subject, Subject};
 pub use matching::{MatchCandidate, Matcher, NpnMatchCache};

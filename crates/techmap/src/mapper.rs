@@ -8,7 +8,7 @@
 //! configurable ([`MapConfig`]: objective, cut shape, load model). The
 //! whole engine is panic-free — malformed inputs surface as [`MapError`].
 
-use crate::config::{LoadModel, MapConfig, MapError, Objective};
+use crate::config::{default_output_load, MapConfig, MapError, Objective};
 use crate::matching::{Matcher, NpnMatchCache};
 use crate::netlist::{Instance, MappedNetlist, NetRef};
 use aig::choice::ChoiceAig;
@@ -249,13 +249,12 @@ fn fanout_bucket(fanout: u32) -> usize {
 /// Precomputed per-run cost tables shared by the arrival DP, the
 /// required-time pass, and the recovery rounds. Per-gate delays exist at
 /// `FANOUT_BUCKETS` load points per net kind: for internal nets the
-/// [`LoadModel`](crate::LoadModel) per-pin capacitance times the
-/// estimated consumer count, and for nets driving primary outputs the
-/// same minus the PO tap pin plus the configured output load — so the DP
+/// library's mean input-pin capacitance times the estimated consumer
+/// count, and for nets driving primary outputs the same minus the PO tap
+/// pin plus the output load ([`crate::default_output_load`]) — so the DP
 /// never prices a PO driver into zero extra farads, charges high-fanout
 /// nets the pins they actually drive, and agrees with static timing on
-/// where load lives. [`LoadModel::Fixed`] opts out of fanout awareness:
-/// every bucket carries the caller's explicit estimate.
+/// where load lives.
 struct Costs {
     free_neg: bool,
     /// Per-gate delay at 1..=`FANOUT_BUCKETS` estimated consumer pins.
@@ -274,23 +273,12 @@ struct Costs {
 
 impl Costs {
     fn new(library: &CharacterizedLibrary, inverter: usize, config: &MapConfig) -> Self {
-        let est = config.load.estimate(library).value();
-        let output_load = config.output_load_farads(library);
+        let pin_cap = library.average(|g| g.avg_input_cap().value());
+        let output_load = default_output_load(library);
         // Internal-net load at `pins` estimated consumers.
-        let internal = |pins: usize| -> f64 {
-            match config.load {
-                LoadModel::AveragePins(p) if p > 0.0 => est / p * pins as f64,
-                LoadModel::AveragePins(_) => 0.0,
-                LoadModel::Fixed(_) => est,
-            }
-        };
-        // PO-net load: the tap pin becomes the configured output load.
-        let po = |pins: usize| -> f64 {
-            match config.load {
-                LoadModel::AveragePins(_) => internal(pins - 1) + output_load,
-                LoadModel::Fixed(_) => est + output_load,
-            }
-        };
+        let internal = |pins: usize| -> f64 { pin_cap * pins as f64 };
+        // PO-net load: the tap pin becomes the output load.
+        let po = |pins: usize| -> f64 { internal(pins - 1) + output_load };
         // Per-gate costs are fixed for the whole run; compute them once
         // instead of per candidate in the inner loop (the Energy flow
         // unit in particular walks the full power model).
@@ -451,9 +439,9 @@ fn candidates(node: u32, cuts: &dyn CutSource, matcher: &mut Matcher<'_>) -> Vec
 
 /// Phase 3: objective-driven selection — one match per AND node.
 ///
-/// Every node carries two costs: arrival time under the configured load
-/// model (with PO drivers additionally charged
-/// [`MapConfig::output_load`](crate::MapConfig::output_load)), and the
+/// Every node carries two costs: arrival time under the estimated net
+/// loads (with PO drivers additionally charged
+/// [`default_output_load`](crate::default_output_load)), and the
 /// objective's flow metric (area or energy accumulated over the chosen
 /// cover, discounted by fanout). [`Objective::Delay`] minimizes arrival
 /// and tie-breaks on flow; [`Objective::Area`] / [`Objective::Energy`]
@@ -915,7 +903,6 @@ fn materialize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::LoadModel;
     use crate::verify::verify_mapping;
     use charlib::characterize_library;
     use gate_lib::GateFamily;
@@ -1089,18 +1076,6 @@ mod tests {
             map_aig(&aig, &lib, &MapConfig::default()).err(),
             Some(MapError::ConstantOutput { output: 1 })
         );
-    }
-
-    #[test]
-    fn fixed_load_model_maps() {
-        let aig = small_alu_aig();
-        let lib = characterize_library(GateFamily::Cmos);
-        let config = MapConfig {
-            load: LoadModel::Fixed(1e-16),
-            ..MapConfig::default()
-        };
-        let mapped = map_aig(&aig, &lib, &config).expect("mapping succeeds");
-        assert!(verify_mapping(&aig, &mapped, &lib).is_ok());
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl NpnMatchCache {
     /// `cell_function = U.apply(cut_function)`; pin `k` of the cell reads
     /// cut variable `U.perm[k]` complemented per `U.input_flips`, and the
     /// cell output is complemented iff `U.output_flip`.
-    pub fn compute_matches(&self, f: TruthTable) -> Vec<MatchCandidate> {
+    fn compute_matches(&self, f: TruthTable) -> Vec<MatchCandidate> {
         let canon = npn_canon(f);
         let Some(cells) = self.classes.get(&(f.n_vars(), canon.canonical.bits())) else {
             return Vec::new();
@@ -182,11 +182,6 @@ impl<'c> Matcher<'c> {
         self.memo
             .entry((f.n_vars(), f.bits()))
             .or_insert_with(|| cache.compute_matches(f))
-    }
-
-    /// Number of distinct cut functions canonized so far.
-    pub fn distinct_functions(&self) -> usize {
-        self.memo.len()
     }
 }
 
@@ -333,9 +328,9 @@ mod tests {
         let first = matcher.matches(a & b).to_vec();
         let again = matcher.matches(a & b).to_vec();
         assert_eq!(first, again);
-        assert_eq!(matcher.distinct_functions(), 1);
+        assert_eq!(matcher.memo.len(), 1);
         let _ = matcher.matches(a ^ b);
-        assert_eq!(matcher.distinct_functions(), 2);
+        assert_eq!(matcher.memo.len(), 2);
     }
 
     #[test]

@@ -99,8 +99,8 @@ impl MappedNetlist {
     }
 
     /// The mapper's own critical-path estimate in seconds — the arrival
-    /// the selection DP predicted for this cover under its
-    /// [`LoadModel`](crate::LoadModel) and output-load estimates. `None`
+    /// the selection DP predicted for this cover under its net-load and
+    /// output-load estimates. `None`
     /// for netlists not produced by the mapper. Compare against
     /// [`critical_path`](crate::sta::critical_path) to gauge how closely
     /// the mapping-time timing model tracks the exact per-net loads.

@@ -23,8 +23,7 @@ pub struct StaReport {
 /// capacitance) in addition to any internal consumers — PO nets have no
 /// consumer pins inside the netlist, and timing a driver into zero
 /// farads would systematically underestimate the critical path. Use
-/// [`critical_path_with_load`] for an explicit per-output load (e.g. the
-/// one a non-default [`crate::MapConfig::output_load`] mapped under).
+/// [`critical_path_with_load`] for an explicit per-output load.
 pub fn critical_path(netlist: &MappedNetlist, library: &CharacterizedLibrary) -> StaReport {
     critical_path_with_load(
         netlist,

@@ -4,9 +4,9 @@
 //! objective must never lose to the area objective on the metric it
 //! owns.
 //!
-//! The DP prices every internal net at the fanout-aware
-//! [`LoadModel`](techmap::LoadModel) estimate (per-pin capacitance times
-//! the driver's AIG fanout) while STA re-derives exact per-net loads
+//! The DP prices every internal net at a fanout-aware estimate (the
+//! library's mean input-pin capacitance times the driver's AIG fanout)
+//! while STA re-derives exact per-net loads
 //! from the emitted cover, so the two can never agree exactly — but
 //! they share the cell model, the inverter materialization rules, and
 //! the primary-output load, so the ratio must stay within a modest
