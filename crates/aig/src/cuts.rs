@@ -2,7 +2,8 @@
 //!
 //! The technology mapper (k = 6) and the rewriting and refactoring passes
 //! (k = 4) enumerate cuts with this module. Each cut carries the function
-//! of the node's positive output over the cut leaves.
+//! of the node's positive output over the cut leaves, with its at most
+//! six leaves stored inline, so no cut owns heap memory.
 //!
 //! [`CutDb`] is the filled form: a flat cut arena keyed to one network,
 //! filled in arena order by [`CutDb::ensure`]. Each synthesis pass builds
@@ -20,22 +21,46 @@ use crate::profile::{self, Work};
 use logic::TruthTable;
 
 /// A cut: sorted leaf nodes plus the root function over them.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// The at most six leaves are stored inline and the truth table's
+/// variable count is the leaf count, so a cut is 40 bytes with no heap
+/// part: enumeration, [`CutDb`] clones and support projection never
+/// allocate per cut. Unused leaf slots are zero, which keeps the derived
+/// equality exact.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Cut {
-    /// Sorted node indices of the leaves.
-    pub leaves: Vec<u32>,
-    /// Function of the root's positive output over the leaves (variable
-    /// `i` = leaf `i`).
-    pub tt: TruthTable,
+    leaves: [u32; 6],
+    tt: TruthTable,
 }
 
 impl Cut {
+    /// A cut over `leaves` (sorted, at most six) whose root computes `tt`
+    /// (variable `i` = leaf `i`).
+    fn new(leaves: &[u32], tt: TruthTable) -> Self {
+        debug_assert_eq!(
+            leaves.len(),
+            tt.n_vars(),
+            "one truth-table variable per leaf"
+        );
+        let mut inline = [0u32; 6];
+        inline[..leaves.len()].copy_from_slice(leaves);
+        Cut { leaves: inline, tt }
+    }
+
     /// The trivial cut of a node: the node itself.
     fn trivial(node: u32) -> Self {
-        Cut {
-            leaves: vec![node],
-            tt: TruthTable::var(1, 0),
-        }
+        Cut::new(&[node], TruthTable::var(1, 0))
+    }
+
+    /// Sorted node indices of the leaves.
+    pub fn leaves(&self) -> &[u32] {
+        &self.leaves[..self.tt.n_vars()]
+    }
+
+    /// Function of the root's positive output over the leaves (variable
+    /// `i` = leaf `i`).
+    pub fn tt(&self) -> TruthTable {
+        self.tt
     }
 
     /// Whether this is the trivial self-cut of `root` (the cut every AND
@@ -43,29 +68,35 @@ impl Cut {
     /// mapper and the rewriting engine skip it — a node cannot cover or
     /// rewrite itself.
     pub fn is_trivial(&self, root: u32) -> bool {
-        self.leaves.len() == 1 && self.leaves[0] == root
+        self.leaves() == [root]
     }
 
-    /// The cut function restricted to its true support: the
-    /// support-shrunk truth table plus, per remaining variable, the leaf
-    /// *node* it reads. This is the one shared derivation both consumers
+    /// The cut restricted to its function's true support: the
+    /// support-shrunk truth table over the leaf *nodes* its remaining
+    /// variables read. This is the one shared derivation both consumers
     /// of cut enumeration build on — the mapper matches the shrunk
-    /// function against library cells and wires cell pins to the
-    /// returned leaves; the rewriting engine NPN-canonizes it and wires
-    /// the class subgraph to the same leaves.
-    pub fn function_over_support(&self) -> (TruthTable, Vec<u32>) {
+    /// function against library cells and wires cell pins to its leaves;
+    /// the rewriting engine NPN-canonizes it and wires the class subgraph
+    /// to the same leaves.
+    pub fn function_over_support(&self) -> Cut {
         let (tt, kept) = self.tt.shrink_to_support();
-        let leaves = kept.iter().map(|&k| self.leaves[k]).collect();
-        (tt, leaves)
+        let mut leaves = [0u32; 6];
+        let mut rest = kept;
+        for leaf in leaves.iter_mut().take(tt.n_vars()) {
+            *leaf = self.leaves[rest.trailing_zeros() as usize];
+            rest &= rest - 1;
+        }
+        Cut { leaves, tt }
     }
 
     /// Whether this cut's leaves are a subset of another's (dominance).
     pub fn dominates(&self, other: &Cut) -> bool {
-        self.leaves.len() <= other.leaves.len()
+        let theirs = other.leaves();
+        self.leaves().len() <= theirs.len()
             && self
-                .leaves
+                .leaves()
                 .iter()
-                .all(|l| other.leaves.binary_search(l).is_ok())
+                .all(|l| theirs.binary_search(l).is_ok())
     }
 }
 
@@ -251,10 +282,8 @@ pub fn enumerate_cuts_choice(choice: &ChoiceAig, config: CutConfig) -> Vec<Vec<C
     all
 }
 
-/// Merges the fanin cut sets of an AND node. Rejected merges (leaf union
-/// over `k`, duplicate of an already-merged cut) never allocate: the
-/// union is built on the stack and compared against the accumulator
-/// before an owned cut is materialized.
+/// Merges the fanin cut sets of an AND node: every leaf union of at most
+/// `k` leaves not already merged, built on the stack.
 fn merge_fanin_cuts<S: CutSource + ?Sized>(
     a: Lit,
     b: Lit,
@@ -270,16 +299,16 @@ fn merge_fanin_cuts<S: CutSource + ?Sized>(
                 continue;
             };
             let leaves = &union[..n];
-            let ta = expand(cut_a.tt, &cut_a.leaves, leaves);
-            let tb = expand(cut_b.tt, &cut_b.leaves, leaves);
+            let ta = expand(cut_a.tt, cut_a.leaves(), leaves);
+            let tb = expand(cut_b.tt, cut_b.leaves(), leaves);
             let fa = if a.is_complement() { !ta } else { ta };
             let fb = if b.is_complement() { !tb } else { tb };
-            let tt = fa & fb;
-            if !out.iter().any(|c| c.tt == tt && c.leaves == leaves) {
-                out.push(Cut {
-                    leaves: leaves.to_vec(),
-                    tt,
-                });
+            let cut = Cut {
+                leaves: union,
+                tt: fa & fb,
+            };
+            if !out.contains(&cut) {
+                out.push(cut);
             }
         }
     }
@@ -289,8 +318,8 @@ fn merge_fanin_cuts<S: CutSource + ?Sized>(
 /// `k` leaves.
 fn merge_leaves(cut_a: &Cut, cut_b: &Cut, k: usize) -> Option<([u32; 6], usize)> {
     debug_assert!(k <= 6);
-    let la = &cut_a.leaves;
-    let lb = &cut_b.leaves;
+    let la = cut_a.leaves();
+    let lb = cut_b.leaves();
     let mut union = [0u32; 6];
     let mut n = 0usize;
     let (mut i, mut j) = (0, 0);
@@ -378,7 +407,7 @@ fn insert_var(bits: u64, vars: usize, at: usize) -> u64 {
 /// dropping dominated cuts; kept cuts stay in (stable) sorted order and
 /// the vector's capacity is retained for reuse.
 fn prune(cuts: &mut Vec<Cut>, max: usize) {
-    cuts.sort_by_key(|c| c.leaves.len());
+    cuts.sort_by_key(|c| c.leaves().len());
     let mut kept = 0usize;
     let mut i = 0usize;
     while i < cuts.len() && kept < max {
@@ -420,19 +449,19 @@ mod tests {
         let root = f.node() as usize;
         assert!(!cuts[root].is_empty());
         for cut in &cuts[root] {
-            for m in 0..(1usize << cut.leaves.len()) {
+            for m in 0..(1usize << cut.leaves().len()) {
                 // Build a full input assignment consistent with leaf values.
                 // Leaves here are always PIs or internal nodes; we only
                 // check cuts whose leaves are all PIs.
                 if !cut
-                    .leaves
+                    .leaves()
                     .iter()
                     .all(|&l| matches!(aig.node(l), crate::graph::Node::Input(_)))
                 {
                     continue;
                 }
                 let mut inputs = vec![false; 3];
-                for (i, &leaf) in cut.leaves.iter().enumerate() {
+                for (i, &leaf) in cut.leaves().iter().enumerate() {
                     if let crate::graph::Node::Input(k) = aig.node(leaf) {
                         inputs[k as usize] = (m >> i) & 1 == 1;
                     }
@@ -441,12 +470,12 @@ mod tests {
                 // registered output literal may be complemented.
                 let expected = crate::sim::evaluate(&aig, &inputs)[0] ^ f.is_complement();
                 // Only full-support cuts determine the output uniquely.
-                if cut.leaves.len() == 3 {
+                if cut.leaves().len() == 3 {
                     assert_eq!(
                         cut.tt.eval_index(m),
                         expected,
                         "cut {:?} minterm {m}",
-                        cut.leaves
+                        cut.leaves()
                     );
                 }
             }
@@ -467,7 +496,7 @@ mod tests {
         let pi_nodes: Vec<u32> = aig.input_nodes().to_vec();
         let global = root_cuts
             .iter()
-            .find(|c| c.leaves == pi_nodes)
+            .find(|c| c.leaves() == pi_nodes)
             .expect("global cut should exist");
         // f = (x0&x1) | (x2&x3); `or` returns a complemented literal, so
         // the node's positive function is the complement.
@@ -493,7 +522,7 @@ mod tests {
         let cuts = enumerate_cuts(&aig, CutConfig { k: 4, max_cuts: 8 });
         for node_cuts in &cuts {
             for cut in node_cuts {
-                assert!(cut.leaves.len() <= 4);
+                assert!(cut.leaves().len() <= 4);
             }
         }
     }
@@ -511,27 +540,24 @@ mod tests {
             .iter()
             .find(|c| c.is_trivial(root))
             .expect("every AND node keeps its trivial cut");
-        assert_eq!(trivial.leaves, vec![root]);
+        assert_eq!(trivial.leaves(), [root]);
         let full = cuts[root as usize]
             .iter()
-            .find(|c| c.leaves.len() == 2)
+            .find(|c| c.leaves().len() == 2)
             .expect("2-leaf cut");
-        let (tt, leaves) = full.function_over_support();
-        assert_eq!(tt.n_vars(), 2);
-        assert_eq!(leaves, vec![a.node(), b.node()]);
+        let support = full.function_over_support();
+        assert_eq!(support.tt().n_vars(), 2);
+        assert_eq!(support.leaves(), [a.node(), b.node()]);
     }
 
     #[test]
     fn function_over_support_drops_irrelevant_leaves() {
         // A cut whose function ignores one leaf must project it away.
-        let cut = Cut {
-            leaves: vec![3, 5, 9],
-            tt: TruthTable::var(3, 0) & TruthTable::var(3, 2),
-        };
-        let (tt, leaves) = cut.function_over_support();
-        assert_eq!(tt.n_vars(), 2);
-        assert_eq!(leaves, vec![3, 9]);
-        assert_eq!(tt, TruthTable::var(2, 0) & TruthTable::var(2, 1));
+        let cut = Cut::new(&[3, 5, 9], TruthTable::var(3, 0) & TruthTable::var(3, 2));
+        let support = cut.function_over_support();
+        assert_eq!(support.tt().n_vars(), 2);
+        assert_eq!(support.leaves(), [3, 9]);
+        assert_eq!(support.tt(), TruthTable::var(2, 0) & TruthTable::var(2, 1));
     }
 
     #[test]
@@ -596,7 +622,7 @@ mod tests {
                 if cut.is_trivial(rep) {
                     continue;
                 }
-                for &leaf in &cut.leaves {
+                for &leaf in cut.leaves() {
                     match choice.arena().node(leaf) {
                         crate::graph::Node::Input(_) => {}
                         crate::graph::Node::And(_, _) => {
@@ -615,20 +641,14 @@ mod tests {
         let xor = TruthTable::var(2, 0) ^ TruthTable::var(2, 1);
         let found = f_cuts
             .iter()
-            .any(|c| c.leaves == pi && (c.tt == xor || c.tt == !xor));
+            .any(|c| c.leaves() == pi && (c.tt == xor || c.tt == !xor));
         assert!(found, "the XOR cut over the PIs must exist: {f_cuts:?}");
     }
 
     #[test]
     fn dominance_pruning() {
-        let a = Cut {
-            leaves: vec![1, 2],
-            tt: TruthTable::var(2, 0),
-        };
-        let b = Cut {
-            leaves: vec![1, 2, 3],
-            tt: TruthTable::var(3, 0),
-        };
+        let a = Cut::new(&[1, 2], TruthTable::var(2, 0));
+        let b = Cut::new(&[1, 2, 3], TruthTable::var(3, 0));
         assert!(a.dominates(&b));
         assert!(!b.dominates(&a));
     }
@@ -644,7 +664,7 @@ mod tests {
         let root = &cuts[f.node() as usize];
         let pi_cut = root
             .iter()
-            .find(|c| c.leaves.len() == 2)
+            .find(|c| c.leaves().len() == 2)
             .expect("2-leaf cut");
         let ta = TruthTable::var(2, 0);
         let tb = TruthTable::var(2, 1);

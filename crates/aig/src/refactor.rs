@@ -31,19 +31,20 @@ pub fn refactor(aig: &Aig) -> Aig {
         let mut best = copied;
         let mut best_cost = usize::MAX;
         for cut in cuts.cuts(idx as u32) {
-            if cut.leaves.len() < 2 || cut.leaves.len() > 4 {
+            let leaves = cut.leaves();
+            if leaves.len() < 2 || leaves.len() > 4 {
                 continue;
             }
-            let cone = cone_size(aig, idx as u32, &cut.leaves);
-            let cover = isop(cut.tt);
+            let cone = cone_size(aig, idx as u32, leaves);
+            let cover = isop(cut.tt());
             let sop_cost: usize = cover
                 .iter()
                 .map(|c| c.literal_count().saturating_sub(1))
                 .sum::<usize>()
                 + cover.len().saturating_sub(1);
             if sop_cost < cone && sop_cost < best_cost {
-                let leaf_lits: Vec<Lit> = cut.leaves.iter().map(|&l| map[l as usize]).collect();
-                let rebuilt = sop_to_aig(&mut out, &cover, &leaf_lits, cut.tt.n_vars());
+                let leaf_lits: Vec<Lit> = leaves.iter().map(|&l| map[l as usize]).collect();
+                let rebuilt = sop_to_aig(&mut out, &cover, &leaf_lits, leaves.len());
                 best = rebuilt;
                 best_cost = sop_cost;
             }

@@ -691,16 +691,16 @@ pub fn rewrite_with(aig: &Aig, config: &RewriteConfig) -> Aig {
             if cut.is_trivial(idx as u32) {
                 continue;
             }
-            let (fs, leaf_nodes) = cut.function_over_support();
-            let f4 = fs.extend_to(4);
+            let support = cut.function_over_support();
+            let f4 = support.tt().extend_to(4);
             let canon = *canon_memo.entry(f4.bits()).or_insert_with(|| npn_canon(f4));
-            let leaf_lits: Vec<Lit> = leaf_nodes.iter().map(|&n| map[n as usize]).collect();
+            let leaf_lits: Vec<Lit> = support.leaves().iter().map(|&n| map[n as usize]).collect();
             let plan = lib.plan(&canon, &leaf_lits);
             let (added, root_level) = lib.count_new_with_level(&out, out.node_levels(), &plan);
             if config.level_aware && root_level > copy_level {
                 continue;
             }
-            let freed = mffc_size_ro(&input, idx as u32, &cut.leaves, refs) as i64;
+            let freed = mffc_size_ro(&input, idx as u32, cut.leaves(), refs) as i64;
             let gain = freed - added as i64;
             if best.as_ref().is_none_or(|(g, _, _)| gain > *g) {
                 best = Some((gain, added as i64, plan));

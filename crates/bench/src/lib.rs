@@ -107,7 +107,9 @@ fn takes(bin: &str, flag: Flag) -> bool {
 /// The flag surface shared by the bench binaries.
 ///
 /// * `--patterns N` — random patterns per circuit (rounded up to a
-///   multiple of 64 by the simulator);
+///   multiple of 64 by the simulator), at most the paper's 640 K
+///   (655,360; the simulator allocates per pattern word, so a larger
+///   count would abort the process rather than fail);
 /// * `--seed S` — simulation seed (decimal or `0x…` hex);
 /// * `--paper` — the paper's full setting (640 K patterns), overridden by
 ///   an explicit `--patterns`;
@@ -262,11 +264,14 @@ impl BenchArgs {
             match arg.as_str() {
                 "--patterns" => {
                     let value = iter.next().ok_or("--patterns requires a value")?;
-                    out.patterns = Some(
-                        value
-                            .parse()
-                            .map_err(|e| format!("--patterns {value}: {e}"))?,
-                    );
+                    let n: usize = value
+                        .parse()
+                        .map_err(|e| format!("--patterns {value}: {e}"))?;
+                    let bound = PipelineConfig::paper().patterns;
+                    if n > bound {
+                        return Err(format!("--patterns {n}: above the bound {bound}"));
+                    }
+                    out.patterns = Some(n);
                 }
                 "--seed" => {
                     let value = iter.next().ok_or("--seed requires a value")?;
@@ -568,6 +573,22 @@ mod tests {
             msg.ends_with("(taken by table1, loadgen, engine_smoke, scale)"),
             "{msg}"
         );
+    }
+
+    #[test]
+    fn patterns_are_bounded_by_the_paper_setting() {
+        let bound = PipelineConfig::paper().patterns;
+        let at = BenchArgs::parse_from(["--patterns".to_owned(), bound.to_string()]);
+        assert_eq!(
+            at.expect("the bound itself is allowed").patterns,
+            Some(bound)
+        );
+        let msg = BenchArgs::parse_for("table1", ["--patterns", "655361"]).unwrap_err();
+        assert!(
+            msg.contains("--patterns 655361") && msg.contains("655360"),
+            "the refusal names the flag and the bound: {msg}"
+        );
+        assert!(BenchArgs::parse_from(["--patterns", "1000000000000000000"]).is_err());
     }
 
     #[test]

@@ -192,9 +192,10 @@ impl From<PipelineError> for JobError {
 /// [`map_portfolio_with_cut_db`] and the family's shared NPN match cache,
 /// verify the kept netlist against the AIG per [`PipelineConfig::verify`],
 /// then time it and estimate its power. The caller owns the cut database
-/// ([`mapper_cut_db`]), so a warm one — the same circuit resubmitted, or
-/// mapped against another family — skips cut enumeration. `deadline`,
-/// when given, is checked at every stage boundary.
+/// ([`mapper_cut_db`]): the Table-1 driver fills one per circuit and
+/// hands each family a copy, so the circuit's cuts are enumerated once,
+/// while `synthd` gives every job a fresh one. `deadline`, when given, is
+/// checked at every stage boundary.
 ///
 /// # Errors
 ///

@@ -283,20 +283,27 @@ impl TruthTable {
         }
     }
 
-    /// Drops irrelevant trailing variables down to the function's support.
+    /// Drops irrelevant variables down to the function's support.
     ///
-    /// Returns a pair of the compacted table and the list of original
-    /// variable indices retained (in order).
-    pub fn shrink_to_support(&self) -> (Self, Vec<usize>) {
-        let kept: Vec<usize> = (0..self.n_vars()).filter(|&v| self.depends_on(v)).collect();
-        let n = kept.len();
+    /// Returns a pair of the compacted table and the retained original
+    /// variables as a bit mask: the `k`-th set bit names the original
+    /// variable that becomes variable `k`.
+    pub fn shrink_to_support(&self) -> (Self, u8) {
+        let kept = self.support_mask();
+        let n = kept.count_ones() as usize;
+        if n == self.n_vars() {
+            return (*self, kept);
+        }
         let mut bits = 0u64;
         for i in 0..(1u64 << n) {
+            // Spread the bits of `i` onto the kept variables' positions.
             let mut j = 0u64;
-            for (k, &orig) in kept.iter().enumerate() {
+            let mut rest = kept;
+            for k in 0..n {
                 if (i >> k) & 1 == 1 {
-                    j |= 1 << orig;
+                    j |= 1 << rest.trailing_zeros();
                 }
+                rest &= rest - 1;
             }
             // Irrelevant variables may take any value; use zero.
             if (self.bits >> j) & 1 == 1 {
@@ -462,7 +469,7 @@ mod tests {
         assert_eq!(f.support_mask(), 0b0101);
         assert_eq!(f.support_size(), 2);
         let (g, kept) = f.shrink_to_support();
-        assert_eq!(kept, vec![0, 2]);
+        assert_eq!(kept, 0b0101);
         assert_eq!(g.n_vars(), 2);
         let x = TruthTable::var(2, 0);
         let y = TruthTable::var(2, 1);

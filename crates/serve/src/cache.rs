@@ -1,23 +1,22 @@
-//! The per-circuit warm cache: synthesized networks and their cut
-//! databases, keyed by everything that determines them.
+//! The per-circuit warm cache: synthesized networks, keyed by everything
+//! that determines them.
 //!
-//! Synthesis (the flow script) and cut enumeration are family- and
-//! objective-independent: the same AIG submitted against all three gate
-//! families shares one synthesized network and one [`CutDb`]. The cache
-//! key therefore covers exactly the inputs of those stages — the AIGER
-//! bytes, the flow script, the choices knob, and the cut shape
-//! (`cut_k`, `max_cuts`) — and deliberately excludes family, objective,
-//! verify, patterns and seed. A 3-family replay of one circuit pays for
-//! one synthesis and one enumeration, not three.
+//! Synthesis (the flow script) is family- and objective-independent: the
+//! same AIG submitted against all three gate families shares one
+//! synthesized network. The cache key covers the AIGER bytes, the flow
+//! script, the choices knob and the cut shape (`cut_k`, `max_cuts`), and
+//! deliberately excludes family, objective, verify, patterns and seed. A
+//! 3-family replay of one circuit pays for one synthesis, not three.
 //!
-//! Concurrency model: entries are immutable snapshots behind an `Arc`.
-//! A job *clones* the entry's cut database, maps with the clone (the
-//! mapper tops it up in place), and publishes the topped-up database
-//! back — so later submissions of the same circuit start from the
-//! richest database seen so far. Cloning is cheap next to enumeration
-//! (the Table-1 drivers use the same pattern).
+//! Cut databases are not cached: each job enumerates its own, which
+//! costs a few milliseconds per circuit, while the databases of a
+//! resident catalog held most of the server's live heap.
+//!
+//! Concurrency model: entries are immutable snapshots behind an `Arc`,
+//! published once by the job that built them and read by every later
+//! job of the same key.
 
-use aig::{Aig, ChoiceAig, CutDb};
+use aig::{Aig, ChoiceAig};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,9 +30,6 @@ pub struct SynthEntry {
     pub synthesized: Aig,
     /// The structural-choice network, when the flow collected one.
     pub choices: Option<ChoiceAig>,
-    /// The cut database keyed to `synthesized`, as rich as the last
-    /// job that used it left it.
-    pub cut_db: CutDb,
 }
 
 /// The cache key: the synthesis-stage inputs themselves, bucketed by
@@ -239,10 +235,9 @@ impl SynthCache {
     }
 
     /// Publishes an entry (insert or replace), evicting the
-    /// least-recently-used circuit beyond capacity. Jobs call this both
-    /// on a miss (fresh synthesis) and after a hit (to publish the
-    /// topped-up cut database).
-    pub fn put(&self, key: CacheKey, entry: Arc<SynthEntry>) {
+    /// least-recently-used circuit beyond capacity. A job's
+    /// [`BuildLease::publish`] calls this once after a miss.
+    fn put(&self, key: CacheKey, entry: Arc<SynthEntry>) {
         let mut inner = self.inner.lock().expect("cache lock");
         inner.clock += 1;
         let clock = inner.clock;
@@ -297,7 +292,6 @@ mod tests {
         let a = aig.input();
         aig.output(a);
         Arc::new(SynthEntry {
-            cut_db: CutDb::new(aig::CutConfig { k: 4, max_cuts: 8 }),
             synthesized: aig,
             choices: None,
         })

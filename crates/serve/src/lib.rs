@@ -4,8 +4,8 @@
 //! local TCP socket and runs them on a bounded worker pool. The point
 //! is *amortization*: the expensive one-time state — per-family
 //! characterized libraries, NPN match caches, the rewrite library, and
-//! per-circuit cut databases — is built once and shared across every
-//! request, so a stream of jobs pays nothing like `N ×` the one-shot
+//! per-circuit synthesized networks — is built once and shared across
+//! every request, so a stream of jobs pays nothing like `N ×` the one-shot
 //! cost. The load harness (`bench` crate's `loadgen` binary) measures
 //! exactly that: p50/p99 latency and throughput against a serial
 //! one-shot baseline.
@@ -13,8 +13,7 @@
 //! * [`wire`] — length-prefixed (`u32` LE) framing;
 //! * [`protocol`] — the request/response vocabulary ([`JobSpec`],
 //!   [`Response`]) and its hand-rolled byte encoding;
-//! * [`cache`] — the content-keyed warm cache of synthesized networks
-//!   and cut databases;
+//! * [`cache`] — the content-keyed warm cache of synthesized networks;
 //! * [`server`] — acceptor, admission control (bounded queue + typed
 //!   [`Response::Busy`] backpressure), worker pool, per-request
 //!   deadline/telemetry;

@@ -25,7 +25,7 @@
 //! characterized libraries / NPN match caches / rewrite library
 //! (`ambipolar::engine`, built once per process — observable via its
 //! build counters), and the per-circuit [`SynthCache`] keyed by content
-//! (resubmitted circuits skip synthesis *and* cut enumeration).
+//! (resubmitted circuits skip synthesis).
 
 use crate::cache::{CacheKey, SynthCache, SynthEntry};
 use crate::protocol::{JobSpec, ProtocolError, Request, Response};
@@ -428,8 +428,8 @@ fn execute_job_inner(
         }
     };
 
-    // Warm-cache lookup: synthesis and cut enumeration are family- and
-    // objective-independent, so the key covers only their inputs.
+    // Warm-cache lookup: synthesis is family- and objective-independent,
+    // so the key leaves both out.
     let key = CacheKey::new(
         &spec.aiger,
         &config.flow,
@@ -456,27 +456,24 @@ fn execute_job_inner(
                 (synthesized, choices) = engine::synthesize_with_choices(&flow, &input, &config);
             }
             let entry = Arc::new(SynthEntry {
-                cut_db: mapper_cut_db(&config.map),
                 synthesized,
                 choices,
             });
             // Publish as soon as synthesis — the dominant cost — is
             // done, so single-flight followers unblock now instead of
-            // waiting out this job's mapping and estimation too. The
-            // cut database is republished enriched below.
+            // waiting out this job's mapping and estimation too.
             lease.publish(Arc::clone(&entry));
             (entry, false)
         }
     };
 
     let library = engine::library(spec.family);
-    let mut cut_db = entry.cut_db.clone();
     let job = run_job(
         &entry.synthesized,
         entry.choices.as_ref(),
         library,
         &config,
-        &mut cut_db,
+        &mut mapper_cut_db(&config.map),
         deadline,
     );
     let job = match job {
@@ -492,20 +489,6 @@ fn execute_job_inner(
             }
         }
     };
-    // Republish with the (now topped-up) cut database so resubmissions
-    // skip enumeration too. Hits republish nothing: their clone found
-    // the cuts already present.
-    if !cache_hit {
-        shared.cache.put(
-            key,
-            Arc::new(SynthEntry {
-                synthesized: entry.synthesized.clone(),
-                choices: entry.choices.clone(),
-                cut_db,
-            }),
-        );
-    }
-
     let netlist_verilog =
         techmap::to_structural_verilog(&job.netlist, library, &module_name(&spec.name));
     let qor_json = job_qor_json(spec, entry.synthesized.and_count(), &job);

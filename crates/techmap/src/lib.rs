@@ -8,13 +8,15 @@
 //! 1. **cut enumeration** — k-feasible priority cuts per node
 //!    ([`aig::cuts`]; `k` and the per-node cut cap come from
 //!    [`MapConfig`]);
-//! 2. **NPN-canonical matching** — cut functions are canonized and looked
-//!    up in an immutable, precomputed [`NpnMatchCache`] (one per library;
-//!    shareable across circuits and threads) through a per-run
-//!    [`Matcher`] memo; input-phase requirements are *free* for the
-//!    dual-rail generalized ambipolar family and cost explicit shared
-//!    inverters for the conventional families — the structural mechanism
-//!    behind the paper's expressive-power advantage;
+//! 2. **NPN-canonical matching** — every covered node's cut functions
+//!    are looked up once, into one match arena per map, in an immutable,
+//!    precomputed [`NpnMatchCache`] (one per library; shareable across
+//!    circuits and threads) through a per-run [`Matcher`] memo, which
+//!    canonizes only functions whose NPN signature some library class
+//!    has; input-phase requirements are *free* for the dual-rail
+//!    generalized ambipolar family and cost explicit shared inverters for
+//!    the conventional families — the structural mechanism behind the
+//!    paper's expressive-power advantage;
 //! 3. **objective-driven selection** — a dynamic program minimizing the
 //!    configured [`Objective`] (`Delay`, `Area`, or `Energy`), pricing
 //!    each net at the library's mean input-pin capacitance per estimated

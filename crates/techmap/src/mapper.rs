@@ -5,8 +5,19 @@
 //! Each stage is an explicit function with a narrow interface, so the
 //! expensive parts are reusable (the NPN class table is shared across
 //! circuits and threads via [`NpnMatchCache`]) and the policy parts are
-//! configurable ([`MapConfig`]: objective, cut shape, load model). The
-//! whole engine is panic-free — malformed inputs surface as [`MapError`].
+//! configurable ([`MapConfig`]: objective, cut shape, recovery rounds).
+//! The whole engine is panic-free — malformed inputs surface as
+//! [`MapError`].
+//!
+//! Matching runs once per map. Phase 2 derives every library match of
+//! every covered node's cuts into one flat arena: per match the cell,
+//! its output phase and its pins, each pin a leaf literal. Selection,
+//! the recovery rounds, required times, cover extraction and
+//! materialization then read matches by index; nothing re-derives a
+//! cut's support or looks a function up again. The `map/match` span
+//! covers that derivation and records the arena's `matches` and the
+//! distinct cut functions the run `canonized` or `rejected` by NPN
+//! signature, so `map/select` is the selection alone.
 
 use crate::config::{default_output_load, MapConfig, MapError, Objective};
 use crate::matching::{Matcher, NpnMatchCache};
@@ -18,14 +29,89 @@ use charlib::{CharacterizedGate, CharacterizedLibrary};
 use device::Capacitance;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 
-/// A resolved match chosen for an AND node.
-#[derive(Clone, Debug)]
-struct Chosen {
-    gate: usize,
-    /// `(leaf_node, inverted)` per cell pin.
-    pins: Vec<(u32, bool)>,
+/// One library match of one cut of a node: which cell, whether its
+/// output is the complement of the node, and where its pins sit in
+/// [`MatchArena::pins`].
+#[derive(Clone, Copy, Debug)]
+struct Match {
+    gate: u32,
+    first_pin: u32,
+    arity: u8,
     output_inverted: bool,
+}
+
+/// Every match of every covered node, derived once per map: one record
+/// per match in `list`, all pins in one shared `Vec`, and per node the
+/// range of its records. A node's records keep cut-then-match order, the
+/// order in which every tie-break keeps the first best match.
+struct MatchArena {
+    /// Per node: its matches' index range in `list` (empty for nodes
+    /// outside the covered order).
+    span: Vec<(u32, u32)>,
+    list: Vec<Match>,
+    /// Per cell pin, the leaf node it reads, complemented when the pin
+    /// needs the leaf's negation.
+    pins: Vec<Lit>,
+}
+
+impl MatchArena {
+    /// Matches every non-trivial cut of every node of `order`, with its
+    /// pins on the cut's support leaves, in cut-then-match order.
+    fn build(len: usize, order: &[u32], cuts: &dyn CutSource, matcher: &mut Matcher<'_>) -> Self {
+        let mut arena = MatchArena {
+            span: vec![(0, 0); len],
+            list: Vec::new(),
+            pins: Vec::new(),
+        };
+        for &node in order {
+            let start = arena.list.len() as u32;
+            for cut in cuts.cuts_of(node) {
+                if cut.is_trivial(node) {
+                    continue;
+                }
+                // The shared support projection (`aig::cuts`) both the
+                // mapper and the rewriting engine consume: the shrunk
+                // function over the leaf nodes it depends on.
+                let support = cut.function_over_support();
+                let leaves = support.leaves();
+                if leaves.is_empty() {
+                    continue; // constant function; covered by a smaller cut
+                }
+                for cand in matcher.matches(support.tt()) {
+                    arena.list.push(Match {
+                        gate: cand.gate as u32,
+                        first_pin: arena.pins.len() as u32,
+                        arity: cand.pins.len() as u8,
+                        output_inverted: cand.output_inverted,
+                    });
+                    arena
+                        .pins
+                        .extend(cand.pins.iter().map(|&(v, inv)| Lit::new(leaves[v], inv)));
+                }
+            }
+            arena.span[node as usize] = (start, arena.list.len() as u32);
+        }
+        arena
+    }
+
+    /// The indices of `node`'s matches.
+    fn of(&self, node: u32) -> Range<u32> {
+        let (start, end) = self.span[node as usize];
+        start..end
+    }
+
+    /// The match with index `m`.
+    fn get(&self, m: u32) -> Match {
+        self.list[m as usize]
+    }
+
+    /// The pins of the match with index `m`.
+    fn pins(&self, m: u32) -> &[Lit] {
+        let rec = self.get(m);
+        &self.pins[rec.first_pin as usize..][..rec.arity as usize]
+    }
 }
 
 /// One matched node of the extracted cover, in emission (topological)
@@ -33,8 +119,8 @@ struct Chosen {
 struct CoverStep {
     /// The AIG node this step implements.
     node: u32,
-    /// The selected match.
-    chosen: Chosen,
+    /// The index of the selected match.
+    chosen: u32,
 }
 
 /// Maps an AIG onto a characterized library with a private match cache
@@ -149,18 +235,23 @@ pub fn map_subject(
         cuts,
     };
 
-    // Phase 2: NPN-canonical matching — shared immutable class table plus
-    // a per-run canonization memo.
-    let mut matcher = {
-        let _s = obs::span!("map/match");
-        Matcher::new(cache)
+    // Phase 2: NPN-canonical matching of every covered node's cuts into
+    // one arena — shared immutable class table plus a per-run memo.
+    let arena = {
+        let mut span = obs::span!("map/match");
+        let mut matcher = Matcher::new(cache);
+        let arena = MatchArena::build(aig.len(), &net.order, net.cuts, &mut matcher);
+        span.record("matches", arena.list.len() as u64)
+            .record("canonized", matcher.canonized())
+            .record("rejected", matcher.rejected());
+        arena
     };
 
     // Phase 3: objective-driven selection — the arrival/flow DP, plus the
     // delay objective's required-time and area-recovery passes.
     let selection = {
         let _s = obs::span!("map/select");
-        select_matches(&net, &mut matcher, library, config)?
+        select_matches(&net, &arena, cache.inverter(), library, config)?
     };
 
     // Phase 4: cover extraction (which matches are actually used, in
@@ -169,12 +260,12 @@ pub fn map_subject(
     // chosen cut.
     let cover = {
         let _s = obs::span!("map/cover");
-        extract_cover(&net, &selection.chosen)?
+        extract_cover(&net, &arena, &selection.chosen)?
     };
 
     // Phase 5: inverter materialization and netlist assembly.
     let _s = obs::span!("map/materialize");
-    let mut netlist = materialize(library, cache.inverter(), &cover, &net);
+    let mut netlist = materialize(library, cache.inverter(), &cover, &arena, &net);
     drop(_s);
     netlist.set_predicted_delay_s(selection.predicted);
     Ok(netlist)
@@ -380,7 +471,8 @@ fn rel_eps(a: f64, b: f64) -> f64 {
 /// What phase 3 hands to cover extraction: the match per node plus the
 /// DP's own critical-path estimate for the selected cover.
 struct Selection {
-    chosen: Vec<Option<Chosen>>,
+    /// Per node, the index of its chosen match.
+    chosen: Vec<Option<u32>>,
     /// Predicted critical path in seconds (max predicted PO arrival).
     predicted: f64,
 }
@@ -394,11 +486,12 @@ fn predicted_critical(arrival: &[f64], outputs: &[Lit], costs: &Costs) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// Arrival of one match given current leaf arrivals, under the matched
+/// Arrival of match `m` given current leaf arrivals, under the matched
 /// node's estimated fanout bucket `fb` (leaf fanouts price the shared
 /// pin inverters).
 fn eval_match(
-    m: &Chosen,
+    arena: &MatchArena,
+    m: u32,
     arrival: &[f64],
     fanouts: &[u32],
     po_driver: bool,
@@ -406,35 +499,13 @@ fn eval_match(
     costs: &Costs,
 ) -> f64 {
     let mut arr_in = 0.0f64;
-    for &(leaf, inv) in &m.pins {
-        let leaf_fb = fanout_bucket(fanouts[leaf as usize]);
-        arr_in = arr_in.max(arrival[leaf as usize] + costs.pin_delay(inv, leaf_fb));
+    for pin in arena.pins(m) {
+        let leaf = pin.node() as usize;
+        let leaf_fb = fanout_bucket(fanouts[leaf]);
+        arr_in = arr_in.max(arrival[leaf] + costs.pin_delay(pin.is_complement(), leaf_fb));
     }
-    arr_in + costs.match_delay(po_driver, fb, m.gate, m.output_inverted)
-}
-
-/// Every library match of every non-trivial cut of `node`, with its pins
-/// on the cut's support leaves, in cut-then-match order.
-fn candidates(node: u32, cuts: &dyn CutSource, matcher: &mut Matcher<'_>) -> Vec<Chosen> {
-    let mut out = Vec::new();
-    for cut in cuts.cuts_of(node) {
-        if cut.is_trivial(node) {
-            continue;
-        }
-        // The shared support projection (`aig::cuts`) both the mapper and
-        // the rewriting engine consume: the shrunk function plus the leaf
-        // node behind each remaining variable.
-        let (fs, leaves) = cut.function_over_support();
-        if leaves.is_empty() {
-            continue; // constant function; covered by a smaller cut
-        }
-        out.extend(matcher.matches(fs).iter().map(|cand| Chosen {
-            gate: cand.gate,
-            pins: cand.pins.iter().map(|&(v, inv)| (leaves[v], inv)).collect(),
-            output_inverted: cand.output_inverted,
-        }));
-    }
-    out
+    let rec = arena.get(m);
+    arr_in + costs.match_delay(po_driver, fb, rec.gate as usize, rec.output_inverted)
 }
 
 /// Phase 3: objective-driven selection — one match per AND node.
@@ -460,12 +531,13 @@ fn candidates(node: u32, cuts: &dyn CutSource, matcher: &mut Matcher<'_>) -> Vec
 /// plain network, the class representatives of a choice network.
 fn select_matches(
     net: &Network<'_>,
-    matcher: &mut Matcher<'_>,
+    arena: &MatchArena,
+    inverter: usize,
     library: &CharacterizedLibrary,
     config: &MapConfig,
 ) -> Result<Selection, MapError> {
-    let costs = Costs::new(library, matcher.inverter(), config);
-    let (fanouts, cuts) = (&net.fanouts[..], net.cuts);
+    let costs = Costs::new(library, inverter, config);
+    let fanouts = &net.fanouts[..];
     let n = net.aig.len();
     let mut po_driver = vec![false; n];
     for lit in net.outputs {
@@ -474,31 +546,36 @@ fn select_matches(
 
     let mut arrival = vec![0.0f64; n];
     let mut flow = vec![0.0f64; n];
-    let mut chosen: Vec<Option<Chosen>> = vec![None; n];
+    let mut chosen: Vec<Option<u32>> = vec![None; n];
 
     // Phase 3a: the arrival/flow DP.
     for &node in net.order.iter() {
         let idx = node as usize;
         let po = po_driver[idx];
         let fb = fanout_bucket(fanouts[idx]);
-        let mut best: Option<(f64, f64, Chosen)> = None;
-        for m in candidates(node, cuts, matcher) {
-            let arr = eval_match(&m, &arrival, fanouts, po, fb, &costs);
+        let mut best: Option<(f64, f64, u32)> = None;
+        for m in arena.of(node) {
+            let arr = eval_match(arena, m, &arrival, fanouts, po, fb, &costs);
+            let pins = arena.pins(m);
             let mut inv_flow_cost = 0.0;
-            for &(leaf, inv) in &m.pins {
-                if inv && !costs.free_neg {
+            for pin in pins {
+                if pin.is_complement() && !costs.free_neg {
                     // One materialized inverter serves every consumer of
                     // the complemented leaf, so its flow cost is
                     // discounted by the leaf's fanout exactly like the
                     // leaf's own flow below.
-                    inv_flow_cost += costs.inv_unit / fanouts[leaf as usize].max(1) as f64;
+                    inv_flow_cost += costs.inv_unit / fanouts[pin.node() as usize].max(1) as f64;
                 }
             }
-            let f = costs.match_unit(m.gate, m.output_inverted)
+            let rec = arena.get(m);
+            let f = costs.match_unit(rec.gate as usize, rec.output_inverted)
                 + inv_flow_cost
-                + m.pins
+                + pins
                     .iter()
-                    .map(|&(leaf, _)| flow[leaf as usize] / fanouts[leaf as usize].max(1) as f64)
+                    .map(|pin| {
+                        let leaf = pin.node() as usize;
+                        flow[leaf] / fanouts[leaf].max(1) as f64
+                    })
                     .sum::<f64>();
             let better = match (&best, config.objective) {
                 (None, _) => true,
@@ -526,7 +603,7 @@ fn select_matches(
         }
         let (arr, f, c) = best.ok_or(MapError::UnmatchedNode {
             node,
-            cuts: cuts.cuts_of(node).len(),
+            cuts: net.cuts.cuts_of(node).len(),
         })?;
         arrival[idx] = arr;
         flow[idx] = f;
@@ -540,12 +617,12 @@ fn select_matches(
         recover_area(
             RecoverCtx {
                 net,
+                arena,
                 po_driver: &po_driver,
                 costs: &costs,
                 config,
                 target,
             },
-            matcher,
             &mut chosen,
             &mut arrival,
             &mut flow,
@@ -560,6 +637,7 @@ fn select_matches(
 /// and its helpers stay within clippy's argument budget).
 struct RecoverCtx<'a> {
     net: &'a Network<'a>,
+    arena: &'a MatchArena,
     po_driver: &'a [bool],
     costs: &'a Costs,
     config: &'a MapConfig,
@@ -576,17 +654,16 @@ struct RecoverCtx<'a> {
 /// so the cover's predicted critical path never exceeds `target`.
 fn recover_area(
     ctx: RecoverCtx<'_>,
-    matcher: &mut Matcher<'_>,
-    chosen: &mut [Option<Chosen>],
+    chosen: &mut [Option<u32>],
     arrival: &mut [f64],
     flow: &mut [f64],
 ) {
-    let (costs, net) = (ctx.costs, ctx.net);
+    let (costs, net, arena) = (ctx.costs, ctx.net, ctx.arena);
     for round in 0..ctx.config.recovery_rounds {
         let mut span = obs::span!("map/recover");
         span.record("round", round as u64 + 1);
         let exact = round > 0;
-        let mut cover = CoverRefs::of(chosen, net.outputs, costs);
+        let mut cover = CoverRefs::of(arena, chosen, net.outputs, costs);
         let required = required_times(&ctx, chosen, &cover.refs);
         for &node in net.order.iter() {
             let idx = node as usize;
@@ -602,26 +679,28 @@ fn recover_area(
             // cover *without* this node's current match, so sharing with
             // the match being replaced is not double-counted.
             if exact && covered {
-                if let Some(c) = &chosen[idx] {
-                    cover.toggle(c, chosen, costs, false);
+                if let Some(c) = chosen[idx] {
+                    cover.toggle(arena, c, chosen, costs, false);
                 }
             }
-            let mut best: Option<(f64, f64, Chosen)> = None;
-            for m in candidates(node, net.cuts, matcher) {
-                let arr = eval_match(&m, arrival, &net.fanouts, po, fb, costs);
+            let mut best: Option<(f64, f64, u32)> = None;
+            for m in arena.of(node) {
+                let arr = eval_match(arena, m, arrival, &net.fanouts, po, fb, costs);
                 if arr > feasible {
                     continue;
                 }
                 let cost = if exact {
-                    let a = cover.toggle(&m, chosen, costs, true);
-                    cover.toggle(&m, chosen, costs, false);
+                    let a = cover.toggle(arena, m, chosen, costs, true);
+                    cover.toggle(arena, m, chosen, costs, false);
                     a
                 } else {
-                    let mut f = costs.match_unit(m.gate, m.output_inverted);
-                    for &(leaf, inv) in &m.pins {
-                        let share = cover.refs[leaf as usize].max(1) as f64;
-                        f += flow[leaf as usize] / share;
-                        if inv && !costs.free_neg {
+                    let rec = arena.get(m);
+                    let mut f = costs.match_unit(rec.gate as usize, rec.output_inverted);
+                    for pin in arena.pins(m) {
+                        let leaf = pin.node() as usize;
+                        let share = cover.refs[leaf].max(1) as f64;
+                        f += flow[leaf] / share;
+                        if pin.is_complement() && !costs.free_neg {
                             f += costs.inv_unit / share;
                         }
                     }
@@ -641,7 +720,7 @@ fn recover_area(
             match best {
                 Some((cost, arr, m)) => {
                     if exact && covered {
-                        cover.toggle(&m, chosen, costs, true);
+                        cover.toggle(arena, m, chosen, costs, true);
                     }
                     arrival[idx] = arr;
                     if !exact {
@@ -652,11 +731,11 @@ fn recover_area(
                 None => {
                     // Every candidate infeasible (float corner): keep the
                     // current match, refresh its arrival, restore refs.
-                    if let Some(c) = chosen[idx].clone() {
+                    if let Some(c) = chosen[idx] {
                         if exact && covered {
-                            cover.toggle(&c, chosen, costs, true);
+                            cover.toggle(arena, c, chosen, costs, true);
                         }
-                        arrival[idx] = eval_match(&c, arrival, &net.fanouts, po, fb, costs);
+                        arrival[idx] = eval_match(arena, c, arrival, &net.fanouts, po, fb, costs);
                     }
                 }
             }
@@ -671,30 +750,37 @@ fn recover_area(
 struct CoverRefs {
     refs: Vec<u32>,
     inv_refs: Vec<u32>,
+    /// The walks' work list, kept across walks.
+    stack: Vec<Lit>,
 }
 
 impl CoverRefs {
     /// The counts of the cover the primary outputs reach.
-    fn of(chosen: &[Option<Chosen>], outputs: &[Lit], costs: &Costs) -> Self {
+    fn of(arena: &MatchArena, chosen: &[Option<u32>], outputs: &[Lit], costs: &Costs) -> Self {
         let mut cover = CoverRefs {
             refs: vec![0; chosen.len()],
             inv_refs: vec![0; chosen.len()],
+            stack: Vec::new(),
         };
-        let taps: Vec<(u32, bool)> = outputs
-            .iter()
-            .map(|l| (l.node(), l.is_complement()))
-            .collect();
-        cover.walk(0.0, &taps, chosen, costs, true);
+        cover.walk(0.0, outputs, arena, chosen, costs, true);
         cover
     }
 
-    /// Pulls a match into the cover (`add`) or removes it: moves its pin
+    /// Pulls match `m` into the cover (`add`) or removes it: moves its pin
     /// references, recursively (un)covering leaves whose count leaves or
     /// returns to zero, and returns the exact area added or freed —
     /// cells, dedicated output inverters, and shared input inverters.
-    fn toggle(&mut self, m: &Chosen, chosen: &[Option<Chosen>], costs: &Costs, add: bool) -> f64 {
-        let area = costs.match_area(m.gate, m.output_inverted);
-        self.walk(area, &m.pins, chosen, costs, add)
+    fn toggle(
+        &mut self,
+        arena: &MatchArena,
+        m: u32,
+        chosen: &[Option<u32>],
+        costs: &Costs,
+        add: bool,
+    ) -> f64 {
+        let rec = arena.get(m);
+        let area = costs.match_area(rec.gate as usize, rec.output_inverted);
+        self.walk(area, arena.pins(m), arena, chosen, costs, add)
     }
 
     /// [`CoverRefs::toggle`]'s walk from `pins`, accumulating onto `area`.
@@ -702,8 +788,9 @@ impl CoverRefs {
     fn walk(
         &mut self,
         mut area: f64,
-        pins: &[(u32, bool)],
-        chosen: &[Option<Chosen>],
+        pins: &[Lit],
+        arena: &MatchArena,
+        chosen: &[Option<u32>],
         costs: &Costs,
         add: bool,
     ) -> f64 {
@@ -717,16 +804,18 @@ impl CoverRefs {
                 *count == 0
             }
         };
-        let mut stack = pins.to_vec();
-        while let Some((leaf, inv)) = stack.pop() {
-            let l = leaf as usize;
-            if inv && !costs.free_neg && step(&mut self.inv_refs[l]) {
+        self.stack.clear();
+        self.stack.extend_from_slice(pins);
+        while let Some(pin) = self.stack.pop() {
+            let l = pin.node() as usize;
+            if pin.is_complement() && !costs.free_neg && step(&mut self.inv_refs[l]) {
                 area += costs.inv_area;
             }
             if step(&mut self.refs[l]) {
-                if let Some(c) = &chosen[l] {
-                    area += costs.match_area(c.gate, c.output_inverted);
-                    stack.extend_from_slice(&c.pins);
+                if let Some(c) = chosen[l] {
+                    let rec = arena.get(c);
+                    area += costs.match_area(rec.gate as usize, rec.output_inverted);
+                    self.stack.extend_from_slice(arena.pins(c));
                 }
             }
         }
@@ -740,8 +829,8 @@ impl CoverRefs {
 /// its leaves. Uncovered nodes keep `+∞` — they constrain nothing until
 /// a later re-selection pulls them in, at which point the consumer's own
 /// feasibility check prices their true arrival.
-fn required_times(ctx: &RecoverCtx<'_>, chosen: &[Option<Chosen>], refs: &[u32]) -> Vec<f64> {
-    let (costs, net) = (ctx.costs, ctx.net);
+fn required_times(ctx: &RecoverCtx<'_>, chosen: &[Option<u32>], refs: &[u32]) -> Vec<f64> {
+    let (costs, net, arena) = (ctx.costs, ctx.net, ctx.arena);
     let mut required = vec![f64::INFINITY; chosen.len()];
     for lit in net.outputs {
         let idx = lit.node() as usize;
@@ -755,13 +844,19 @@ fn required_times(ctx: &RecoverCtx<'_>, chosen: &[Option<Chosen>], refs: &[u32])
         if refs[idx] == 0 || !required[idx].is_finite() {
             continue;
         }
-        let Some(c) = &chosen[idx] else { continue };
+        let Some(c) = chosen[idx] else { continue };
         let fb = fanout_bucket(net.fanouts[idx]);
-        let d = costs.match_delay(ctx.po_driver[idx], fb, c.gate, c.output_inverted);
-        for &(leaf, inv) in &c.pins {
-            let leaf_fb = fanout_bucket(net.fanouts[leaf as usize]);
-            let r = required[idx] - d - costs.pin_delay(inv, leaf_fb);
-            let l = leaf as usize;
+        let rec = arena.get(c);
+        let d = costs.match_delay(
+            ctx.po_driver[idx],
+            fb,
+            rec.gate as usize,
+            rec.output_inverted,
+        );
+        for pin in arena.pins(c) {
+            let l = pin.node() as usize;
+            let leaf_fb = fanout_bucket(net.fanouts[l]);
+            let r = required[idx] - d - costs.pin_delay(pin.is_complement(), leaf_fb);
             if r < required[l] {
                 required[l] = r;
             }
@@ -772,7 +867,11 @@ fn required_times(ctx: &RecoverCtx<'_>, chosen: &[Option<Chosen>], refs: &[u32])
 
 /// Phase 4: walks the chosen matches from the primary outputs and lists
 /// the matches actually used, in post-order (fanins precede consumers).
-fn extract_cover(net: &Network<'_>, chosen: &[Option<Chosen>]) -> Result<Vec<CoverStep>, MapError> {
+fn extract_cover(
+    net: &Network<'_>,
+    arena: &MatchArena,
+    chosen: &[Option<u32>],
+) -> Result<Vec<CoverStep>, MapError> {
     for (k, lit) in net.outputs.iter().enumerate() {
         if lit.node() == 0 {
             return Err(MapError::ConstantOutput { output: k });
@@ -794,24 +893,19 @@ fn extract_cover(net: &Network<'_>, chosen: &[Option<Chosen>]) -> Result<Vec<Cov
             // Defensive: selection already matched every reachable AND
             // node, so this only fires for non-logic nodes reachable via
             // a malformed cover (e.g. the constant node as a pin leaf).
-            let c = chosen[node as usize]
-                .as_ref()
-                .ok_or(MapError::UnmatchedNode {
-                    node,
-                    cuts: net.cuts.cuts_of(node).len(),
-                })?;
+            let c = chosen[node as usize].ok_or(MapError::UnmatchedNode {
+                node,
+                cuts: net.cuts.cuts_of(node).len(),
+            })?;
             if expanded {
                 emitted[node as usize] = true;
-                steps.push(CoverStep {
-                    node,
-                    chosen: c.clone(),
-                });
+                steps.push(CoverStep { node, chosen: c });
             } else {
                 stack.push((node, true));
                 // Push leaves in reverse so they materialize in pin order.
-                for &(leaf, _) in c.pins.iter().rev() {
-                    if !emitted[leaf as usize] {
-                        stack.push((leaf, false));
+                for pin in arena.pins(c).iter().rev() {
+                    if !emitted[pin.node() as usize] {
+                        stack.push((pin.node(), false));
                     }
                 }
             }
@@ -827,6 +921,7 @@ fn materialize(
     library: &CharacterizedLibrary,
     inv_idx: usize,
     cover: &[CoverStep],
+    arena: &MatchArena,
     net: &Network<'_>,
 ) -> MappedNetlist {
     let (input_nodes, outputs) = (net.aig.input_nodes(), net.outputs);
@@ -852,25 +947,27 @@ fn materialize(
         };
 
     for step in cover {
-        let mut inputs = Vec::with_capacity(step.chosen.pins.len());
-        for &(leaf, inv) in &step.chosen.pins {
-            let leaf_net = node_net[&leaf];
-            let net_ref = if inv && !free_neg {
+        let pins = arena.pins(step.chosen);
+        let mut inputs = Vec::with_capacity(pins.len());
+        for pin in pins {
+            let leaf_net = node_net[&pin.node()];
+            let net_ref = if pin.is_complement() && !free_neg {
                 NetRef::plain(shared_inverter(leaf_net, &mut instances, &mut inverted_net))
             } else {
                 NetRef {
                     net: leaf_net,
-                    inverted: inv,
+                    inverted: pin.is_complement(),
                 }
             };
             inputs.push(net_ref);
         }
+        let rec = arena.get(step.chosen);
         instances.push(Instance {
-            gate: step.chosen.gate,
+            gate: rec.gate as usize,
             inputs,
         });
         let mut net = pi_count + instances.len() - 1;
-        if step.chosen.output_inverted {
+        if rec.output_inverted {
             instances.push(Instance {
                 gate: inv_idx,
                 inputs: vec![NetRef::plain(net)],
@@ -1198,6 +1295,105 @@ mod tests {
             map_choices(&choices, &lib, &config).err(),
             Some(MapError::InvalidCutK { k: 9 })
         );
+    }
+
+    /// A resolved match, as the arena oracle lists it.
+    #[derive(Debug, PartialEq)]
+    struct Chosen {
+        gate: usize,
+        /// `(leaf_node, inverted)` per cell pin.
+        pins: Vec<(u32, bool)>,
+        output_inverted: bool,
+    }
+
+    /// Every library match of every non-trivial cut of `node`, with its
+    /// pins on the cut's support leaves, in cut-then-match order — the
+    /// per-visit derivation the match arena replaced, kept as its oracle.
+    fn candidates(node: u32, cuts: &dyn CutSource, matcher: &mut Matcher<'_>) -> Vec<Chosen> {
+        let mut out = Vec::new();
+        for cut in cuts.cuts_of(node) {
+            if cut.is_trivial(node) {
+                continue;
+            }
+            let support = cut.function_over_support();
+            let leaves = support.leaves();
+            if leaves.is_empty() {
+                continue;
+            }
+            out.extend(matcher.matches(support.tt()).iter().map(|cand| Chosen {
+                gate: cand.gate,
+                pins: cand.pins.iter().map(|&(v, inv)| (leaves[v], inv)).collect(),
+                output_inverted: cand.output_inverted,
+            }));
+        }
+        out
+    }
+
+    /// Builds the arena over `order` for every family and checks each
+    /// node's slice against [`candidates`], in order.
+    fn assert_arena_is_candidates(len: usize, order: &[u32], cuts: &dyn CutSource) {
+        for family in GateFamily::ALL {
+            let cache = NpnMatchCache::for_family(family).expect("INV present");
+            let arena = MatchArena::build(len, order, cuts, &mut Matcher::new(&cache));
+            let mut oracle = Matcher::new(&cache);
+            let mut listed = 0;
+            for &node in order {
+                let slice: Vec<Chosen> = arena
+                    .of(node)
+                    .map(|m| Chosen {
+                        gate: arena.get(m).gate as usize,
+                        pins: arena
+                            .pins(m)
+                            .iter()
+                            .map(|pin| (pin.node(), pin.is_complement()))
+                            .collect(),
+                        output_inverted: arena.get(m).output_inverted,
+                    })
+                    .collect();
+                assert_eq!(
+                    slice,
+                    candidates(node, cuts, &mut oracle),
+                    "{family}: node {node}"
+                );
+                listed += slice.len();
+            }
+            assert_eq!(
+                listed,
+                arena.list.len(),
+                "{family}: records outside the order"
+            );
+            assert!(listed > 0, "{family}: nothing matched");
+        }
+    }
+
+    #[test]
+    fn match_arena_lists_each_nodes_candidates_in_order() {
+        let config = MapConfig::default();
+        let shape = CutConfig {
+            k: config.cut_k,
+            max_cuts: config.max_cuts,
+        };
+        for name in ["C1355", "C7552"] {
+            let aig = bench_circuits::benchmark_by_name(name)
+                .expect("catalog circuit")
+                .aig
+                .cleanup();
+            let mut cuts = CutDb::new(shape);
+            cuts.ensure(&aig);
+            let order: Vec<u32> = (0..aig.len() as u32)
+                .filter(|&n| matches!(aig.node(n), Node::And(_, _)))
+                .collect();
+            assert_arena_is_candidates(aig.len(), &order, &cuts);
+        }
+        let c1355 = bench_circuits::benchmark_by_name("C1355")
+            .expect("catalog circuit")
+            .aig;
+        let (_, choices, _) = aig::Flow::parse("b; rw; rf; dch")
+            .expect("parses")
+            .run_with_choices(&c1355);
+        let choices = choices.expect("dch returns choices");
+        let cuts = enumerate_cuts_choice(&choices, shape);
+        assert_arena_is_candidates(choices.arena().len(), choices.class_order(), &cuts);
     }
 
     #[test]

@@ -8,15 +8,25 @@
 //!   shared across circuits and threads (`ambipolar::engine` keeps one per
 //!   gate family in a `OnceLock`).
 //! * [`Matcher`] — a cheap per-mapping-run scratch that memoizes the
-//!   canonization of cut functions seen during one run (the same cut
-//!   function recurs across thousands of nodes).
+//!   matches of cut functions seen during one run (the same cut function
+//!   recurs across thousands of nodes).
+//!
+//! Canonization is exhaustive — 92,160 transforms for a 6-input function
+//! — and most cut functions belong to no library class. So a function is
+//! first checked against the classes' NPN signatures (ones count and
+//! sorted cofactor weights, up to output complement; Huang, Wang,
+//! Nasikovskiy and Mishchenko, "Fast Boolean matching based on NPN
+//! classification", FPT 2013). The signature is an NPN invariant, so a
+//! function whose signature no class has cannot match, and it is
+//! rejected without being canonized. On the Table-1 run this leaves
+//! about one canonization in eight.
 
 use crate::config::MapError;
 use charlib::CharacterizedLibrary;
 use gate_lib::GateFamily;
 use logic::npn::{npn_canon, NpnTransform};
 use logic::TruthTable;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// How a library cell realizes a cut function.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,6 +54,8 @@ pub struct NpnMatchCache {
     /// that class with the transform mapping each cell onto the canonical
     /// representative, in library order.
     classes: HashMap<(usize, u64), Vec<(usize, NpnTransform)>>,
+    /// The NPN signature of every class in `classes`.
+    signatures: HashSet<NpnSignature>,
     /// Index of the INV cell.
     inverter: usize,
     /// Number of cells indexed (diagnostics).
@@ -82,6 +94,7 @@ impl NpnMatchCache {
         cells: impl Iterator<Item = (&'a str, TruthTable)>,
     ) -> Result<Self, MapError> {
         let mut classes: HashMap<(usize, u64), Vec<(usize, NpnTransform)>> = HashMap::new();
+        let mut signatures = HashSet::new();
         let mut inverter = None;
         let mut cell_count = 0usize;
         for (idx, (name, f)) in cells.enumerate() {
@@ -93,10 +106,12 @@ impl NpnMatchCache {
                 .entry((f.n_vars(), canon.canonical.bits()))
                 .or_default()
                 .push((idx, canon.transform));
+            signatures.insert(npn_signature(f));
             cell_count += 1;
         }
         Ok(Self {
             classes,
+            signatures,
             inverter: inverter.ok_or(MapError::MissingInverter)?,
             cell_count,
         })
@@ -118,8 +133,10 @@ impl NpnMatchCache {
     }
 
     /// Computes all candidate bindings for a support-shrunk cut function
-    /// (every variable in support). Prefer going through a [`Matcher`],
-    /// which memoizes the canonization across a mapping run.
+    /// (every variable in support) by canonizing it and looking its class
+    /// up. Prefer going through a [`Matcher`], which skips canonization
+    /// for functions no class's signature admits and memoizes the rest
+    /// across a mapping run.
     ///
     /// For each candidate, the binding `U` satisfies
     /// `cell_function = U.apply(cut_function)`; pin `k` of the cell reads
@@ -151,14 +168,55 @@ impl NpnMatchCache {
     }
 }
 
+/// An NPN-invariant signature: the ones count and, per variable, the
+/// ones counts of its two cofactors as a (min, max) pair, with the pairs
+/// sorted — taken for the function and for its complement, keeping the
+/// smaller.
+///
+/// Negating an input swaps that input's pair, permuting inputs reorders
+/// the pairs, and the minimum over both output phases absorbs output
+/// negation; so NPN-equivalent functions have equal signatures.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct NpnSignature {
+    n_vars: u8,
+    ones: u8,
+    /// Sorted (min, max) cofactor ones counts; slots past `n_vars` zero.
+    cofactors: [(u8, u8); 6],
+}
+
+fn npn_signature(f: TruthTable) -> NpnSignature {
+    let n = f.n_vars();
+    let of = |g: TruthTable| {
+        let mut cofactors = [(0u8, 0u8); 6];
+        for (v, pair) in cofactors.iter_mut().enumerate().take(n) {
+            // A cofactor repeats its half of the table, so it counts each
+            // of that half's ones twice.
+            let lo = (g.cofactor0(v).count_ones() / 2) as u8;
+            let hi = (g.cofactor1(v).count_ones() / 2) as u8;
+            *pair = (lo.min(hi), lo.max(hi));
+        }
+        cofactors[..n].sort_unstable();
+        NpnSignature {
+            n_vars: n as u8,
+            ones: g.count_ones() as u8,
+            cofactors,
+        }
+    };
+    of(f).min(of(!f))
+}
+
 /// Per-mapping-run matcher: a shared, immutable [`NpnMatchCache`] plus a
-/// private memo of the cut functions canonized so far. Create one per
+/// private memo of the cut functions matched so far. Create one per
 /// `map_aig` call; drop it when the run ends.
 #[derive(Debug)]
 pub struct Matcher<'c> {
     cache: &'c NpnMatchCache,
     /// Memoized candidate lists keyed by the raw cut-function bits.
     memo: HashMap<(usize, u64), Vec<MatchCandidate>>,
+    /// Distinct functions canonized (their signature is a class's).
+    canonized: u64,
+    /// Distinct functions rejected by signature, without canonizing.
+    rejected: u64,
 }
 
 impl<'c> Matcher<'c> {
@@ -167,21 +225,40 @@ impl<'c> Matcher<'c> {
         Self {
             cache,
             memo: HashMap::new(),
+            canonized: 0,
+            rejected: 0,
         }
     }
 
-    /// The library index of the INV cell.
-    pub fn inverter(&self) -> usize {
-        self.cache.inverter()
+    /// Distinct functions this run canonized.
+    pub fn canonized(&self) -> u64 {
+        self.canonized
     }
 
-    /// Matches a support-shrunk cut function, memoizing the (expensive)
-    /// NPN canonization per distinct function.
+    /// Distinct functions this run rejected by NPN signature alone.
+    pub fn rejected(&self) -> u64 {
+        self.rejected
+    }
+
+    /// Matches a support-shrunk cut function, memoized per distinct
+    /// function. A function whose NPN signature no library class has
+    /// matches nothing and is not canonized.
     pub fn matches(&mut self, f: TruthTable) -> &[MatchCandidate] {
-        let cache = self.cache;
-        self.memo
-            .entry((f.n_vars(), f.bits()))
-            .or_insert_with(|| cache.compute_matches(f))
+        let Self {
+            cache,
+            memo,
+            canonized,
+            rejected,
+        } = self;
+        memo.entry((f.n_vars(), f.bits())).or_insert_with(|| {
+            if cache.signatures.contains(&npn_signature(f)) {
+                *canonized += 1;
+                cache.compute_matches(f)
+            } else {
+                *rejected += 1;
+                Vec::new()
+            }
+        })
     }
 }
 
@@ -331,6 +408,104 @@ mod tests {
         assert_eq!(matcher.memo.len(), 1);
         let _ = matcher.matches(a ^ b);
         assert_eq!(matcher.memo.len(), 2);
+    }
+
+    /// One xorshift64 step.
+    fn next(seed: &mut u64) -> u64 {
+        *seed ^= *seed << 13;
+        *seed ^= *seed >> 7;
+        *seed ^= *seed << 17;
+        *seed
+    }
+
+    /// A seeded random NPN transform on `n` variables.
+    fn random_transform(n: usize, seed: &mut u64) -> NpnTransform {
+        let mut t = NpnTransform::identity(n);
+        for k in (1..n).rev() {
+            let j = (next(seed) % (k as u64 + 1)) as usize;
+            t.perm.swap(k, j);
+        }
+        t.input_flips = (next(seed) & ((1 << n) - 1)) as u8;
+        t.output_flip = next(seed) & 1 == 1;
+        t
+    }
+
+    #[test]
+    fn npn_signature_is_constant_on_each_library_class() {
+        for family in GateFamily::ALL {
+            let mut by_class: HashMap<(usize, u64), NpnSignature> = HashMap::new();
+            for gate in gate_lib::generate_library(family) {
+                let f = gate.function;
+                let canonical = npn_canon(f).canonical;
+                let sig = npn_signature(f);
+                assert_eq!(npn_signature(canonical), sig, "{family}: {}", gate.name);
+                let first = *by_class
+                    .entry((f.n_vars(), canonical.bits()))
+                    .or_insert(sig);
+                assert_eq!(first, sig, "{family}: {} differs from its class", gate.name);
+            }
+            let cache = NpnMatchCache::for_family(family).expect("INV present");
+            assert_eq!(cache.class_count(), by_class.len());
+            assert!(cache.signatures.len() <= cache.class_count());
+        }
+    }
+
+    #[test]
+    fn npn_signature_is_invariant_under_random_npn_transforms() {
+        let mut seed = 0x5EED_5167_u64;
+        for n in 2..=6 {
+            for _ in 0..200 {
+                let f = TruthTable::from_bits(n, next(&mut seed));
+                let sig = npn_signature(f);
+                for _ in 0..4 {
+                    let t = random_transform(n, &mut seed);
+                    assert_eq!(npn_signature(t.apply(f)), sig, "{f:?} under {t:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn signature_filter_equals_canonize_then_look_up() {
+        let caches: Vec<NpnMatchCache> = GateFamily::ALL
+            .iter()
+            .map(|&family| NpnMatchCache::for_family(family).expect("INV present"))
+            .collect();
+        let mut matchers: Vec<Matcher<'_>> = caches.iter().map(Matcher::new).collect();
+        let mut check = |f: TruthTable| {
+            if f.support_size() != f.n_vars() {
+                return; // the mapper only looks up support-shrunk functions
+            }
+            for (cache, matcher) in caches.iter().zip(&mut matchers) {
+                assert_eq!(matcher.matches(f), &cache.compute_matches(f)[..], "{f:?}");
+            }
+        };
+        // Every 4-input function when built with optimizations; a seeded
+        // sample of them otherwise (canonization is slow unoptimized).
+        let optimized = !cfg!(debug_assertions);
+        let step = if optimized { 1 } else { 61 };
+        for bits in (0..1u64 << 16).step_by(step) {
+            check(TruthTable::from_bits(4, bits));
+        }
+        let mut seed = 0x0F11_7E20_u64;
+        let samples = if optimized { 200 } else { 8 };
+        for n in [5, 6] {
+            for _ in 0..samples {
+                check(TruthTable::from_bits(n, next(&mut seed)));
+            }
+        }
+        // Functions that must match: every cell under random transforms.
+        for family in GateFamily::ALL {
+            for gate in gate_lib::generate_library(family) {
+                for _ in 0..3 {
+                    let n = gate.function.n_vars();
+                    check(random_transform(n, &mut seed).apply(gate.function));
+                }
+            }
+        }
+        for matcher in &matchers {
+            assert!(matcher.canonized() > 0 && matcher.rejected() > 0);
+        }
     }
 
     #[test]

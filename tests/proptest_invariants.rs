@@ -110,12 +110,13 @@ proptest! {
     #[test]
     fn shrink_then_extend_preserves_function(f in tt(5)) {
         let (g, kept) = f.shrink_to_support();
-        // Re-apply through composition: variable i of g reads kept[i].
-        let inputs: Vec<TruthTable> = kept
-            .iter()
-            .map(|&k| TruthTable::var(5, k))
+        // Re-apply through composition: variable i of g reads the i-th
+        // kept variable.
+        let inputs: Vec<TruthTable> = (0..5)
+            .filter(|&k| (kept >> k) & 1 == 1)
+            .map(|k| TruthTable::var(5, k))
             .collect();
-        let rebuilt = if kept.is_empty() {
+        let rebuilt = if kept == 0 {
             if g.is_one() { TruthTable::one(5) } else { TruthTable::zero(5) }
         } else {
             g.compose(&inputs)
