@@ -592,7 +592,7 @@ impl Sweeper {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::sim::evaluate;
     use std::collections::BTreeMap;
@@ -775,7 +775,7 @@ mod tests {
 
     /// A messy deterministic network: xorshift-driven mix of
     /// AND/OR/XOR/MUX over `n_inputs` with `n_ops` operations.
-    fn messy_aig(seed: u64, n_inputs: usize, n_ops: usize) -> Aig {
+    pub(crate) fn messy_aig(seed: u64, n_inputs: usize, n_ops: usize) -> Aig {
         let mut aig = Aig::new();
         let mut nets: Vec<Lit> = (0..n_inputs).map(|_| aig.input()).collect();
         let mut s = seed | 1;

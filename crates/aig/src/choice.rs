@@ -24,9 +24,9 @@
 //!
 //! Consumers:
 //!
-//! * [`crate::cuts::enumerate_cuts_choice`] — cut enumeration that walks
-//!   the rings, so a cut of the representative may be rooted in any
-//!   member's cone;
+//! * [`crate::CutDb::fill_choices`] — cut enumeration that walks the
+//!   rings into an ordinary cut database, so a cut of the representative
+//!   may be rooted in any member's cone;
 //! * `techmap::map_subject` with a `Subject::Choices` — mapping over the
 //!   choices;
 //! * [`ChoiceAig::collapsed`] — the representative-resolved network (a

@@ -5,15 +5,17 @@
 //! of the node's positive output over the cut leaves, with its at most
 //! six leaves stored inline, so no cut owns heap memory.
 //!
-//! [`CutDb`] is the filled form: a flat cut arena keyed to one network,
-//! filled in arena order by [`CutDb::ensure`]. Each synthesis pass builds
-//! and fills its own database for the network it is handed. The mapper's
-//! database is held by its caller, so one network's k=6 cuts are
-//! enumerated once and served to every library it is mapped onto.
+//! [`CutDb`] is the one cut store: a flat cut arena keyed to one network.
+//! [`CutDb::ensure`] fills it for a plain network in arena order. Each
+//! synthesis pass builds and fills its own database for the network it
+//! is handed. The mapper's database is held by its caller, so one
+//! network's k=6 cuts are enumerated once and served to every library it
+//! is mapped onto.
 //!
-//! [`enumerate_cuts_choice`] is the choice-aware variant: cuts of a
+//! [`CutDb::fill_choices`] fills it for a choice network: the cuts of a
 //! class representative may be rooted in any ring member's cone, so the
-//! mapper sees every accumulated structure of the function.
+//! mapper sees every accumulated structure of the function. Both fills
+//! run the same per-node merge, once per AND node or once per class.
 
 use crate::choice::ChoiceAig;
 use crate::graph::{Aig, Lit, Node};
@@ -116,34 +118,6 @@ impl Default for CutConfig {
     }
 }
 
-/// Read access to per-node cut sets. Implemented by the plain
-/// `Vec<Vec<Cut>>` layout [`enumerate_cuts_choice`] returns and by [`CutDb`],
-/// so downstream consumers (the technology mapper's selection phase)
-/// accept either source.
-pub trait CutSource {
-    /// The stored cuts of `node` (empty for the constant, for nodes
-    /// without computed cuts, and for out-of-range indices).
-    fn cuts_of(&self, node: u32) -> &[Cut];
-}
-
-impl CutSource for [Vec<Cut>] {
-    fn cuts_of(&self, node: u32) -> &[Cut] {
-        self.get(node as usize).map_or(&[], Vec::as_slice)
-    }
-}
-
-impl CutSource for Vec<Vec<Cut>> {
-    fn cuts_of(&self, node: u32) -> &[Cut] {
-        self.as_slice().cuts_of(node)
-    }
-}
-
-impl CutSource for CutDb {
-    fn cuts_of(&self, node: u32) -> &[Cut] {
-        self.cuts(node)
-    }
-}
-
 /// A cut database keyed to one network.
 ///
 /// The cuts live in one flat arena (`store`) with a `(start, end)` span
@@ -154,7 +128,9 @@ impl CutSource for CutDb {
 /// has none, in one walk over the arena in index order, which is
 /// topological (fanins precede their consumers). Nodes already filled are
 /// skipped, so a caller that maps one network several times pays for the
-/// enumeration once. [`CutDb::reset`] drops everything.
+/// enumeration once. [`CutDb::fill_choices`] fills the database afresh
+/// for a choice network, one cut set per class. [`CutDb::reset`] drops
+/// everything.
 #[derive(Clone, Debug)]
 pub struct CutDb {
     config: CutConfig,
@@ -180,7 +156,8 @@ impl CutDb {
         self.config
     }
 
-    /// The stored cuts of `node` (empty until [`CutDb::ensure`] fills it).
+    /// The stored cuts of `node` (empty until a fill computes them, and
+    /// for the constant node and out-of-range indices).
     pub fn cuts(&self, node: u32) -> &[Cut] {
         match self.span.get(node as usize).copied().flatten() {
             Some((s, e)) => &self.store[s as usize..e as usize],
@@ -205,6 +182,59 @@ impl CutDb {
             self.reset();
             self.span.resize(aig.len(), None);
         }
+        self.fill_inputs(aig);
+        let mut scratch: Vec<Cut> = Vec::new();
+        let (mut reused, mut computed) = (0u64, 0u64);
+        for (idx, node) in aig.nodes().enumerate() {
+            let Node::And(a, b) = node else { continue };
+            if self.span[idx].is_some() {
+                reused += 1;
+                continue;
+            }
+            computed += 1;
+            self.fill_node(idx as u32, [(a, b, false)], &mut scratch);
+        }
+        profile::add(Work::CutsReused, reused);
+        profile::add(Work::CutsComputed, computed);
+    }
+
+    /// Refills the database with the cut sets of a choice network: one
+    /// cut set per equivalence class, stored at the class
+    /// representative's arena node, holding the merged cuts of *every*
+    /// alternative decomposition in its choice ring — so a cut of the
+    /// representative may be rooted in a structure only a losing flow
+    /// pass produced.
+    ///
+    /// Cut truth tables always describe the representative's positive
+    /// output: a ring member stored with inverted phase contributes its
+    /// cuts complemented. Leaves are class representatives (or primary
+    /// inputs), so cuts compose across classes exactly as plain cuts
+    /// compose across nodes. Classes are filled in
+    /// [`ChoiceAig::class_order`], which puts every leaf class before its
+    /// consumers; arena nodes outside that order (unreachable classes,
+    /// ring members) keep empty cut sets. Each class filled counts as one
+    /// computed cut set in [`crate::profile`].
+    pub fn fill_choices(&mut self, choice: &ChoiceAig) {
+        let arena = choice.arena();
+        self.reset();
+        self.span.resize(arena.len(), None);
+        self.fill_inputs(arena);
+        let mut scratch: Vec<Cut> = Vec::new();
+        for &rep in choice.class_order() {
+            let decompositions = choice.alternatives(rep).map(|(member, phase)| {
+                let Node::And(a, b) = arena.node(member) else {
+                    unreachable!("alternatives are AND nodes");
+                };
+                (a, b, phase)
+            });
+            self.fill_node(rep, decompositions, &mut scratch);
+        }
+        profile::add(Work::CutsComputed, choice.class_order().len() as u64);
+    }
+
+    /// Stores the constant's empty cut set and each primary input's
+    /// trivial cut, where missing.
+    fn fill_inputs(&mut self, aig: &Aig) {
         if self.span[0].is_none() {
             self.span[0] = Some((0, 0));
         }
@@ -215,87 +245,38 @@ impl CutDb {
                 self.span[i as usize] = Some((s, s + 1));
             }
         }
-        let mut scratch: Vec<Cut> = Vec::new();
-        let (mut reused, mut computed) = (0u64, 0u64);
-        for (idx, node) in aig.nodes().enumerate() {
-            let Node::And(a, b) = node else { continue };
-            if self.span[idx].is_some() {
-                reused += 1;
-                continue;
-            }
-            computed += 1;
-            scratch.clear();
-            merge_fanin_cuts(a, b, self, self.config, &mut scratch);
-            prune(&mut scratch, self.config.max_cuts);
-            let s = self.store.len() as u32;
-            self.store.append(&mut scratch);
-            self.store.push(Cut::trivial(idx as u32));
-            self.span[idx] = Some((s, self.store.len() as u32));
+    }
+
+    /// Computes and stores the cut set of `node` from its AND
+    /// decompositions `(fanin, fanin, phase)`: every decomposition's
+    /// merged fanin cuts, complemented where `phase` is set, each cut
+    /// kept at its first occurrence, then pruned, then the trivial cut.
+    fn fill_node(
+        &mut self,
+        node: u32,
+        decompositions: impl IntoIterator<Item = (Lit, Lit, bool)>,
+        scratch: &mut Vec<Cut>,
+    ) {
+        scratch.clear();
+        for (a, b, phase) in decompositions {
+            merge_fanin_cuts(a, b, phase, self, scratch);
         }
-        profile::add(Work::CutsReused, reused);
-        profile::add(Work::CutsComputed, computed);
+        prune(scratch, self.config.max_cuts);
+        let s = self.store.len() as u32;
+        self.store.append(scratch);
+        self.store.push(Cut::trivial(node));
+        self.span[node as usize] = Some((s, self.store.len() as u32));
     }
 }
 
-/// Enumerates cuts over a choice network: one cut set per equivalence
-/// class (indexed by the class representative's arena node), where a
-/// class's cuts are the merged union over *every* alternative
-/// decomposition in its choice ring — a cut of the representative may
-/// therefore be rooted in a structure only a losing flow pass produced.
-///
-/// Cut truth tables always describe the representative's positive
-/// output: a ring member stored with inverted phase contributes its cuts
-/// complemented. Leaves are class representatives (or primary inputs),
-/// so cuts compose across classes exactly as plain cuts compose across
-/// nodes. Classes are processed in [`ChoiceAig::class_order`], which
-/// guarantees every leaf class is enumerated before its consumers; arena
-/// nodes outside that order (unreachable classes, unlinked members) get
-/// empty cut sets.
-pub fn enumerate_cuts_choice(choice: &ChoiceAig, config: CutConfig) -> Vec<Vec<Cut>> {
-    assert!(config.k >= 2 && config.k <= 6, "cut width must be in 2..=6");
-    let arena = choice.arena();
-    let mut all: Vec<Vec<Cut>> = vec![Vec::new(); arena.len()];
-    for &i in arena.input_nodes() {
-        all[i as usize] = vec![Cut::trivial(i)];
-    }
-    for &rep in choice.class_order() {
-        let mut acc: Vec<Cut> = Vec::new();
-        for (member, phase) in choice.alternatives(rep) {
-            let Node::And(a, b) = arena.node(member) else {
-                unreachable!("alternatives are AND nodes");
-            };
-            let mut mine = Vec::new();
-            merge_fanin_cuts(a, b, all.as_slice(), config, &mut mine);
-            for mut cut in mine {
-                if phase {
-                    cut.tt = !cut.tt;
-                }
-                if !acc.contains(&cut) {
-                    acc.push(cut);
-                }
-            }
-        }
-        prune(&mut acc, config.max_cuts);
-        acc.push(Cut::trivial(rep));
-        all[rep as usize] = acc;
-    }
-    all
-}
-
-/// Merges the fanin cut sets of an AND node: every leaf union of at most
-/// `k` leaves not already merged, built on the stack.
-fn merge_fanin_cuts<S: CutSource + ?Sized>(
-    a: Lit,
-    b: Lit,
-    all: &S,
-    config: CutConfig,
-    out: &mut Vec<Cut>,
-) {
-    let ca = all.cuts_of(a.node());
-    let cb = all.cuts_of(b.node());
-    for cut_a in ca {
-        for cut_b in cb {
-            let Some((union, n)) = merge_leaves(cut_a, cut_b, config.k) else {
+/// Merges the fanin cut sets of an AND decomposition `a & b` into `out`:
+/// every leaf union of at most `k` leaves, built on the stack, its
+/// function complemented when `complement` is set, and appended unless
+/// `out` already holds it.
+fn merge_fanin_cuts(a: Lit, b: Lit, complement: bool, db: &CutDb, out: &mut Vec<Cut>) {
+    for cut_a in db.cuts(a.node()) {
+        for cut_b in db.cuts(b.node()) {
+            let Some((union, n)) = merge_leaves(cut_a, cut_b, db.config.k) else {
                 continue;
             };
             let leaves = &union[..n];
@@ -303,9 +284,10 @@ fn merge_fanin_cuts<S: CutSource + ?Sized>(
             let tb = expand(cut_b.tt, cut_b.leaves(), leaves);
             let fa = if a.is_complement() { !ta } else { ta };
             let fb = if b.is_complement() { !tb } else { tb };
+            let tt = fa & fb;
             let cut = Cut {
                 leaves: union,
-                tt: fa & fb,
+                tt: if complement { !tt } else { tt },
             };
             if !out.contains(&cut) {
                 out.push(cut);
@@ -602,7 +584,8 @@ mod tests {
         };
         let choice =
             crate::choice::ChoiceAig::build(&[build(false), build(true)]).expect("same interface");
-        let cuts = enumerate_cuts_choice(&choice, CutConfig { k: 4, max_cuts: 8 });
+        let mut cuts = CutDb::new(CutConfig { k: 4, max_cuts: 8 });
+        cuts.fill_choices(&choice);
         // Every class in order got cuts; leaves are inputs or classes in
         // earlier positions; the trivial cut is present.
         let position: std::collections::HashMap<u32, usize> = choice
@@ -612,7 +595,7 @@ mod tests {
             .map(|(i, &n)| (n, i))
             .collect();
         for (i, &rep) in choice.class_order().iter().enumerate() {
-            let class_cuts = &cuts[rep as usize];
+            let class_cuts = cuts.cuts(rep);
             assert!(class_cuts.iter().any(|c| c.is_trivial(rep)));
             assert!(
                 class_cuts.iter().any(|c| !c.is_trivial(rep)),
@@ -636,7 +619,7 @@ mod tests {
         // The output class of f has a 2-leaf PI cut computing XOR (up to
         // the output literal's phase).
         let f_lit = choice.outputs()[0];
-        let f_cuts = &cuts[f_lit.node() as usize];
+        let f_cuts = cuts.cuts(f_lit.node());
         let pi: Vec<u32> = choice.arena().input_nodes().to_vec();
         let xor = TruthTable::var(2, 0) ^ TruthTable::var(2, 1);
         let found = f_cuts
@@ -719,5 +702,64 @@ mod tests {
         assert!(db.cuts(aig.len() as u32 - 1).is_empty());
         db.ensure(&aig);
         assert_eq!(profile::scoped(&scope).cuts_computed, 2 * computed);
+    }
+
+    /// The choice fill's oracle: the cut set of class `rep` built the way
+    /// choice cut sets were first enumerated — one list per ring member,
+    /// merged uncomplemented and deduplicated within the member, then
+    /// complemented by the member's phase and deduplicated into the class
+    /// list in member order, pruned, and closed by the trivial cut. The
+    /// fanin cut sets come from `db`; since classes are compared in
+    /// `class_order`, agreement on every class shows the whole database
+    /// equals the member-by-member enumeration.
+    fn class_cuts_member_by_member(choice: &ChoiceAig, db: &CutDb, rep: u32) -> Vec<Cut> {
+        let mut class: Vec<Cut> = Vec::new();
+        for (member, phase) in choice.alternatives(rep) {
+            let Node::And(a, b) = choice.arena().node(member) else {
+                unreachable!("alternatives are AND nodes");
+            };
+            let mut mine = Vec::new();
+            merge_fanin_cuts(a, b, false, db, &mut mine);
+            for mut cut in mine {
+                if phase {
+                    cut.tt = !cut.tt;
+                }
+                if !class.contains(&cut) {
+                    class.push(cut);
+                }
+            }
+        }
+        prune(&mut class, db.config.max_cuts);
+        class.push(Cut::trivial(rep));
+        class
+    }
+
+    #[test]
+    fn choice_fill_equals_member_by_member_merge() {
+        for seed in [1u64, 7, 0xBEE, 0xC0FFEE] {
+            let aig = crate::check::tests::messy_aig(seed, 8, 120);
+            let (_, choice, _) = crate::Flow::parse("b; rw; rf; dch")
+                .expect("parses")
+                .run_with_choices(&aig);
+            let choice = choice.expect("dch returns choices");
+            assert!(choice.stats().choices > 0, "seed {seed}: no ring members");
+            for k in [4, 6] {
+                let mut db = CutDb::new(CutConfig { k, max_cuts: 8 });
+                let scope = obs::JobScope::begin();
+                db.fill_choices(&choice);
+                assert_eq!(
+                    profile::scoped(&scope).cuts_computed,
+                    choice.class_order().len() as u64,
+                    "one computed cut set per class"
+                );
+                for &rep in choice.class_order() {
+                    assert_eq!(
+                        db.cuts(rep),
+                        class_cuts_member_by_member(&choice, &db, rep),
+                        "seed {seed}, k {k}, class {rep}"
+                    );
+                }
+            }
+        }
     }
 }

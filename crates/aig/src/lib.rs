@@ -19,7 +19,8 @@
 //! * [`Flow`] — the scripted pass manager: parses
 //!   `"b; rw; rf; b; rw -z; rf; b; dch"`-style scripts, applies per-pass
 //!   accept criteria and the centralized debug SAT-soundness gate, and
-//!   reports per-pass deltas and timing ([`synth::FlowReport`]);
+//!   reports per-pass deltas ([`synth::FlowReport`]; each pass's time is
+//!   its `flow/<pass>` span's);
 //! * [`choice`] — the structural-choice subsystem: the `dch` flow step
 //!   fuses the flow's snapshots into a [`ChoiceAig`] (SAT-proven
 //!   equivalence classes linked into choice rings) over which the
@@ -69,9 +70,9 @@ pub use aiger::{
 pub use balance::balance;
 pub use check::{check_equivalence, Equivalence, ShapeMismatch};
 pub use choice::{ChoiceAig, ChoiceStats};
-pub use cuts::{enumerate_cuts_choice, Cut, CutConfig, CutDb, CutSource};
+pub use cuts::{Cut, CutConfig, CutDb};
 pub use graph::{Aig, Lit};
 pub use refactor::refactor;
 pub use rewrite::{rewrite, rewrite_with, RewriteConfig, RewriteLibrary};
 pub use sim::simulate64;
-pub use synth::{synthesize, Flow, FlowError, FlowReport, Metrics, Pass, DEFAULT_FLOW};
+pub use synth::{synthesize, Flow, FlowError, FlowReport, Metrics, DEFAULT_FLOW};

@@ -14,7 +14,9 @@ pub struct Counters {
     /// Cut sets a [`CutDb::ensure`](crate::CutDb::ensure) found already
     /// filled (a warm mapper database mapping one network again).
     pub cuts_reused: u64,
-    /// Cut sets enumerated from fanin cut sets.
+    /// Cut sets enumerated from fanin cut sets: one per AND node a plain
+    /// fill computes, one per class a choice fill
+    /// ([`CutDb::fill_choices`](crate::CutDb::fill_choices)) computes.
     pub cuts_computed: u64,
     /// SAT equivalence queries issued by the sweeper.
     pub sat_merge_calls: u64,

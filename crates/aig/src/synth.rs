@@ -1,19 +1,20 @@
-//! The scripted synthesis flow engine: a [`Pass`] trait, a [`Flow`] that
-//! parses and runs `"b; rw; rf; b; rw -z; b; dch"`-style scripts, and
-//! the [`synthesize`] entry point (the default flow).
+//! The scripted synthesis flow engine: a [`Flow`] that parses and runs
+//! `"b; rw; rf; b; rw -z; b; dch"`-style scripts, and the [`synthesize`]
+//! entry point (the default flow).
 //!
-//! Each pass proposes a functionally equivalent network; the flow engine
-//! applies the pass's own accept criterion to the (depth, size) metrics
+//! Each step proposes a functionally equivalent network; the flow engine
+//! applies the step's own accept criterion to the (depth, size) metrics
 //! and keeps or discards the candidate. Every *accepted* step goes
 //! through one centralized soundness gate: in debug builds the candidate
 //! is SAT-proven equivalent to its input
 //! ([`crate::check::check_equivalence`]) and an unsound pass panics with
 //! the counterexample instead of silently corrupting the network.
 //! [`Flow::run_with_choices`] also returns a [`FlowReport`] with per-pass
-//! node/depth deltas and wall-clock timing. Each pass is one public
-//! function ([`balance`], [`rewrite_with`], [`refactor`]) that enumerates
-//! whatever cuts it needs for the network it is handed, so nothing but
-//! the network passes from one step to the next.
+//! node/depth deltas; each step's time is its `flow/<pass>` span's. Each
+//! pass is one public function ([`balance`], [`rewrite_with`],
+//! [`refactor`]) that enumerates whatever cuts it needs for the network
+//! it is handed, so nothing but the network passes from one step to the
+//! next.
 //!
 //! The `dch` step is the choice collector: the flow snapshots every
 //! candidate network (accepted or rejected — each is an equivalent
@@ -29,7 +30,6 @@ use crate::choice::ChoiceAig;
 use crate::graph::Aig;
 use crate::refactor::refactor;
 use crate::rewrite::{rewrite_with, RewriteConfig};
-use std::time::{Duration, Instant};
 
 /// The default synthesis script: balance for depth, rewrite and refactor
 /// for size, a zero-gain rewrite to perturb out of local minima, and a
@@ -54,115 +54,6 @@ impl Metrics {
             ands: aig.and_count(),
             depth: aig.depth(),
         }
-    }
-}
-
-/// One synthesis pass: a transformation plus its accept criterion.
-///
-/// `apply` must return a functionally equivalent network (the flow
-/// SAT-checks that in debug builds); `accept` decides whether the
-/// candidate's metrics are an improvement worth keeping — the flow
-/// discards rejected candidates, so a pass never needs to guard against
-/// regressions itself.
-pub trait Pass {
-    /// Script token for reports and error messages (`"b"`, `"rw -z"`, …).
-    fn name(&self) -> &'static str;
-    /// Proposes a rewritten network. A pass that works on cuts
-    /// enumerates them itself, for the network it is handed.
-    fn apply(&self, aig: &Aig) -> Aig;
-    /// Whether the candidate should replace the current network.
-    fn accept(&self, before: Metrics, after: Metrics) -> bool;
-}
-
-/// Delay-oriented AND-tree balancing (`b`).
-pub struct BalancePass;
-
-impl Pass for BalancePass {
-    fn name(&self) -> &'static str {
-        "b"
-    }
-
-    fn apply(&self, aig: &Aig) -> Aig {
-        balance(aig)
-    }
-
-    /// Accepts when depth improves without an outsized size regression,
-    /// or size shrinks at equal depth (ABC's aggregate script behavior).
-    fn accept(&self, before: Metrics, after: Metrics) -> bool {
-        if after.depth < before.depth {
-            after.ands <= before.ands + before.ands / 5
-        } else {
-            after.depth == before.depth && after.ands <= before.ands
-        }
-    }
-}
-
-/// DAG-aware NPN-class cut rewriting (`rw`, `rw -z`, `rw -l`).
-pub struct RewritePass {
-    /// `-z`: accept zero-gain (structure-changing, size-neutral)
-    /// replacements.
-    pub zero_gain: bool,
-    /// `-l`: depth-aware rewriting — candidates that would raise the cut
-    /// root's level are rejected inside the pass, and the pass-level
-    /// accept criterion tightens to "depth never grows".
-    pub level_aware: bool,
-}
-
-impl Pass for RewritePass {
-    fn name(&self) -> &'static str {
-        match (self.zero_gain, self.level_aware) {
-            (false, false) => "rw",
-            (true, false) => "rw -z",
-            (false, true) => "rw -l",
-            (true, true) => "rw -z -l",
-        }
-    }
-
-    fn apply(&self, aig: &Aig) -> Aig {
-        let config = RewriteConfig {
-            zero_gain: self.zero_gain,
-            level_aware: self.level_aware,
-        };
-        rewrite_with(aig, &config)
-    }
-
-    /// `rw` must strictly shrink; `rw -z` may also hold size constant
-    /// (that is its purpose — the structural perturbation pays off in a
-    /// later pass). Depth may not regress by more than ~12 % — the
-    /// synthesized network feeds a delay-objective mapper by default,
-    /// and a large depth trade for a marginal size gain is a net loss
-    /// there (balance cannot always recover it) — and in the
-    /// depth-aware `-l` mode it may not regress at all, making `b` no
-    /// longer the only depth lever in a script.
-    fn accept(&self, before: Metrics, after: Metrics) -> bool {
-        let size_ok = if self.zero_gain {
-            after.ands <= before.ands
-        } else {
-            after.ands < before.ands
-        };
-        let depth_cap = if self.level_aware {
-            before.depth
-        } else {
-            before.depth + before.depth / 8
-        };
-        size_ok && after.depth <= depth_cap
-    }
-}
-
-/// Cut-based SOP refactoring (`rf`).
-pub struct RefactorPass;
-
-impl Pass for RefactorPass {
-    fn name(&self) -> &'static str {
-        "rf"
-    }
-
-    fn apply(&self, aig: &Aig) -> Aig {
-        refactor(aig)
-    }
-
-    fn accept(&self, before: Metrics, after: Metrics) -> bool {
-        after.ands < before.ands
     }
 }
 
@@ -214,19 +105,78 @@ impl std::fmt::Display for FlowError {
 
 impl std::error::Error for FlowError {}
 
-/// One step of a parsed flow: an ordinary network-to-network pass, or
-/// the `dch` choice collector (which needs the flow's snapshot history,
-/// not just the current network).
+/// One step of a parsed flow: a network-to-network pass, or the `dch`
+/// choice collector (which needs the flow's snapshot history, not just
+/// the current network).
+#[derive(Clone, Copy)]
 enum Step {
-    Pass(Box<dyn Pass + Send + Sync>),
+    /// Delay-oriented AND-tree balancing (`b`).
+    Balance,
+    /// DAG-aware NPN-class cut rewriting (`rw`, `rw -z`, `rw -l`).
+    Rewrite(RewriteConfig),
+    /// Cut-based SOP refactoring (`rf`).
+    Refactor,
+    /// SAT sweep and choice collection (`dch`).
     Dch,
 }
 
 impl Step {
-    fn name(&self) -> &'static str {
+    /// Script token for reports and error messages (`"b"`, `"rw -z"`, …).
+    fn name(self) -> &'static str {
         match self {
-            Step::Pass(p) => p.name(),
+            Step::Balance => "b",
+            Step::Rewrite(config) => match (config.zero_gain, config.level_aware) {
+                (false, false) => "rw",
+                (true, false) => "rw -z",
+                (false, true) => "rw -l",
+                (true, true) => "rw -z -l",
+            },
+            Step::Refactor => "rf",
             Step::Dch => "dch",
+        }
+    }
+
+    /// Whether the candidate's metrics are an improvement worth keeping.
+    /// The flow discards rejected candidates, so a pass never needs to
+    /// guard against regressions itself.
+    fn accept(self, before: Metrics, after: Metrics) -> bool {
+        match self {
+            // Depth improves without an outsized size regression, or size
+            // shrinks at equal depth (ABC's aggregate script behavior).
+            Step::Balance => {
+                if after.depth < before.depth {
+                    after.ands <= before.ands + before.ands / 5
+                } else {
+                    after.depth == before.depth && after.ands <= before.ands
+                }
+            }
+            // `rw` must strictly shrink; `rw -z` may also hold size
+            // constant (that is its purpose — the structural perturbation
+            // pays off in a later pass). Depth may not regress by more than
+            // ~12 % — the synthesized network feeds a delay-objective
+            // mapper by default, and a large depth trade for a marginal
+            // size gain is a net loss there (balance cannot always recover
+            // it) — and in the depth-aware `-l` mode it may not regress at
+            // all, making `b` no longer the only depth lever in a script.
+            Step::Rewrite(config) => {
+                let size_ok = if config.zero_gain {
+                    after.ands <= before.ands
+                } else {
+                    after.ands < before.ands
+                };
+                let depth_cap = if config.level_aware {
+                    before.depth
+                } else {
+                    before.depth + before.depth / 8
+                };
+                size_ok && after.depth <= depth_cap
+            }
+            Step::Refactor => after.ands < before.ands,
+            // The collapse never grows the network, and depth grows by at
+            // most 1/8, as for `rw`.
+            Step::Dch => {
+                after.ands <= before.ands && after.depth <= before.depth + before.depth / 8
+            }
         }
     }
 }
@@ -299,11 +249,11 @@ impl Flow {
             match name {
                 "b" | "balance" => {
                     reject_flags(name)?;
-                    steps.push(Step::Pass(Box::new(BalancePass)));
+                    steps.push(Step::Balance);
                 }
                 "rf" | "refactor" => {
                     reject_flags(name)?;
-                    steps.push(Step::Pass(Box::new(RefactorPass)));
+                    steps.push(Step::Refactor);
                 }
                 "dch" => {
                     reject_flags(name)?;
@@ -325,10 +275,10 @@ impl Flow {
                             }
                         }
                     }
-                    steps.push(Step::Pass(Box::new(RewritePass {
+                    steps.push(Step::Rewrite(RewriteConfig {
                         zero_gain,
                         level_aware,
-                    })));
+                    }));
                 }
                 other => {
                     return Err(FlowError::UnknownPass {
@@ -362,7 +312,7 @@ impl Flow {
     /// Whether any pass is a rewrite (`rw` variants) — drivers use this
     /// to decide whether warming the shared rewrite library is worth it.
     pub fn uses_rewrite(&self) -> bool {
-        self.steps.iter().any(|s| s.name().starts_with("rw"))
+        self.steps.iter().any(|s| matches!(s, Step::Rewrite(_)))
     }
 
     /// Whether the script contains a `dch` step, i.e. whether
@@ -385,7 +335,7 @@ impl Flow {
     pub fn script(&self) -> String {
         self.steps
             .iter()
-            .map(Step::name)
+            .map(|s| s.name())
             .collect::<Vec<_>>()
             .join("; ")
     }
@@ -409,24 +359,19 @@ impl Flow {
     /// constant that was not structurally constant before — the mapper
     /// has no tie cells, so such a network cannot be mapped.
     pub fn run_with_choices(&self, aig: &Aig) -> (Aig, Option<ChoiceAig>, FlowReport) {
-        let started = Instant::now();
         let mut best = aig.cleanup();
         let initial = Metrics::of(&best);
         let mut snapshots: Vec<Aig> = vec![best.clone()];
         let mut choices: Option<ChoiceAig> = None;
         let mut reports = Vec::with_capacity(self.steps.len());
-        for step in &self.steps {
+        for &step in &self.steps {
             let mut span = obs::span!("flow/{}", step.name());
             let before = Metrics::of(&best);
-            let t0 = Instant::now();
             let is_dch = matches!(step, Step::Dch);
-            let (candidate, after, accepted) = match step {
-                Step::Pass(pass) => {
-                    let candidate = pass.apply(&best);
-                    let after = Metrics::of(&candidate);
-                    let accepted = pass.accept(before, after);
-                    (candidate, after, accepted)
-                }
+            let candidate = match step {
+                Step::Balance => balance(&best),
+                Step::Rewrite(config) => rewrite_with(&best, &config),
+                Step::Refactor => refactor(&best),
                 Step::Dch => {
                     // Snapshots in reverse-chronological order, current
                     // network first: its nodes become the class
@@ -436,15 +381,13 @@ impl Flow {
                     let choice =
                         ChoiceAig::build(&snaps).expect("flow snapshots share one interface");
                     let collapsed = choice.collapsed();
-                    let after = Metrics::of(&collapsed);
-                    let accepted = after.ands <= before.ands
-                        && after.depth <= before.depth + before.depth / 8
-                        && no_new_constant_outputs(&best, &collapsed);
                     choices = Some(choice);
-                    (collapsed, after, accepted)
+                    collapsed
                 }
             };
-            let elapsed = t0.elapsed();
+            let after = Metrics::of(&candidate);
+            let accepted = step.accept(before, after)
+                && (!is_dch || no_new_constant_outputs(&best, &candidate));
             if accepted {
                 debug_assert_pass_sound(&best, &candidate, step.name());
                 // Rejected pass candidates are still sound alternatives
@@ -462,14 +405,12 @@ impl Flow {
                 accepted,
                 before,
                 after,
-                elapsed,
             });
         }
         let report = FlowReport {
             initial,
             final_metrics: Metrics::of(&best),
             passes: reports,
-            elapsed: started.elapsed(),
         };
         (best, choices, report)
     }
@@ -504,13 +445,12 @@ pub struct PassReport {
     pub before: Metrics,
     /// Metrics of the candidate (even when rejected).
     pub after: Metrics,
-    /// Wall-clock time the pass took.
-    pub elapsed: Duration,
 }
 
-/// Per-pass metrics and timing of one [`Flow`] run. It keeps no work
-/// counts: an [`obs::JobScope`] around the run collects the engine's
-/// counters exactly, cut enumeration included (see [`crate::profile`]).
+/// Per-pass metrics of one [`Flow`] run. It keeps no work counts and no
+/// times: an [`obs::JobScope`] around the run collects the engine's
+/// counters exactly, cut enumeration included (see [`crate::profile`]),
+/// and each step's `flow/<pass>` span records its time.
 #[derive(Clone, Debug)]
 pub struct FlowReport {
     /// Metrics after the initial cleanup.
@@ -519,31 +459,27 @@ pub struct FlowReport {
     pub final_metrics: Metrics,
     /// One entry per scripted pass, in order.
     pub passes: Vec<PassReport>,
-    /// Total wall-clock time including cleanup and metric reads.
-    pub elapsed: Duration,
 }
 
 impl std::fmt::Display for FlowReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "flow: {} ands / depth {} -> {} ands / depth {} in {:.1?}",
+            "flow: {} ands / depth {} -> {} ands / depth {}",
             self.initial.ands,
             self.initial.depth,
             self.final_metrics.ands,
             self.final_metrics.depth,
-            self.elapsed
         )?;
         for p in &self.passes {
             writeln!(
                 f,
-                "  {:<6} {:>5} -> {:>5} ands, depth {:>3} -> {:>3}  {:>9.1?}  {}",
+                "  {:<6} {:>5} -> {:>5} ands, depth {:>3} -> {:>3}  {}",
                 p.name,
                 p.before.ands,
                 p.after.ands,
                 p.before.depth,
                 p.after.depth,
-                p.elapsed,
                 if p.accepted { "accepted" } else { "rejected" },
             )?;
         }

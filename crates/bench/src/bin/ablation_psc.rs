@@ -19,9 +19,9 @@ use techmap::critical_path;
 /// time `t_edge`.
 fn measured_sc_fraction(tech: &TechParams, c_load: f64, t_edge: f64) -> f64 {
     let mut ckt = Circuit::new();
-    let vdd = ckt.node("vdd");
-    let vin = ckt.node("in");
-    let out = ckt.node("out");
+    let vdd = ckt.node();
+    let vin = ckt.node();
+    let out = ckt.node();
     ckt.add_vsource("VDD", vdd, GROUND, tech.vdd);
     ckt.add_vsource("VIN", vin, GROUND, 0.0);
     ckt.add_transistor("MP", tech.model(Polarity::P), out, vin, vdd);

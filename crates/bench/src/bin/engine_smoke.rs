@@ -80,8 +80,8 @@ fn run(args: &BenchArgs) {
         "the rewrite library must build at most once"
     );
 
-    // Flow stage timing: run the configured flow on an XOR-rich sample
-    // circuit and report per-pass deltas and wall-clock. With --choices
+    // Flow stages: run the configured flow on an XOR-rich sample
+    // circuit and report per-pass deltas. With --choices
     // (or a flow that already has a dch step) the choice network's
     // per-class/ring statistics are reported too.
     let flow = args.flow();
@@ -174,14 +174,13 @@ fn run(args: &BenchArgs) {
             .map(|p| {
                 format!(
                     "{{\"pass\": {}, \"accepted\": {}, \"ands_before\": {}, \"ands_after\": {}, \
-                     \"depth_before\": {}, \"depth_after\": {}, \"seconds\": {}}}",
+                     \"depth_before\": {}, \"depth_after\": {}}}",
                     ambipolar::json::json_string(&p.name),
                     p.accepted,
                     p.before.ands,
                     p.after.ands,
                     p.before.depth,
                     p.after.depth,
-                    ambipolar::json::json_seconds(p.elapsed),
                 )
             })
             .collect();

@@ -75,7 +75,7 @@ impl LeakageSimulator {
     fn simulate(&self, pattern: &OffPattern) -> f64 {
         let model = self.tech.model(Polarity::N);
         let mut ckt = Circuit::new();
-        let vdd = ckt.node("vdd");
+        let vdd = ckt.node();
         ckt.add_vsource("VDD", vdd, GROUND, self.tech.vdd);
         let mut counter = 0usize;
         build(pattern, &mut ckt, vdd, GROUND, &model, &mut counter);
@@ -108,9 +108,7 @@ fn build(
                 let lower = if i + 1 == children.len() {
                     bottom
                 } else {
-                    let n = ckt.node(format!("mid{}_{}", *counter, i));
-                    *counter += 1;
-                    n
+                    ckt.node()
                 };
                 build(child, ckt, upper, lower, model, counter);
                 upper = lower;

@@ -6,8 +6,6 @@
 //! * [`TruthTable`] — functions of up to six variables packed into a `u64`;
 //! * [`npn`] — NPN canonization (input negation, input permutation, output
 //!   negation) used for Boolean matching during technology mapping;
-//! * [`expr`] — a tiny Boolean expression AST with a parser, handy for
-//!   declaring gate functions such as `(a^c)&(b^d)`;
 //! * [`sop`] — irredundant sum-of-products extraction (Minato–Morreale ISOP).
 //!
 //! # Example
@@ -23,12 +21,10 @@
 //! assert_eq!(npn_canon(xor).canonical, npn_canon(xnor).canonical);
 //! ```
 
-pub mod expr;
 pub mod npn;
 pub mod sop;
 pub mod truthtable;
 
-pub use expr::Expr;
 pub use npn::{npn_canon, NpnCanon, NpnTransform};
 pub use sop::{isop, Cube};
 pub use truthtable::TruthTable;

@@ -15,10 +15,6 @@
 //! * **conflict budgets** ([`Solver::solve_limited`]) so speculative
 //!   equivalence candidates can be abandoned cheaply.
 //!
-//! For debugging, any solver's original clause set exports as DIMACS
-//! ([`Solver::to_dimacs`]) and DIMACS files parse back in
-//! ([`parse_dimacs`]).
-//!
 //! # Example
 //!
 //! ```
@@ -39,8 +35,6 @@
 //! assert_eq!(s.solve(), SolveResult::Unsat);
 //! ```
 
-pub mod dimacs;
 pub mod solver;
 
-pub use dimacs::{parse_dimacs, DimacsError};
 pub use solver::{Lit, SolveResult, Solver, Var};

@@ -197,8 +197,6 @@ pub struct Solver {
     ok: bool,
     model: Vec<bool>,
     conflicts: u64,
-    /// Units derived/added at level 0 (kept for DIMACS export).
-    unit_clauses: Vec<Lit>,
 }
 
 impl Solver {
@@ -231,15 +229,6 @@ impl Solver {
     /// Number of allocated variables.
     pub fn num_vars(&self) -> usize {
         self.assigns.len()
-    }
-
-    /// Number of original (problem) clauses, counting level-0 units.
-    fn num_clauses(&self) -> usize {
-        self.clauses
-            .iter()
-            .filter(|c| !c.learnt && !c.deleted)
-            .count()
-            + self.unit_clauses.len()
     }
 
     /// Total conflicts encountered so far (a work measure).
@@ -291,7 +280,6 @@ impl Solver {
                 false
             }
             1 => {
-                self.unit_clauses.push(c[0]);
                 self.unchecked_enqueue(c[0], NO_REASON);
                 if self.propagate().is_some() {
                     self.ok = false;
@@ -658,40 +646,6 @@ impl Solver {
     pub fn model(&self) -> &[bool] {
         &self.model
     }
-
-    /// Exports the original clause set (not learnt clauses) in DIMACS CNF
-    /// format — the debugging hook for replaying a query in an external
-    /// solver.
-    pub fn to_dimacs(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        // A derived contradiction exports as an explicit empty clause so
-        // the file stays equisatisfiable (the falsified original clause
-        // was simplified away when it was added).
-        let contradiction = usize::from(!self.ok);
-        let _ = writeln!(
-            out,
-            "p cnf {} {}",
-            self.num_vars(),
-            self.num_clauses() + contradiction
-        );
-        if contradiction == 1 {
-            let _ = writeln!(out, "0");
-        }
-        for &u in &self.unit_clauses {
-            let _ = writeln!(out, "{u} 0");
-        }
-        for c in &self.clauses {
-            if c.learnt || c.deleted {
-                continue;
-            }
-            for &l in &c.lits {
-                let _ = write!(out, "{l} ");
-            }
-            let _ = writeln!(out, "0");
-        }
-        out
-    }
 }
 
 /// The Luby restart sequence (1, 1, 2, 1, 1, 2, 4, …).
@@ -871,18 +825,6 @@ mod tests {
                 assert_ne!(hole_of[p1], hole_of[p2]);
             }
         }
-    }
-
-    #[test]
-    fn dimacs_export_round_trips() {
-        let mut s = with_vars(3);
-        s.add_clause(&[lit(1), lit(-2)]);
-        s.add_clause(&[lit(2), lit(3)]);
-        s.add_clause(&[lit(-3)]);
-        let text = s.to_dimacs();
-        assert!(text.starts_with("p cnf 3 3"));
-        let mut re = crate::parse_dimacs(&text).expect("own export parses");
-        assert_eq!(s.solve(), re.solve());
     }
 
     #[test]

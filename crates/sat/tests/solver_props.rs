@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use sat::{Lit, SolveResult, Solver, Var};
 
-/// A random CNF as (variable count, clauses of DIMACS-style literals).
+/// A random CNF as (variable count, clauses of signed 1-based literals).
 fn cnf(max_vars: usize, max_clauses: usize) -> impl Strategy<Value = (usize, Vec<Vec<i32>>)> {
     (2usize..=max_vars).prop_perturb(move |n, mut rng| {
         let n_clauses = 1 + rng.next_u32() as usize % max_clauses;
@@ -105,67 +105,46 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn dimacs_round_trip_preserves_satisfiability((n, clauses) in cnf(10, 30)) {
-        let mut s = build(n, &clauses);
-        let mut reparsed = sat::parse_dimacs(&s.to_dimacs()).expect("own export parses");
-        prop_assert_eq!(s.solve(), reparsed.solve());
-    }
 }
 
-#[test]
-fn known_unsat_dimacs_fixture() {
-    // R(3,3) lower-bound style fixture: complete graph K6 two-colored
-    // without monochromatic triangles is impossible. Variables = edges.
+/// The clauses "no triangle of K`n` is monochromatic" over one variable
+/// per edge (edge colour = variable value), and the edge-variable count.
+fn triangle_free_two_coloring(n: u32) -> (usize, Vec<Vec<i32>>) {
     let mut edges = std::collections::HashMap::new();
-    let mut next = 0i32;
-    for i in 0..6u32 {
-        for j in i + 1..6 {
-            next += 1;
+    for i in 0..n {
+        for j in i + 1..n {
+            let next = edges.len() as i32 + 1;
             edges.insert((i, j), next);
         }
     }
-    let mut text = format!("c K6 triangle-free 2-coloring\np cnf {next} 40\n");
-    for i in 0..6u32 {
-        for j in i + 1..6 {
-            for k in j + 1..6 {
-                let (a, b, c) = (edges[&(i, j)], edges[&(j, k)], edges[&(i, k)]);
-                text.push_str(&format!("{a} {b} {c} 0\n"));
-                text.push_str(&format!("{} {} {} 0\n", -a, -b, -c));
-            }
-        }
-    }
-    let mut s = sat::parse_dimacs(&text).expect("fixture parses");
-    assert_eq!(s.solve(), SolveResult::Unsat);
-}
-
-#[test]
-fn known_sat_dimacs_fixture() {
-    // Same construction on K5 is satisfiable (C5 + its complement).
-    let mut edges = std::collections::HashMap::new();
-    let mut next = 0i32;
-    for i in 0..5u32 {
-        for j in i + 1..5 {
-            next += 1;
-            edges.insert((i, j), next);
-        }
-    }
-    let mut text = format!("p cnf {next} 20\n");
-    let mut clauses: Vec<Vec<i32>> = Vec::new();
-    for i in 0..5u32 {
-        for j in i + 1..5 {
-            for k in j + 1..5 {
+    let mut clauses = Vec::new();
+    for i in 0..n {
+        for j in i + 1..n {
+            for k in j + 1..n {
                 let (a, b, c) = (edges[&(i, j)], edges[&(j, k)], edges[&(i, k)]);
                 clauses.push(vec![a, b, c]);
                 clauses.push(vec![-a, -b, -c]);
             }
         }
     }
-    for c in &clauses {
-        text.push_str(&format!("{} {} {} 0\n", c[0], c[1], c[2]));
-    }
-    let mut s = sat::parse_dimacs(&text).expect("fixture parses");
+    (edges.len(), clauses)
+}
+
+#[test]
+fn known_unsat_fixture() {
+    // R(3,3) = 6: the complete graph K6 cannot be two-colored without a
+    // monochromatic triangle.
+    let (n, clauses) = triangle_free_two_coloring(6);
+    assert_eq!((n, clauses.len()), (15, 40));
+    assert_eq!(build(n, &clauses).solve(), SolveResult::Unsat);
+}
+
+#[test]
+fn known_sat_fixture() {
+    // The same construction on K5 is satisfiable (C5 + its complement).
+    let (n, clauses) = triangle_free_two_coloring(5);
+    assert_eq!((n, clauses.len()), (10, 20));
+    let mut s = build(n, &clauses);
     assert_eq!(s.solve(), SolveResult::Sat);
     for c in &clauses {
         assert!(

@@ -4,13 +4,14 @@
 //! Synthesis (the flow script) is family- and objective-independent: the
 //! same AIG submitted against all three gate families shares one
 //! synthesized network. The cache key covers the AIGER bytes, the flow
-//! script, the choices knob and the cut shape (`cut_k`, `max_cuts`), and
-//! deliberately excludes family, objective, verify, patterns and seed. A
-//! 3-family replay of one circuit pays for one synthesis, not three.
+//! script and the choices knob, and deliberately excludes family,
+//! objective, cut shape, verify, patterns and seed. A 3-family replay of
+//! one circuit pays for one synthesis, not three.
 //!
 //! Cut databases are not cached: each job enumerates its own, which
 //! costs a few milliseconds per circuit, while the databases of a
-//! resident catalog held most of the server's live heap.
+//! resident catalog held most of the server's live heap. So the cut
+//! shape (`cut_k`, `max_cuts`) is no part of an entry, nor of its key.
 //!
 //! Concurrency model: entries are immutable snapshots behind an `Arc`,
 //! published once by the job that built them and read by every later
@@ -45,25 +46,21 @@ pub struct CacheKey {
     aiger: Arc<[u8]>,
     flow: Arc<str>,
     choices: bool,
-    cut_k: u8,
-    max_cuts: u8,
 }
 
 impl CacheKey {
     /// The key of one submission's synthesis-stage inputs.
-    pub fn new(aiger: &[u8], flow: &str, choices: bool, cut_k: u8, max_cuts: u8) -> Self {
+    pub fn new(aiger: &[u8], flow: &str, choices: bool) -> Self {
         let mut h = Fnv1a::new();
         h.update(aiger);
         h.update(&[0xFE]); // domain separator between variable-length fields
         h.update(flow.as_bytes());
-        h.update(&[0xFE, choices as u8, cut_k, max_cuts]);
+        h.update(&[0xFE, choices as u8]);
         CacheKey {
             hash: h.finish(),
             aiger: aiger.into(),
             flow: flow.into(),
             choices,
-            cut_k,
-            max_cuts,
         }
     }
 }
@@ -299,26 +296,23 @@ mod tests {
 
     #[test]
     fn keys_cover_every_synthesis_input() {
-        let content_key =
-            |aiger: &[u8], flow, choices, k, m| CacheKey::new(aiger, flow, choices, k, m).hash;
-        let base = content_key(b"aig", "b; rw", false, 6, 8);
-        assert_eq!(base, content_key(b"aig", "b; rw", false, 6, 8));
-        assert_ne!(base, content_key(b"aiG", "b; rw", false, 6, 8));
-        assert_ne!(base, content_key(b"aig", "b; rf", false, 6, 8));
-        assert_ne!(base, content_key(b"aig", "b; rw", true, 6, 8));
-        assert_ne!(base, content_key(b"aig", "b; rw", false, 5, 8));
-        assert_ne!(base, content_key(b"aig", "b; rw", false, 6, 9));
+        let content_key = |aiger: &[u8], flow, choices| CacheKey::new(aiger, flow, choices).hash;
+        let base = content_key(b"aig", "b; rw", false);
+        assert_eq!(base, content_key(b"aig", "b; rw", false));
+        assert_ne!(base, content_key(b"aiG", "b; rw", false));
+        assert_ne!(base, content_key(b"aig", "b; rf", false));
+        assert_ne!(base, content_key(b"aig", "b; rw", true));
         // Field boundaries are separated: moving a byte across the
         // aiger/flow boundary changes the key.
         assert_ne!(
-            content_key(b"ab", "c", false, 6, 8),
-            content_key(b"a", "bc", false, 6, 8)
+            content_key(b"ab", "c", false),
+            content_key(b"a", "bc", false)
         );
     }
 
     /// A key distinguished by its AIGER bytes alone.
     fn key(n: u8) -> CacheKey {
-        CacheKey::new(&[n], "b", false, 6, 8)
+        CacheKey::new(&[n], "b", false)
     }
 
     /// Non-blocking probe: a miss's build lease is dropped on the spot

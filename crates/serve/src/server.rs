@@ -428,15 +428,9 @@ fn execute_job_inner(
         }
     };
 
-    // Warm-cache lookup: synthesis is family- and objective-independent,
-    // so the key leaves both out.
-    let key = CacheKey::new(
-        &spec.aiger,
-        &config.flow,
-        config.choices,
-        spec.cut_k,
-        spec.max_cuts,
-    );
+    // Warm-cache lookup: synthesis is independent of family, objective
+    // and cut shape, so the key leaves them out.
+    let key = CacheKey::new(&spec.aiger, &config.flow, config.choices);
     let (entry, cache_hit) = match shared.cache.lookup(&key, deadline) {
         None => {
             // Deadline lapsed waiting on the single-flight leader.

@@ -2,10 +2,10 @@
 //! concurrent resubmission (bit-identical netlists and QoR documents,
 //! equal to the in-process pipeline path), warm-cache amortization
 //! (per-family libraries built at most once per process, content-hash
-//! hits on resubmission), typed backpressure, per-request timeout,
-//! error surfaces, request-ID allocation, byte-stable deterministic
-//! telemetry, and per-request span/counter attribution under
-//! concurrency.
+//! hits on resubmission, whatever the cut width), typed backpressure,
+//! per-request timeout, error surfaces, request-ID allocation,
+//! byte-stable deterministic telemetry, and per-request span/counter
+//! attribution under concurrency.
 
 use ambipolar::engine;
 use ambipolar::pipeline::{mapper_cut_db, run_job, PipelineConfig};
@@ -352,6 +352,39 @@ fn warm_telemetry_deterministic_section_is_byte_stable() {
         warm_b.contains("\"timing\": {\"request_id\": 3,"),
         "{warm_b}"
     );
+    server.shutdown();
+}
+
+/// The cut shape is no synthesis input: one circuit resubmitted with
+/// another `cut_k` reuses the cached synthesis, and both mappings of it
+/// are SAT-proven (a failed proof answers `Error`).
+#[test]
+fn cut_width_does_not_split_the_synthesis_cache() {
+    let server = start(1, 4);
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let mut telemetry = Vec::new();
+    for cut_k in [6, 4] {
+        let job = JobSpec {
+            cut_k,
+            ..spec("t481", GateFamily::Cmos, 256, Verify::Sat)
+        };
+        match client.submit(&job).expect("submit") {
+            Response::Ok { telemetry_json, .. } => telemetry.push(telemetry_json),
+            other => panic!("cut_k {cut_k}: expected Ok, got {other:?}"),
+        }
+    }
+    assert!(
+        telemetry[0].contains("\"cache_hit\": false"),
+        "{}",
+        telemetry[0]
+    );
+    assert!(
+        telemetry[1].contains("\"cache_hit\": true"),
+        "{}",
+        telemetry[1]
+    );
+    let stats = client.stats().expect("stats");
+    assert_eq!(json_u64(&stats, "cache_misses"), 1, "{stats}");
     server.shutdown();
 }
 

@@ -19,8 +19,8 @@
 //! use spice_lite::{Circuit, GROUND};
 //!
 //! let mut ckt = Circuit::new();
-//! let vin = ckt.node("vin");
-//! let mid = ckt.node("mid");
+//! let vin = ckt.node();
+//! let mid = ckt.node();
 //! ckt.add_vsource("V1", vin, GROUND, 1.0);
 //! ckt.add_resistor("R1", vin, mid, 1_000.0);
 //! ckt.add_resistor("R2", mid, GROUND, 3_000.0);

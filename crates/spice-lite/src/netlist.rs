@@ -85,31 +85,38 @@ pub enum Element {
 ///
 /// Nodes are created with [`Circuit::node`]; elements with the `add_*`
 /// methods. Solve with [`Circuit::solve_dc`](crate::solver) once built.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Circuit {
-    node_names: Vec<String>,
+    /// Nodes allocated so far, ground included.
+    nodes: usize,
     elements: Vec<Element>,
+}
+
+impl Default for Circuit {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Circuit {
     /// Creates an empty circuit containing only the ground node.
     pub fn new() -> Self {
         Self {
-            node_names: vec!["0".to_owned()],
+            nodes: 1,
             elements: Vec::new(),
         }
     }
 
-    /// Allocates a fresh node with a diagnostic name.
-    pub fn node(&mut self, name: impl Into<String>) -> NodeId {
-        let id = NodeId(self.node_names.len());
-        self.node_names.push(name.into());
+    /// Allocates a fresh node.
+    pub fn node(&mut self) -> NodeId {
+        let id = NodeId(self.nodes);
+        self.nodes += 1;
         id
     }
 
     /// Number of nodes including ground.
     pub fn node_count(&self) -> usize {
-        self.node_names.len()
+        self.nodes
     }
 
     /// All elements added so far.
@@ -217,16 +224,21 @@ mod tests {
     fn nodes_are_sequential() {
         let mut c = Circuit::new();
         assert_eq!(c.node_count(), 1);
-        let a = c.node("a");
-        let b = c.node("b");
+        let a = c.node();
+        let b = c.node();
         assert_eq!(a.index(), 1);
         assert_eq!(b.index(), 2);
     }
 
     #[test]
+    fn default_circuit_keeps_ground_reserved() {
+        assert_ne!(Circuit::default().node(), GROUND);
+    }
+
+    #[test]
     fn vsource_lookup_counts_only_sources() {
         let mut c = Circuit::new();
-        let a = c.node("a");
+        let a = c.node();
         c.add_resistor("R1", a, GROUND, 10.0);
         c.add_vsource("VDD", a, GROUND, 0.9);
         c.add_vsource("VIN", a, GROUND, 0.0);
@@ -239,7 +251,7 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_nonpositive_resistance() {
         let mut c = Circuit::new();
-        let a = c.node("a");
+        let a = c.node();
         c.add_resistor("R", a, GROUND, 0.0);
     }
 }

@@ -369,8 +369,8 @@ mod tests {
     #[test]
     fn resistor_divider() {
         let mut ckt = Circuit::new();
-        let vin = ckt.node("vin");
-        let mid = ckt.node("mid");
+        let vin = ckt.node();
+        let mid = ckt.node();
         ckt.add_vsource("V1", vin, GROUND, 1.0);
         ckt.add_resistor("R1", vin, mid, 1e3);
         ckt.add_resistor("R2", mid, GROUND, 1e3);
@@ -384,7 +384,7 @@ mod tests {
     #[test]
     fn isource_into_resistor() {
         let mut ckt = Circuit::new();
-        let a = ckt.node("a");
+        let a = ckt.node();
         ckt.add_isource("I1", GROUND, a, 1e-3);
         ckt.add_resistor("R1", a, GROUND, 2e3);
         let op = ckt.solve_dc().expect("converges");
@@ -397,9 +397,9 @@ mod tests {
         let tech = TechParams::cmos_32nm();
         let nfet = tech.model(Polarity::N);
         let mut ckt = Circuit::new();
-        let vdd = ckt.node("vdd");
-        let gate = ckt.node("gate");
-        let out = ckt.node("out");
+        let vdd = ckt.node();
+        let gate = ckt.node();
+        let out = ckt.node();
         ckt.add_vsource("VDD", vdd, GROUND, tech.vdd);
         ckt.add_vsource("VIN", gate, GROUND, tech.vdd);
         ckt.add_resistor("RL", vdd, out, 1e6);
@@ -417,7 +417,7 @@ mod tests {
         let tech = TechParams::cmos_32nm();
         let nfet = tech.model(Polarity::N);
         let mut ckt = Circuit::new();
-        let vdd = ckt.node("vdd");
+        let vdd = ckt.node();
         ckt.add_vsource("VDD", vdd, GROUND, tech.vdd);
         // Gate tied to ground: device off, drain at VDD.
         ckt.add_transistor("MN", nfet, vdd, GROUND, GROUND);
@@ -439,7 +439,7 @@ mod tests {
 
         let single = {
             let mut ckt = Circuit::new();
-            let vdd = ckt.node("vdd");
+            let vdd = ckt.node();
             ckt.add_vsource("VDD", vdd, GROUND, tech.vdd);
             ckt.add_transistor("M1", nfet, vdd, GROUND, GROUND);
             ckt.solve_dc()
@@ -449,8 +449,8 @@ mod tests {
         };
         let stacked = {
             let mut ckt = Circuit::new();
-            let vdd = ckt.node("vdd");
-            let mid = ckt.node("mid");
+            let vdd = ckt.node();
+            let mid = ckt.node();
             ckt.add_vsource("VDD", vdd, GROUND, tech.vdd);
             ckt.add_transistor("M1", nfet, vdd, GROUND, mid);
             ckt.add_transistor("M2", nfet, mid, GROUND, GROUND);
@@ -473,7 +473,7 @@ mod tests {
         let tech = TechParams::cmos_32nm();
         let nfet = tech.model(Polarity::N);
         let mut ckt = Circuit::new();
-        let vdd = ckt.node("vdd");
+        let vdd = ckt.node();
         ckt.add_vsource("VDD", vdd, GROUND, tech.vdd);
         for i in 0..3 {
             ckt.add_transistor(format!("M{i}"), nfet, vdd, GROUND, GROUND);
@@ -493,9 +493,9 @@ mod tests {
         let pfet = tech.model(Polarity::P);
         for (vin, expect_high) in [(0.0, true), (tech.vdd, false)] {
             let mut ckt = Circuit::new();
-            let vdd = ckt.node("vdd");
-            let input = ckt.node("in");
-            let out = ckt.node("out");
+            let vdd = ckt.node();
+            let input = ckt.node();
+            let out = ckt.node();
             ckt.add_vsource("VDD", vdd, GROUND, tech.vdd);
             ckt.add_vsource("VIN", input, GROUND, vin);
             ckt.add_transistor("MP", pfet, out, input, vdd);
@@ -517,9 +517,9 @@ mod tests {
             .map(|i| {
                 let vin = tech.vdd * i as f64 / 18.0;
                 let mut ckt = Circuit::new();
-                let vdd = ckt.node("vdd");
-                let input = ckt.node("in");
-                let out = ckt.node("out");
+                let vdd = ckt.node();
+                let input = ckt.node();
+                let out = ckt.node();
                 ckt.add_vsource("VDD", vdd, GROUND, tech.vdd);
                 ckt.add_vsource("VIN", input, GROUND, vin);
                 ckt.add_transistor("MP", tech.model(Polarity::P), out, input, vdd);
@@ -539,8 +539,8 @@ mod tests {
         let tech = TechParams::cmos_32nm();
         // Linear circuit.
         let mut ckt = Circuit::new();
-        let vin = ckt.node("vin");
-        let mid = ckt.node("mid");
+        let vin = ckt.node();
+        let mid = ckt.node();
         ckt.add_vsource("V1", vin, GROUND, 1.0);
         ckt.add_resistor("R1", vin, mid, 1e3);
         ckt.add_resistor("R2", mid, GROUND, 1e3);
@@ -553,8 +553,8 @@ mod tests {
 
         // Nonlinear stack: residual must stay far below the nA leakage.
         let mut ckt = Circuit::new();
-        let vdd = ckt.node("vdd");
-        let mid = ckt.node("mid");
+        let vdd = ckt.node();
+        let mid = ckt.node();
         ckt.add_vsource("VDD", vdd, GROUND, tech.vdd);
         ckt.add_transistor("M1", tech.model(Polarity::N), vdd, GROUND, mid);
         ckt.add_transistor("M2", tech.model(Polarity::N), mid, GROUND, GROUND);
@@ -572,8 +572,8 @@ mod tests {
         // A node connected to nothing but gmin: should still solve (to 0 V)
         // rather than crash.
         let mut ckt = Circuit::new();
-        let a = ckt.node("floating");
-        let b = ckt.node("driven");
+        let a = ckt.node();
+        let b = ckt.node();
         ckt.add_vsource("V1", b, GROUND, 1.0);
         ckt.add_resistor("R1", b, GROUND, 1e3);
         let op = ckt.solve_dc().expect("gmin keeps the system nonsingular");

@@ -62,8 +62,8 @@ impl TransientResult {
 ///
 /// // RC charging: v(t) = 1 − e^{−t/RC}.
 /// let mut ckt = Circuit::new();
-/// let vin = ckt.node("vin");
-/// let out = ckt.node("out");
+/// let vin = ckt.node();
+/// let out = ckt.node();
 /// ckt.add_vsource("VIN", vin, GROUND, 0.0);
 /// ckt.add_resistor("R", vin, out, 1_000.0);
 /// ckt.add_capacitor("C", out, GROUND, 1e-12);
@@ -157,8 +157,8 @@ mod tests {
     #[test]
     fn rc_charging_matches_analytic() {
         let mut ckt = Circuit::new();
-        let vin = ckt.node("vin");
-        let out = ckt.node("out");
+        let vin = ckt.node();
+        let out = ckt.node();
         ckt.add_vsource("VIN", vin, GROUND, 0.0);
         ckt.add_resistor("R", vin, out, 1e3);
         ckt.add_capacitor("C", out, GROUND, 1e-12);
@@ -178,8 +178,8 @@ mod tests {
     fn capacitor_charge_balance() {
         // Total charge delivered through R equals C·ΔV.
         let mut ckt = Circuit::new();
-        let vin = ckt.node("vin");
-        let out = ckt.node("out");
+        let vin = ckt.node();
+        let out = ckt.node();
         ckt.add_vsource("VIN", vin, GROUND, 0.0);
         ckt.add_resistor("R", vin, out, 10e3);
         ckt.add_capacitor("C", out, GROUND, 2e-15);
@@ -197,9 +197,9 @@ mod tests {
     fn inverter_switches_dynamically() {
         let tech = TechParams::cmos_32nm();
         let mut ckt = Circuit::new();
-        let vdd = ckt.node("vdd");
-        let vin = ckt.node("in");
-        let out = ckt.node("out");
+        let vdd = ckt.node();
+        let vin = ckt.node();
+        let out = ckt.node();
         ckt.add_vsource("VDD", vdd, GROUND, tech.vdd);
         ckt.add_vsource("VIN", vin, GROUND, 0.0);
         ckt.add_transistor("MP", tech.model(Polarity::P), out, vin, vdd);

@@ -42,7 +42,8 @@
 //! against several libraries enumerates its cuts once), or an
 //! [`aig::ChoiceAig`] — the structural choices a synthesis flow
 //! accumulated via its `dch` step: cut enumeration walks the choice
-//! rings (a class's cut may be rooted in any member's cone), selection
+//! rings into a fresh [`aig::CutDb`] (a class's cut may be rooted in any
+//! member's cone), selection
 //! iterates the classes in dependency order, and the cover materializes
 //! whichever alternative won.
 //!

@@ -23,7 +23,7 @@ use crate::config::{default_output_load, MapConfig, MapError, Objective};
 use crate::matching::{Matcher, NpnMatchCache};
 use crate::netlist::{Instance, MappedNetlist, NetRef};
 use aig::choice::ChoiceAig;
-use aig::cuts::{enumerate_cuts_choice, CutConfig, CutDb, CutSource};
+use aig::cuts::{CutConfig, CutDb};
 use aig::graph::{Aig, Lit, Node};
 use charlib::{CharacterizedGate, CharacterizedLibrary};
 use device::Capacitance;
@@ -59,7 +59,7 @@ struct MatchArena {
 impl MatchArena {
     /// Matches every non-trivial cut of every node of `order`, with its
     /// pins on the cut's support leaves, in cut-then-match order.
-    fn build(len: usize, order: &[u32], cuts: &dyn CutSource, matcher: &mut Matcher<'_>) -> Self {
+    fn build(len: usize, order: &[u32], cuts: &CutDb, matcher: &mut Matcher<'_>) -> Self {
         let mut arena = MatchArena {
             span: vec![(0, 0); len],
             list: Vec::new(),
@@ -67,7 +67,7 @@ impl MatchArena {
         };
         for &node in order {
             let start = arena.list.len() as u32;
-            for cut in cuts.cuts_of(node) {
+            for cut in cuts.cuts(node) {
                 if cut.is_trivial(node) {
                     continue;
                 }
@@ -160,8 +160,9 @@ pub enum Subject<'a> {
     /// lacks, so mapping one network repeatedly — against three libraries,
     /// say — pays for enumeration once.
     Plain(&'a Aig, &'a mut CutDb),
-    /// A [`ChoiceAig`]: cut enumeration walks every choice ring
-    /// ([`enumerate_cuts_choice`]), selection iterates the classes in
+    /// A [`ChoiceAig`]: cut enumeration fills a fresh database with one
+    /// cut set per class, merged over every choice ring member
+    /// ([`CutDb::fill_choices`]), selection iterates the classes in
     /// [`ChoiceAig::class_order`], and the cover materializes whichever
     /// alternative's cut won — its instances only reference cut leaves,
     /// which are class representatives.
@@ -205,15 +206,16 @@ pub fn map_subject(
 
     // Phase 1: cut enumeration — incremental against a plain network's
     // database, one cut set per class across a choice network's rings.
-    let choice_cuts;
+    let mut choice_cuts;
     let span = obs::span!("map/cuts");
-    let (aig, cuts, choice): (&Aig, &dyn CutSource, Option<&ChoiceAig>) = match subject {
+    let (aig, cuts, choice): (&Aig, &CutDb, Option<&ChoiceAig>) = match subject {
         Subject::Plain(aig, cuts) => {
             cuts.ensure(aig);
             (aig, cuts, None)
         }
         Subject::Choices(choice) => {
-            choice_cuts = enumerate_cuts_choice(choice, shape);
+            choice_cuts = CutDb::new(shape);
+            choice_cuts.fill_choices(choice);
             (choice.arena(), &choice_cuts, Some(choice))
         }
     };
@@ -280,7 +282,7 @@ struct Network<'a> {
     /// Estimated consumers per node (flow discount and load buckets).
     fanouts: Cow<'a, [u32]>,
     outputs: &'a [Lit],
-    cuts: &'a dyn CutSource,
+    cuts: &'a CutDb,
 }
 
 /// Fanout estimate for the flow discount of choice-network selection:
@@ -603,7 +605,7 @@ fn select_matches(
         }
         let (arr, f, c) = best.ok_or(MapError::UnmatchedNode {
             node,
-            cuts: net.cuts.cuts_of(node).len(),
+            cuts: net.cuts.cuts(node).len(),
         })?;
         arrival[idx] = arr;
         flow[idx] = f;
@@ -895,7 +897,7 @@ fn extract_cover(
             // a malformed cover (e.g. the constant node as a pin leaf).
             let c = chosen[node as usize].ok_or(MapError::UnmatchedNode {
                 node,
-                cuts: net.cuts.cuts_of(node).len(),
+                cuts: net.cuts.cuts(node).len(),
             })?;
             if expanded {
                 emitted[node as usize] = true;
@@ -1309,9 +1311,9 @@ mod tests {
     /// Every library match of every non-trivial cut of `node`, with its
     /// pins on the cut's support leaves, in cut-then-match order — the
     /// per-visit derivation the match arena replaced, kept as its oracle.
-    fn candidates(node: u32, cuts: &dyn CutSource, matcher: &mut Matcher<'_>) -> Vec<Chosen> {
+    fn candidates(node: u32, cuts: &CutDb, matcher: &mut Matcher<'_>) -> Vec<Chosen> {
         let mut out = Vec::new();
-        for cut in cuts.cuts_of(node) {
+        for cut in cuts.cuts(node) {
             if cut.is_trivial(node) {
                 continue;
             }
@@ -1331,7 +1333,7 @@ mod tests {
 
     /// Builds the arena over `order` for every family and checks each
     /// node's slice against [`candidates`], in order.
-    fn assert_arena_is_candidates(len: usize, order: &[u32], cuts: &dyn CutSource) {
+    fn assert_arena_is_candidates(len: usize, order: &[u32], cuts: &CutDb) {
         for family in GateFamily::ALL {
             let cache = NpnMatchCache::for_family(family).expect("INV present");
             let arena = MatchArena::build(len, order, cuts, &mut Matcher::new(&cache));
@@ -1392,7 +1394,8 @@ mod tests {
             .expect("parses")
             .run_with_choices(&c1355);
         let choices = choices.expect("dch returns choices");
-        let cuts = enumerate_cuts_choice(&choices, shape);
+        let mut cuts = CutDb::new(shape);
+        cuts.fill_choices(&choices);
         assert_arena_is_candidates(choices.arena().len(), choices.class_order(), &cuts);
     }
 

@@ -25,13 +25,13 @@ fn main() {
         for drive_high in [true, false] {
             let v = |bit: bool| if bit { tech.vdd } else { 0.0 };
             let mut ckt = Circuit::new();
-            let vin = ckt.node("vin");
-            let out = ckt.node("out");
+            let vin = ckt.node();
+            let out = ckt.node();
             ckt.add_vsource("VIN", vin, GROUND, v(drive_high));
-            let pg_a = ckt.node("pg_a");
-            let pg_an = ckt.node("pg_an");
-            let g_b = ckt.node("g_b");
-            let g_bn = ckt.node("g_bn");
+            let pg_a = ckt.node();
+            let pg_an = ckt.node();
+            let g_b = ckt.node();
+            let g_bn = ckt.node();
             ckt.add_vsource("VA", pg_a, GROUND, v(a));
             ckt.add_vsource("VAN", pg_an, GROUND, v(!a));
             ckt.add_vsource("VB", g_b, GROUND, v(b));
